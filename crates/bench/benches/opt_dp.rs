@@ -1,13 +1,17 @@
-//! Offline-optimal DP throughput: exact segment DP (and a beam-pruned
-//! variant) over the two-day plateau trace the engine-replay bench uses,
-//! plus the replay verification pass.
+//! Offline-optimal DP throughput: the exact segment DP (plus a
+//! beam-pruned variant and the replay verification pass) on two traces.
 //!
-//! The headline metric printed before the criterion timings is
+//! * `tournament` — worldcup-tournament, 2 days, seed 1998, on table1:
+//!   the smoke grid's largest solve (120 states x 169,936 segments), so
+//!   its timings track the grid's `phase.opt_solve`.
+//! * `plateau` — two days of 5-minute constant-load plateaus, the shape
+//!   `engine_replay` uses. Its 568 segments are 300x fewer than the real
+//!   trace's, so it isolates per-solve overhead and says little about
+//!   real solve times.
+//!
+//! The headline printed per trace before the criterion timings is
 //! **simulated-seconds per wall-clock second** for the full
-//! solve-then-verify pipeline — the number that bounds how much trace
-//! the optimality-gap columns can afford to cover in CI. The exact DP
-//! must clear the whole 144-cell smoke grid inside the existing CI
-//! budget; this bench is where a state-space regression shows up first.
+//! solve-then-verify pipeline (best of 3).
 
 use std::time::Instant;
 
@@ -35,39 +39,53 @@ fn plateau_trace(days: u32) -> LoadTrace {
 }
 
 fn bench_opt_dp(c: &mut Criterion) {
-    let trace = plateau_trace(2);
+    let plateau = plateau_trace(2);
+    let tournament = bml_trace::registry::generate("worldcup-tournament", 2, 1998)
+        .expect("registered trace source");
     let bml = BmlInfrastructure::build(&catalog::table1()).unwrap();
     let split = SplitPolicy::EfficiencyGreedy;
-    let sim_secs = trace.len() as f64;
 
     // Headline: best-of-3 wall time for the exact solve + replay verify,
     // so the printed rate is not hostage to one scheduling stall.
-    let mut best_wall = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..3 {
-        let started = Instant::now();
-        let r = solve_verified(&trace, &bml, split, &OptOptions::default());
-        best_wall = best_wall.min(started.elapsed().as_secs_f64());
-        last = Some(black_box(r));
+    for (name, trace) in [("tournament", &tournament), ("plateau", &plateau)] {
+        let sim_secs = trace.len() as f64;
+        let mut best_wall = f64::INFINITY;
+        let mut last = None;
+        for _ in 0..3 {
+            let started = Instant::now();
+            let r = solve_verified(trace, &bml, split, &OptOptions::default());
+            best_wall = best_wall.min(started.elapsed().as_secs_f64());
+            last = Some(black_box(r));
+        }
+        let (sched, _) = last.flatten().expect("exact DP cannot dead-end");
+        println!(
+            "opt_dp/{name} exact+verify {:>12.0} simulated-s/wallclock-s  \
+             ({:.0} sim-s, {} segments x {} states, {} records, in {:.4} s)",
+            sim_secs / best_wall,
+            sim_secs,
+            sched.n_segments,
+            sched.n_states,
+            sched.schedule.len(),
+            best_wall
+        );
     }
-    let (sched, _) = last.flatten().expect("exact DP cannot dead-end");
-    println!(
-        "opt_dp/exact+verify {:>12.0} simulated-s/wallclock-s  \
-         ({:.0} sim-s, {} segments x {} states, {} records, in {:.4} s)",
-        sim_secs / best_wall,
-        sim_secs,
-        sched.n_segments,
-        sched.n_states,
-        sched.schedule.len(),
-        best_wall
-    );
 
     let mut g = c.benchmark_group("opt_dp");
     g.sample_size(10);
+    g.bench_function("exact_tournament_2day", |b| {
+        b.iter(|| {
+            solve(
+                black_box(&tournament),
+                black_box(&bml),
+                split,
+                &OptOptions::default(),
+            )
+        })
+    });
     g.bench_function("exact_2day", |b| {
         b.iter(|| {
             solve(
-                black_box(&trace),
+                black_box(&plateau),
                 black_box(&bml),
                 split,
                 &OptOptions::default(),
@@ -79,12 +97,12 @@ fn bench_opt_dp(c: &mut Criterion) {
         extra_states: vec![],
     };
     g.bench_function("beam4_2day", |b| {
-        b.iter(|| solve(black_box(&trace), black_box(&bml), split, &beam))
+        b.iter(|| solve(black_box(&plateau), black_box(&bml), split, &beam))
     });
     g.bench_function("exact_verified_2day", |b| {
         b.iter(|| {
             solve_verified(
-                black_box(&trace),
+                black_box(&plateau),
                 black_box(&bml),
                 split,
                 &OptOptions::default(),

@@ -1,8 +1,10 @@
 //! Grid execution behind the [`GridRunner`] API.
 //!
 //! A run resolves the spec's traces and catalogs once, solves the offline
-//! optimum per distinct `(trace, catalog, split)` triple up front, then
-//! fans the cells out over the shared `bml-sim` cell executor in batches,
+//! optimum per distinct `(trace, catalog, split)` triple up front — cache
+//! misses concurrently on the run's worker pool, merged with the hits in
+//! triple order — then fans the cells out over the shared `bml-sim` cell
+//! executor in batches,
 //! optionally short-circuiting each cell through the content-addressed
 //! [`crate::cache::CellCache`] and streaming each completed record to a
 //! [`crate::stream::CellSink`] in enumeration order.
@@ -66,6 +68,7 @@ use bml_core::scheduler::paper_window_length;
 use bml_obs::{Heartbeat, Recorder};
 use bml_sim::exec::{run_cells_checked, CellConfig, CellJob};
 use bml_sim::{CellSummary, SimConfig};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{self, CacheStats, CellCache, OptEntry};
@@ -424,54 +427,85 @@ pub(crate) fn execute(
     // Optima first: one verified solve per distinct (trace, catalog,
     // split) triple — the only dimensions the optimum depends on. Solving
     // before the fan-out lets each record be stamped (and streamed)
-    // complete the moment its cell finishes. Solver statistics travel
-    // with the cached entry, so the merged `opt.*` counters are identical
-    // on cold and warm caches (the triple order `(t, c, s)` never moves).
+    // complete the moment its cell finishes. Cache misses are solved
+    // concurrently on the run's worker pool, then merged with the hits in
+    // triple order `(t, c, s)`: cache writes and the `opt.*` counters
+    // follow that order whichever solve finishes first, and solver
+    // statistics travel with the cached entry, so the merged counters are
+    // identical on cold, warm and partially warm caches.
     let opt_t0 = Instant::now();
     let opt_options = bml_opt::OptOptions::default();
-    let mut optima: BTreeMap<(usize, usize, usize), f64> = BTreeMap::new();
-    for t in 0..traces.len() {
-        for c in 0..catalogs.len() {
-            for (s, &split) in spec.splits.iter().enumerate() {
-                let cached = cache.as_ref().map(|cache| {
-                    stats.opt_lookups += 1;
-                    let key =
-                        cache::opt_key(&trace_digests[t], &catalog_digests[c], split, &opt_options);
-                    let hit = cache.load_opt(&key);
-                    if hit.is_some() {
-                        stats.opt_hits += 1;
-                    }
-                    (key, hit)
-                });
-                let entry = match &cached {
-                    Some((_, Some(entry))) => *entry,
-                    _ => {
-                        let (sched, _) =
-                            bml_opt::solve_verified(&traces[t], &catalogs[c], split, &opt_options)
-                                .expect("exact DP cannot dead-end");
-                        let entry = OptEntry::from_schedule(&sched);
-                        if let (Some(cache), Some((key, None))) = (&cache, &cached) {
-                            if cache_writes {
-                                if let Err(e) = cache.store_opt(key, &entry) {
-                                    warnings.push(RunWarning {
-                                        component: "cache",
-                                        message: format!("cache write: {e}; caching disabled"),
-                                    });
-                                    cache_writes = false;
-                                }
-                            }
-                        }
-                        entry
-                    }
-                };
-                telemetry.count("opt.solves", 1);
-                telemetry.count("opt.states", entry.n_states);
-                telemetry.count("opt.segments", entry.n_segments);
-                telemetry.count("opt.boundaries", entry.n_boundaries);
-                telemetry.count("opt.states_pruned", entry.states_pruned);
-                optima.insert((t, c, s), entry.energy_j);
+    let triples: Vec<(usize, usize, usize)> = (0..traces.len())
+        .flat_map(|t| (0..catalogs.len()).map(move |c| (t, c)))
+        .flat_map(|(t, c)| (0..spec.splits.len()).map(move |s| (t, c, s)))
+        .collect();
+    // Per triple, when a cache is open: its key and the entry it hit.
+    let lookups: Vec<Option<(String, Option<OptEntry>)>> = triples
+        .iter()
+        .map(|&(t, c, s)| {
+            let cache = cache.as_ref()?;
+            stats.opt_lookups += 1;
+            let key = cache::opt_key(
+                &trace_digests[t],
+                &catalog_digests[c],
+                spec.splits[s],
+                &opt_options,
+            );
+            let hit = cache.load_opt(&key);
+            if hit.is_some() {
+                stats.opt_hits += 1;
             }
-        }
+            Some((key, hit))
+        })
+        .collect();
+    let misses: Vec<(usize, usize, usize)> = triples
+        .iter()
+        .zip(&lookups)
+        .filter(|(_, lookup)| !matches!(lookup, Some((_, Some(_)))))
+        .map(|(&triple, _)| triple)
+        .collect();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads.map_or(0, |n| n.max(1)))
+        .build()
+        .expect("thread pool construction cannot fail");
+    let solved: Vec<OptEntry> = pool.install(|| {
+        misses
+            .par_iter()
+            .map(|&(t, c, s)| {
+                let (sched, _) =
+                    bml_opt::solve_verified(&traces[t], &catalogs[c], spec.splits[s], &opt_options)
+                        .expect("exact DP cannot dead-end");
+                OptEntry::from_schedule(&sched)
+            })
+            .collect()
+    });
+    let mut solved = solved.into_iter();
+    let mut optima: BTreeMap<(usize, usize, usize), f64> = BTreeMap::new();
+    for (triple, lookup) in triples.into_iter().zip(lookups) {
+        let entry = match lookup {
+            Some((_, Some(hit))) => hit,
+            lookup => {
+                let entry = solved.next().expect("one solve per miss");
+                if let (Some(cache), Some((key, _))) = (&cache, &lookup) {
+                    if cache_writes {
+                        if let Err(e) = cache.store_opt(key, &entry) {
+                            warnings.push(RunWarning {
+                                component: "cache",
+                                message: format!("cache write: {e}; caching disabled"),
+                            });
+                            cache_writes = false;
+                        }
+                    }
+                }
+                entry
+            }
+        };
+        telemetry.count("opt.solves", 1);
+        telemetry.count("opt.states", entry.n_states);
+        telemetry.count("opt.segments", entry.n_segments);
+        telemetry.count("opt.boundaries", entry.n_boundaries);
+        telemetry.count("opt.states_pruned", entry.states_pruned);
+        optima.insert(triple, entry.energy_j);
     }
     telemetry.span("phase.opt_solve", opt_t0.elapsed());
 

@@ -4,8 +4,10 @@
 //! Parallelism and caching change wall-clock time, never results.
 
 use bml_core::combination::SplitPolicy;
+use bml_grid::cache;
 use bml_grid::spec::{CatalogSpec, GridSpec, SchedulerDim};
 use bml_grid::{pareto_frontier, render_csv, render_json, run_grid, GridRunner};
+use bml_opt::OptOptions;
 use bml_sim::Stepping;
 
 /// A spec small enough for debug-mode CI but covering every dimension
@@ -153,6 +155,65 @@ fn telemetry_counters_are_cache_temperature_blind() {
         cold.telemetry.render_counters(),
         "counters diverged between cached and uncached runs"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn partially_warm_opt_cache_merges_to_the_cold_bytes_and_counters() {
+    let dir = std::env::temp_dir().join("bml_grid_determinism_partial_opt");
+    std::fs::remove_dir_all(&dir).ok();
+    // Two catalogs x two splits: four optima, so the one deleted below is
+    // a miss between cache hits.
+    let mut spec = spec();
+    spec.splits = vec![
+        SplitPolicy::EfficiencyGreedy,
+        SplitPolicy::ProportionalToCapacity,
+    ];
+    let cold = GridRunner::new(&spec)
+        .threads(8)
+        .cache_dir(&dir)
+        .run()
+        .unwrap();
+    // The third triple in `(trace, catalog, split)` order, keyed the way
+    // the executor keys it.
+    let trace = spec.traces[0].resolve().unwrap();
+    let bml = spec.catalogs[1].resolve().unwrap();
+    let key = cache::opt_key(
+        &cache::trace_digest(&trace),
+        &cache::catalog_digest(&bml),
+        spec.splits[0],
+        &OptOptions::default(),
+    );
+    let entry = dir.join("opt").join(key);
+    for threads in [1, 8] {
+        std::fs::remove_file(&entry).expect("the cold run cached every optimum");
+        let warm = GridRunner::new(&spec)
+            .threads(threads)
+            .cache_dir(&dir)
+            .run()
+            .unwrap();
+        assert_eq!(
+            (warm.cache.opt_hits, warm.cache.opt_lookups),
+            (3, 4),
+            "threads={threads}"
+        );
+        assert_eq!(
+            render_json(&warm.outcome),
+            render_json(&cold.outcome),
+            "threads={threads}"
+        );
+        assert_eq!(
+            render_csv(&warm.outcome),
+            render_csv(&cold.outcome),
+            "threads={threads}"
+        );
+        assert_eq!(
+            warm.telemetry.render_counters(),
+            cold.telemetry.render_counters(),
+            "threads={threads}: counters diverged from the cold run"
+        );
+        assert!(entry.exists(), "the fresh solve is cached again");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -40,10 +40,21 @@
 //! pairs: transition costs are separable per architecture, so one
 //! up-sweep (boots) and one down-sweep (shutdowns) of a distance
 //! transform along each axis of the count lattice computes the exact
-//! min-plus convolution in `O(lattice)` per boundary. With
-//! [`OptOptions::beam_width`] set, only the `w` cheapest states survive
-//! each boundary — a lower-effort upper bound (never below the exact
-//! optimum) for catalogs where the exact lattice blows up.
+//! min-plus convolution in `O(lattice)` per boundary. The sweeps walk the
+//! lattice line by line, pricing each step once per line position rather
+//! than once per cell. With [`OptOptions::beam_width`] set, only the `w`
+//! cheapest states survive each boundary — a lower-effort upper bound
+//! (never below the exact optimum) for catalogs where the exact lattice
+//! blows up.
+//!
+//! ## Memory
+//!
+//! The backtrack needs every segment's cost vector, and an 87-day worldcup
+//! trace has millions of segments. The forward pass therefore keeps one
+//! checkpoint every `ceil(sqrt(S))` segments, and the backtrack re-runs
+//! one window at a time from its checkpoint into a single reused buffer
+//! of `ceil(sqrt(S))` rows: `O(K * sqrt(S))` memory for `K` states and
+//! `S` segments, for the price of a second forward pass.
 //!
 //! ## Trust, but verify
 //!
@@ -73,11 +84,16 @@ const INF: f64 = f64::INFINITY;
 /// the same 1e-9 the rest of the workspace uses for float comparisons.
 const EPS: f64 = 1e-9;
 
-/// The forward pass checkpoints its cost vector every this many
-/// segments; backtracking recomputes one window at a time, keeping
-/// memory at `O(K * (S / 4096 + 4096))` instead of `O(K * S)` (an
-/// 87-day worldcup trace has millions of segments).
-const CHECKPOINT_EVERY: usize = 4096;
+/// Rows of the backtrack's window for `segments` segments:
+/// `ceil(sqrt(segments))`, which balances the forward pass's checkpoints
+/// (one per window) against the window buffer itself.
+fn window_rows(segments: usize) -> usize {
+    let mut rows = 1;
+    while rows * rows < segments {
+        rows += 1;
+    }
+    rows
+}
 
 /// Knobs for [`solve`].
 #[derive(Debug, Clone, Default)]
@@ -174,13 +190,27 @@ impl ArchCost {
     }
 }
 
-/// One maximal constant-load run.
+/// One maximal constant-load run, in 12 bytes: long traces run to
+/// millions of segments, and a grid solves several traces at once.
 #[derive(Debug, Clone, Copy)]
 struct Seg {
-    start: u64,
-    len: u64,
+    start: u32,
+    len: u32,
     /// Index into the distinct-load table.
-    load: usize,
+    load: u32,
+}
+
+/// One axis of the count lattice, priced once per solve.
+#[derive(Debug, Clone)]
+struct LatticeAxis {
+    /// Cells between neighbouring positions on a line along this axis.
+    stride: usize,
+    /// `gaps[j]`: machines between the axis's counts at positions `j`
+    /// and `j + 1`.
+    gaps: Vec<f64>,
+    /// `boots[j]`: price of booting those `gaps[j]` machines. Boot prices
+    /// never change over the trace (only whether a boot can mature does).
+    boots: Vec<f64>,
 }
 
 /// The assembled DP instance.
@@ -193,10 +223,10 @@ struct Dp<'a> {
     /// load, `INF` when the state's capacity cannot cover it.
     serve: Vec<f64>,
     costs: Vec<ArchCost>,
-    /// Sorted distinct per-architecture counts across all states: the
-    /// axes of the count lattice the distance transform sweeps.
-    axes: Vec<Vec<u32>>,
-    strides: Vec<usize>,
+    /// The count lattice the distance transform sweeps: per
+    /// architecture, the sorted distinct counts across all states, laid
+    /// out row-major (the last architecture's lines are contiguous).
+    lattice: Vec<LatticeAxis>,
     box_size: usize,
     /// Lattice cell of each state.
     cell_of: Vec<usize>,
@@ -218,28 +248,29 @@ impl<'a> Dp<'a> {
     ) -> Self {
         let profiles = bml.candidates();
         let n_archs = profiles.len();
+        assert!(
+            u32::try_from(trace.len()).is_ok(),
+            "a {} s trace overflows the DP's u32 segment positions",
+            trace.len()
+        );
 
-        // Distinct loads (ordered by bit pattern — loads are non-negative,
-        // so this is numeric order) and the segment list.
-        let mut load_idx: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut pre_segs: Vec<(u64, u64, u64)> = Vec::new();
+        // Distinct loads (indexed in order of first appearance) and the
+        // segment list.
+        let mut load_idx: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut segs: Vec<Seg> = Vec::new();
         for seg in trace.constant_runs() {
-            pre_segs.push((seg.start, seg.len(), seg.value.to_bits()));
-            let next = load_idx.len();
-            load_idx.entry(seg.value.to_bits()).or_insert(next);
+            let next = load_idx.len() as u32;
+            let load = *load_idx.entry(seg.value.to_bits()).or_insert(next);
+            segs.push(Seg {
+                start: seg.start as u32,
+                len: seg.len() as u32,
+                load,
+            });
         }
         let mut loads = vec![0.0f64; load_idx.len()];
         for (&bits, &i) in &load_idx {
-            loads[i] = f64::from_bits(bits);
+            loads[i as usize] = f64::from_bits(bits);
         }
-        let segs: Vec<Seg> = pre_segs
-            .into_iter()
-            .map(|(start, len, bits)| Seg {
-                start,
-                len,
-                load: load_idx[&bits],
-            })
-            .collect();
 
         // Candidate states: the combination table's answer for every
         // distinct load, all-off, and the caller's extras.
@@ -273,7 +304,7 @@ impl<'a> Dp<'a> {
 
         let costs: Vec<ArchCost> = profiles.iter().map(ArchCost::new).collect();
 
-        // The count lattice: axis k = sorted distinct counts of arch k.
+        // The count lattice: axis a = sorted distinct counts of arch a.
         let axes: Vec<Vec<u32>> = (0..n_archs)
             .map(|a| {
                 let mut vals: Vec<u32> = states.iter().map(|s| s[a]).collect();
@@ -303,6 +334,19 @@ impl<'a> Dp<'a> {
                     .sum()
             })
             .collect();
+        let lattice: Vec<LatticeAxis> = axes
+            .iter()
+            .zip(&strides)
+            .zip(&costs)
+            .map(|((axis, &stride), cost)| {
+                let gaps: Vec<f64> = axis.windows(2).map(|w| f64::from(w[1] - w[0])).collect();
+                LatticeAxis {
+                    stride,
+                    boots: gaps.iter().map(|&g| cost.on_cost * g).collect(),
+                    gaps,
+                }
+            })
+            .collect();
 
         Dp {
             profiles,
@@ -311,8 +355,7 @@ impl<'a> Dp<'a> {
             states,
             serve,
             costs,
-            axes,
-            strides,
+            lattice,
             box_size,
             cell_of,
             beam: opts.beam_width,
@@ -326,7 +369,8 @@ impl<'a> Dp<'a> {
 
     /// Serving energy of segment `i` in state `s` (INF when infeasible).
     fn serve_energy(&self, i: usize, s: usize) -> f64 {
-        self.serve[self.segs[i].load * self.k() + s] * self.segs[i].len as f64
+        let seg = self.segs[i];
+        self.serve[seg.load as usize * self.k() + s] * f64::from(seg.len)
     }
 
     /// Direct transition cost from state `a` to state `b` at boundary
@@ -371,37 +415,32 @@ impl<'a> Dp<'a> {
     /// lattice (transition costs are separable per architecture; an
     /// up-then-down detour is never cheaper than the direct move, so the
     /// two sweeps per axis relax every pair).
+    ///
+    /// Each sweep advances one line position at a time across every line
+    /// of the axis at once, so a step's price is computed once per
+    /// position and the cells of one position are independent.
     fn transition(&self, dp: &[f64], tau: u64, buf: &mut [f64], out: &mut [f64]) {
         buf.fill(INF);
         for (s, &cell) in self.cell_of.iter().enumerate() {
             buf[cell] = dp[s];
         }
-        for (arch, axis) in self.axes.iter().enumerate() {
-            let m = axis.len();
-            if m == 1 {
-                continue;
-            }
-            let stride = self.strides[arch];
-            if self.costs[arch].lead <= tau {
-                let rate = self.costs[arch].on_cost;
-                for idx in 0..self.box_size {
-                    let j = (idx / stride) % m;
-                    if j > 0 {
-                        let cand = buf[idx - stride] + rate * f64::from(axis[j] - axis[j - 1]);
-                        if cand < buf[idx] {
-                            buf[idx] = cand;
-                        }
+        for (axis, cost) in self.lattice.iter().zip(&self.costs) {
+            let stride = axis.stride;
+            let block = stride * (axis.gaps.len() + 1);
+            if cost.lead <= tau {
+                for (j, &price) in axis.boots.iter().enumerate() {
+                    for lines in buf.chunks_exact_mut(block) {
+                        let (from, to) = lines[j * stride..(j + 2) * stride].split_at_mut(stride);
+                        relax(to, from, price);
                     }
                 }
             }
-            let off_unit = self.costs[arch].off_cost(self.horizon - tau);
-            for idx in (0..self.box_size).rev() {
-                let j = (idx / stride) % m;
-                if j + 1 < m {
-                    let cand = buf[idx + stride] + off_unit * f64::from(axis[j + 1] - axis[j]);
-                    if cand < buf[idx] {
-                        buf[idx] = cand;
-                    }
+            let off_unit = cost.off_cost(self.horizon - tau);
+            for (j, &gap) in axis.gaps.iter().enumerate().rev() {
+                let price = off_unit * gap;
+                for lines in buf.chunks_exact_mut(block) {
+                    let (to, from) = lines[j * stride..(j + 2) * stride].split_at_mut(stride);
+                    relax(to, from, price);
                 }
             }
         }
@@ -410,17 +449,19 @@ impl<'a> Dp<'a> {
         }
     }
 
-    /// One forward step: prune (beam), transition over the boundary into
-    /// segment `i + 1`, add its serving energy. `dp` becomes the cost
-    /// vector through segment `i + 1`.
-    fn step(&self, dp: &mut Vec<f64>, i: usize, buf: &mut [f64], out: &mut Vec<f64>) {
+    /// One forward step: prune `dp` (beam), transition over the boundary
+    /// into segment `i + 1`, add its serving energy. `next` becomes the
+    /// cost vector through segment `i + 1`.
+    fn step(&self, dp: &mut [f64], i: usize, buf: &mut [f64], next: &mut [f64]) {
         self.prune(dp);
-        let tau = self.segs[i + 1].start;
-        self.transition(dp, tau, buf, out);
-        for (s, v) in out.iter_mut().enumerate() {
-            *v += self.serve_energy(i + 1, s);
+        let seg = self.segs[i + 1];
+        self.transition(dp, u64::from(seg.start), buf, next);
+        let k = self.k();
+        let len = f64::from(seg.len);
+        let serve = &self.serve[seg.load as usize * k..][..k];
+        for (v, &w) in next.iter_mut().zip(serve) {
+            *v += w * len;
         }
-        std::mem::swap(dp, out);
     }
 
     /// Forward pass + windowed backtrack. Returns the optimal state per
@@ -429,15 +470,18 @@ impl<'a> Dp<'a> {
     fn solve_path(&self) -> Option<(Vec<usize>, u64)> {
         let k = self.k();
         let s_count = self.segs.len();
-        let mut dp: Vec<f64> = (0..k).map(|s| self.serve_energy(0, s)).collect();
+        let rows = window_rows(s_count);
         let mut buf = vec![INF; self.box_size];
-        let mut out = vec![INF; k];
-        let mut checkpoints: Vec<Vec<f64>> = vec![dp.clone()];
+        // Forward pass, checkpointing the cost vector at every window start.
+        let mut checkpoints: Vec<f64> = Vec::with_capacity(s_count.div_ceil(rows) * k);
+        let mut dp: Vec<f64> = (0..k).map(|s| self.serve_energy(0, s)).collect();
+        let mut next = vec![INF; k];
         for i in 0..s_count - 1 {
-            self.step(&mut dp, i, &mut buf, &mut out);
-            if (i + 1) % CHECKPOINT_EVERY == 0 {
-                checkpoints.push(dp.clone());
+            if i % rows == 0 {
+                checkpoints.extend_from_slice(&dp);
             }
+            self.step(&mut dp, i, &mut buf, &mut next);
+            std::mem::swap(&mut dp, &mut next);
         }
         let forward_pruned = self.pruned.get();
         let (mut best_s, mut best_v) = (usize::MAX, INF);
@@ -453,26 +497,39 @@ impl<'a> Dp<'a> {
 
         let mut path = vec![0usize; s_count];
         path[s_count - 1] = best_s;
+        // Row `r` of the window holds dp_{w0 + r}, recomputed from the
+        // window's checkpoint.
+        let mut window = vec![INF; rows * k];
         let mut hi = s_count - 1;
         while hi > 0 {
-            let c = (hi - 1) / CHECKPOINT_EVERY;
-            let w0 = c * CHECKPOINT_EVERY;
-            // Recompute dp_{w0}..dp_{hi-1} from the window's checkpoint.
-            let mut dps: Vec<Vec<f64>> = Vec::with_capacity(hi - w0);
-            let mut cur = checkpoints[c].clone();
-            dps.push(cur.clone());
-            for i in w0..hi - 1 {
-                self.step(&mut cur, i, &mut buf, &mut out);
-                dps.push(cur.clone());
+            let c = (hi - 1) / rows;
+            let w0 = c * rows;
+            window[..k].copy_from_slice(&checkpoints[c * k..][..k]);
+            for r in 1..hi - w0 {
+                let (done, rest) = window.split_at_mut(r * k);
+                self.step(
+                    &mut done[(r - 1) * k..],
+                    w0 + r - 1,
+                    &mut buf,
+                    &mut rest[..k],
+                );
             }
             for i in (w0..hi).rev() {
-                let dp_i = &mut dps[i - w0];
+                let dp_i = &mut window[(i - w0) * k..][..k];
                 self.prune(dp_i); // the same beam the forward transition saw
                 let b = path[i + 1];
-                let tau = self.segs[i + 1].start;
-                let (mut best_a, mut best_c) = (usize::MAX, INF);
+                let tau = u64::from(self.segs[i + 1].start);
+                // Seeding the scan with staying put lets it skip every
+                // `a` with `dp_i[a] >= best_c` unpriced: profiles forbid
+                // negative energies, so transition prices are >= 0 and
+                // such an `a` can never win. The seed cannot change the
+                // outcome: when staying ties the minimum it is chosen by
+                // the tie rule below anyway, and otherwise the scan still
+                // ends on the lowest-index minimizer.
+                let stay = dp_i[b];
+                let (mut best_a, mut best_c) = (b, stay);
                 for (a, &v) in dp_i.iter().enumerate() {
-                    if !v.is_finite() {
+                    if v >= best_c {
                         continue;
                     }
                     let cost = v + self.trans_cost(a, b, tau);
@@ -484,7 +541,6 @@ impl<'a> Dp<'a> {
                 debug_assert!(best_c.is_finite(), "reachable state has a predecessor");
                 // Prefer staying put on (float-) ties: fewer records, and
                 // the common no-reconfiguration case short-circuits.
-                let stay = dp_i[b];
                 path[i] = if stay <= best_c + 1e-9 * best_c.abs() + 1e-6 {
                     b
                 } else {
@@ -502,7 +558,7 @@ impl<'a> Dp<'a> {
     fn path_energy(&self, path: &[usize]) -> f64 {
         let mut e = self.serve_energy(0, path[0]);
         for i in 1..path.len() {
-            e += self.trans_cost(path[i - 1], path[i], self.segs[i].start);
+            e += self.trans_cost(path[i - 1], path[i], u64::from(self.segs[i].start));
             e += self.serve_energy(i, path[i]);
         }
         e
@@ -522,7 +578,7 @@ impl<'a> Dp<'a> {
             if a == b {
                 continue;
             }
-            let tau = self.segs[i].start;
+            let tau = u64::from(self.segs[i].start);
             let mut boots: BTreeMap<u64, Vec<i64>> = BTreeMap::new();
             let mut offs = vec![0i64; n_archs];
             let mut any_off = false;
@@ -563,6 +619,17 @@ impl<'a> Dp<'a> {
     }
 }
 
+/// One distance-transform step along a lattice axis, for every line at
+/// once: `to[t] = min(to[t], from[t] + price)`.
+fn relax(to: &mut [f64], from: &[f64], price: f64) {
+    for (dst, &src) in to.iter_mut().zip(from) {
+        let cand = src + price;
+        if cand < *dst {
+            *dst = cand;
+        }
+    }
+}
+
 /// Compute the offline-optimal reconfiguration schedule for `trace` on
 /// `bml`'s candidate infrastructure under `split`.
 ///
@@ -577,6 +644,10 @@ impl<'a> Dp<'a> {
 /// load levels (plus [`OptOptions::extra_states`]), reconfigured only at
 /// constant-load segment boundaries — see the crate docs for why
 /// boundary-restricted schedules dominate.
+///
+/// # Panics
+///
+/// Panics when the trace is longer than `u32::MAX` seconds (136 years).
 pub fn solve(
     trace: &LoadTrace,
     bml: &BmlInfrastructure,
@@ -672,6 +743,54 @@ mod tests {
         SplitPolicy::EfficiencyGreedy
     }
 
+    /// The per-element sweep the strided [`Dp::transition`] replaced,
+    /// kept as its bit-exact reference: one pass over the whole box per
+    /// axis and direction, locating every cell on its line by division.
+    fn reference_transition(
+        dp: &Dp<'_>,
+        dp_in: &[f64],
+        tau: u64,
+        buf: &mut [f64],
+        out: &mut [f64],
+    ) {
+        buf.fill(INF);
+        for (s, &cell) in dp.cell_of.iter().enumerate() {
+            buf[cell] = dp_in[s];
+        }
+        for (axis, cost) in dp.lattice.iter().zip(&dp.costs) {
+            let m = axis.gaps.len() + 1;
+            if m == 1 {
+                continue;
+            }
+            let stride = axis.stride;
+            if cost.lead <= tau {
+                let rate = cost.on_cost;
+                for idx in 0..dp.box_size {
+                    let j = (idx / stride) % m;
+                    if j > 0 {
+                        let cand = buf[idx - stride] + rate * axis.gaps[j - 1];
+                        if cand < buf[idx] {
+                            buf[idx] = cand;
+                        }
+                    }
+                }
+            }
+            let off_unit = cost.off_cost(dp.horizon - tau);
+            for idx in (0..dp.box_size).rev() {
+                let j = (idx / stride) % m;
+                if j + 1 < m {
+                    let cand = buf[idx + stride] + off_unit * axis.gaps[j];
+                    if cand < buf[idx] {
+                        buf[idx] = cand;
+                    }
+                }
+            }
+        }
+        for (s, &cell) in dp.cell_of.iter().enumerate() {
+            out[s] = buf[cell];
+        }
+    }
+
     #[test]
     fn empty_trace_is_free() {
         let s = solve(
@@ -725,6 +844,21 @@ mod tests {
             )
             .unwrap();
             assert_eq!(again.states_pruned, beam.states_pruned);
+        }
+    }
+
+    #[test]
+    fn window_rows_is_the_ceiling_square_root() {
+        for (segments, rows) in [
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (4, 2),
+            (16, 4),
+            (17, 5),
+            (169_936, 413),
+        ] {
+            assert_eq!(window_rows(segments), rows, "{segments} segments");
         }
     }
 
@@ -802,38 +936,65 @@ mod tests {
 
     #[test]
     fn lattice_transition_matches_naive_min_plus() {
-        let bml = bml();
-        // A trace whose distinct loads span several combinations.
-        let mut rates = Vec::new();
-        for &v in &[0.0, 10.0, 50.0, 529.0, 1500.0, 4000.0, 300.0] {
-            rates.extend(vec![v; 60]);
-        }
-        let trace = LoadTrace::new(0, rates);
-        let dp = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
-        let k = dp.k();
-        assert!(k >= 5, "want a non-trivial state space, got {k}");
-        // Deterministic pseudo-random dp vector.
-        let dp_in: Vec<f64> = (0..k)
-            .map(|s| {
-                if s % 7 == 3 {
-                    INF
-                } else {
-                    1000.0 + 37.0 * ((s * s + 11) % 97) as f64
-                }
-            })
+        // 42 distinct loads spanning several machines of every kind.
+        let rates: Vec<f64> = (0..42u32)
+            .flat_map(|i| vec![f64::from(i * 97); 30])
             .collect();
-        let mut buf = vec![INF; dp.box_size];
-        let mut out = vec![INF; k];
-        for &tau in &[1u64, 12, 16, 189, 200, dp.horizon - 5] {
-            dp.transition(&dp_in, tau, &mut buf, &mut out);
-            for (b, &got) in out.iter().enumerate() {
-                let naive = (0..k)
-                    .map(|a| dp_in[a] + dp.trans_cost(a, b, tau))
-                    .fold(INF, f64::min);
-                assert!(
-                    (got - naive).abs() <= 1e-9 * naive.abs().max(1.0) || (got == naive),
-                    "tau={tau} b={b}: lattice {got} vs naive {naive}"
-                );
+        let trace = LoadTrace::new(0, rates);
+        let catalogs = [
+            ("table1", catalog::table1()),
+            (
+                "big-medium",
+                vec![catalog::paravance(), catalog::chromebook()],
+            ),
+            (
+                "big-little",
+                vec![catalog::paravance(), catalog::raspberry()],
+            ),
+            ("illustrative", catalog::illustrative()),
+        ];
+        for (name, profiles) in catalogs {
+            let bml = BmlInfrastructure::build(&profiles).unwrap();
+            let dp = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
+            let k = dp.k();
+            assert!(k >= 5, "{name}: want a non-trivial state space, got {k}");
+            // Deterministic pseudo-random dp vector.
+            let dp_in: Vec<f64> = (0..k)
+                .map(|s| {
+                    if s % 7 == 3 {
+                        INF
+                    } else {
+                        1000.0 + 37.0 * ((s * s + 11) % 97) as f64
+                    }
+                })
+                .collect();
+            // Boundaries just before, at and after every boot lead, and
+            // throughout every shutdown ramp's truncation at the horizon.
+            let mut taus = vec![1, dp.horizon / 2, dp.horizon - 1];
+            for c in &dp.costs {
+                taus.extend([c.lead - 1, c.lead, c.lead + 1]);
+                taus.extend((1..=c.off_ceil + 1).map(|r| dp.horizon - r));
+            }
+            taus.retain(|tau| (1..dp.horizon).contains(tau));
+            let mut buf = vec![INF; dp.box_size];
+            let (mut out, mut want) = (vec![INF; k], vec![INF; k]);
+            for &tau in &taus {
+                dp.transition(&dp_in, tau, &mut buf, &mut out);
+                reference_transition(&dp, &dp_in, tau, &mut buf, &mut want);
+                for (b, (&got, &reference)) in out.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        reference.to_bits(),
+                        "{name} tau={tau} b={b}: strided {got} vs reference {reference}"
+                    );
+                    let naive = (0..k)
+                        .map(|a| dp_in[a] + dp.trans_cost(a, b, tau))
+                        .fold(INF, f64::min);
+                    assert!(
+                        (got - naive).abs() <= 1e-9 * naive.abs().max(1.0) || (got == naive),
+                        "{name} tau={tau} b={b}: lattice {got} vs naive {naive}"
+                    );
+                }
             }
         }
     }
