@@ -2,8 +2,6 @@
 //! (paper Sec. IV), plus the reference curves of Fig. 4 ("Big" and
 //! "BML linear").
 
-use serde::{Deserialize, Serialize};
-
 use crate::candidates::{bml_candidates, class_labels, CandidateSet, RemovalReason};
 use crate::combination::{config_power, ideal_fill, Combination, SplitPolicy};
 use crate::crossing::{compute_thresholds, pairwise_thresholds, Threshold};
@@ -18,7 +16,7 @@ use crate::table::CombinationTable;
 /// compute the minimum utilization thresholds (Steps 3-4). Afterwards it
 /// answers "which machines should be on for rate *r*?" (Step 5) and "how
 /// much power would that draw?" queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BmlInfrastructure {
     candidates: Vec<ArchProfile>,
     thresholds: Vec<Threshold>,
@@ -424,8 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_via_debug() {
-        // The type derives Serialize/Deserialize; a cheap structural check.
+    fn clone_compares_equal() {
         let bml = paper_bml();
         let cloned = bml.clone();
         assert_eq!(bml, cloned);

@@ -15,13 +15,11 @@
 //! never-optimal test over homogeneous stacks, which is well-defined for
 //! any number of architectures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::errors::BmlError;
 use crate::profile::{stack_power, ArchProfile};
 
 /// Why an architecture was rejected from the BML candidate set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RemovalReason {
     /// Step 2: dominated — another architecture performs at least as well
     /// with at most the same peak power.
@@ -36,7 +34,7 @@ pub enum RemovalReason {
 
 /// Result of candidate filtering: the surviving profiles sorted by
 /// decreasing maximum performance, and the rejects with their reasons.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateSet {
     /// Survivors, sorted by decreasing `max_perf` (Big first).
     pub kept: Vec<ArchProfile>,

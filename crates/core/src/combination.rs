@@ -14,8 +14,6 @@
 //! drawn by an arbitrary *given* set of powered-on machines serving a load,
 //! under a configurable load-split policy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::ArchProfile;
 
 /// Floating-point slack for "remainder is zero" and threshold comparisons.
@@ -24,7 +22,7 @@ use crate::profile::ArchProfile;
 pub(crate) const EPS: f64 = 1e-9;
 
 /// Nodes of one architecture inside a [`Combination`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeAlloc {
     /// Index of the architecture in the candidate list (0 = Big).
     pub arch: usize,
@@ -43,7 +41,7 @@ impl NodeAlloc {
 
 /// An ideal BML combination: which nodes of which architecture to power on,
 /// and how the target rate is spread over them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Combination {
     /// The performance rate this combination was built for.
     pub target_rate: f64,
@@ -234,7 +232,7 @@ pub fn optimal_dp(profiles: &[ArchProfile], rate: u64) -> (f64, Vec<u32>) {
 }
 
 /// How a load is split across the powered-on machines of a configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitPolicy {
     /// Fill machines in increasing order of marginal power (W per unit),
     /// i.e. the split that minimizes total power for a fixed machine set.

@@ -4,13 +4,11 @@
 //! resources management with switch on and off actions, whose time and
 //! energy overheads are taken into account").
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::ArchProfile;
 
 /// A machine configuration: how many nodes of each candidate architecture
 /// are powered on (indexed Big first, like the candidate list).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Configuration(pub Vec<u32>);
 
 impl Configuration {
@@ -60,7 +58,7 @@ impl From<Vec<u32>> for Configuration {
 /// the whole boot, violating the QoS the scheduler exists to protect.
 /// The plan's `duration` is therefore `max(on durations) + max(off
 /// durations)`; the scheduler takes no other decision until it elapses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigPlan {
     /// Configuration before the transition.
     pub from: Configuration,

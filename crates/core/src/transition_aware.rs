@@ -17,15 +17,13 @@
 //! load it suppresses reconfigurations whose transition energy exceeds
 //! what the better-fitting combination saves within the horizon.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bml::BmlInfrastructure;
 use crate::combination::SplitPolicy;
 use crate::reconfig::{plan_reconfiguration, Configuration, ReconfigPlan};
 use crate::scheduler::{Decision, SchedulerStats};
 
 /// Parameters of the transition-aware scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionAwareConfig {
     /// Horizon (s) over which serving energy differences are compared and
     /// transition energy is amortized. A natural choice is the prediction
@@ -50,7 +48,7 @@ impl TransitionAwareConfig {
 }
 
 /// A scored candidate configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredCandidate {
     /// The candidate configuration.
     pub config: Configuration,
@@ -67,7 +65,7 @@ pub struct ScoredCandidate {
 /// The transition-aware pro-active scheduler. Drop-in alternative to
 /// [`crate::scheduler::ProActiveScheduler`]: same `decide` contract, same
 /// lock-out semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionAwareScheduler {
     config: TransitionAwareConfig,
     current: Configuration,

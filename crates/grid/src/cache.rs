@@ -58,6 +58,19 @@ use bml_trace::LoadTrace;
 /// merge byte-identical counter planes without re-executing anything.
 pub const CACHE_FORMAT: &str = "bml-cell-cache/v2";
 
+/// The 64-bit FNV-1a offset basis: the state of an empty [`fnv1a`] hash.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Fold `bytes` into the 64-bit FNV-1a state `h`; start from
+/// [`FNV_OFFSET`]. The one FNV-1a of the grid: cache keys, journal record
+/// checksums and panic digests all hash through it.
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// 128-bit content hash built from two independently-seeded 64-bit
 /// FNV-1a streams. Not cryptographic — the cache is a private
 /// memoization, not a trust boundary — but 128 bits makes accidental
@@ -67,9 +80,6 @@ pub struct KeyHasher {
     a: u64,
     b: u64,
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Default for KeyHasher {
     fn default() -> Self {
@@ -90,10 +100,8 @@ impl KeyHasher {
 
     /// Fold raw bytes into both streams.
     pub fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
+        self.a = fnv1a(self.a, bytes);
+        self.b = fnv1a(self.b, bytes);
     }
 
     /// Fold a string field, terminated by a NUL so `("ab", "c")` and
@@ -639,5 +647,19 @@ mod tests {
         a_bc.write_str("bc");
         assert_ne!(ab_c.finish(), a_bc.finish());
         assert_eq!(KeyHasher::new().finish().len(), 32);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_64_bit_vectors() {
+        // Pinned so cache keys, journal checksums and panic digests
+        // cannot drift with a refactor of the hash.
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding in pieces is folding the concatenation.
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
     }
 }

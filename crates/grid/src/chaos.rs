@@ -140,10 +140,7 @@ impl ChaosPolicy {
 /// payload-dependent noise (addresses, paths), and the quarantine
 /// section must stay byte-identical across hosts for identical faults.
 pub fn panic_digest(message: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in message.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = crate::cache::fnv1a(crate::cache::FNV_OFFSET, message.as_bytes());
     format!("{h:016x}")
 }
 

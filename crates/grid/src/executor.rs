@@ -69,11 +69,11 @@ use bml_obs::{Heartbeat, Recorder};
 use bml_sim::exec::{run_cells_checked, CellConfig, CellJob};
 use bml_sim::{CellSummary, SimConfig};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{self, CacheStats, CellCache, OptEntry};
 use crate::chaos::{panic_digest, ChaosPolicy, STREAM_CACHE_IO, STREAM_SINK_IO};
 use crate::journal::{self, CellEntry, Journal};
+use crate::json::Object;
 use crate::refine::RefineMeta;
 use crate::spec::{CellCoords, GridSpec};
 use crate::stream::CellSink;
@@ -85,7 +85,7 @@ const STREAM_BATCH: usize = 1024;
 
 /// One executed cell: its coordinates, resolved dimension labels (in
 /// [`crate::spec::DIMENSIONS`] order), and result summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     /// The cell's coordinates (flat index + per-dimension indices + seed).
     pub coords: CellCoords,
@@ -99,7 +99,7 @@ pub struct CellRecord {
 /// result and was excluded from [`GridOutcome::cells`] instead of
 /// aborting the run. Rendered into the artifact's `failed_cells` section
 /// (schema `bml-grid/v5`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailedCell {
     /// The cell's coordinates (flat index + per-dimension indices + seed).
     pub coords: CellCoords,
@@ -114,7 +114,7 @@ pub struct FailedCell {
 
 /// Outcome of one grid run: the spec that produced it plus every cell in
 /// enumeration order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridOutcome {
     /// The executed spec.
     pub spec: GridSpec,
@@ -805,10 +805,13 @@ pub(crate) fn execute(
                         .unwrap_or(u64::MAX)
                         .max(1);
                     let rate = (emitted as u64).saturating_mul(1000) / ms;
-                    eprintln!(
-                        "{{\"event\":\"heartbeat\",\"cells_done\":{emitted},\"cells_total\":{},\"elapsed_ms\":{ms},\"cells_per_s\":{rate}}}",
-                        coords.len()
-                    );
+                    let line = Object::new()
+                        .str("event", "heartbeat")
+                        .int("cells_done", emitted as u64)
+                        .int("cells_total", coords.len() as u64)
+                        .int("elapsed_ms", ms)
+                        .int("cells_per_s", rate);
+                    eprintln!("{}", line.render());
                 }
             }
             if opts.kill_after == Some(emitted) {

@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 
 use bml_sim::CellSummary;
 
-use crate::cache::{self, KeyHasher};
+use crate::cache::{self, fnv1a, KeyHasher, FNV_OFFSET};
 use crate::chaos::{ChaosPolicy, STREAM_JOURNAL_IO};
 use crate::spec::GridSpec;
 
@@ -199,22 +199,13 @@ fn header(fingerprint: &str) -> String {
     format!("{JOURNAL_FORMAT}\nfingerprint={fingerprint}\n")
 }
 
-/// 64-bit FNV-1a of a payload (the record checksum).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Frame a payload: length prefix + bytes + checksum.
 fn frame(payload: &str) -> Vec<u8> {
     let bytes = payload.as_bytes();
     let mut out = Vec::with_capacity(bytes.len() + 12);
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
-    out.extend_from_slice(&fnv64(bytes).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_OFFSET, bytes).to_le_bytes());
     out
 }
 
@@ -228,7 +219,7 @@ fn read_record(bytes: &[u8], offset: usize) -> Option<(String, usize)> {
     let sum_end = payload_end.checked_add(8)?;
     let payload = bytes.get(len_end..payload_end)?;
     let sum = u64::from_le_bytes(bytes.get(payload_end..sum_end)?.try_into().ok()?);
-    if fnv64(payload) != sum {
+    if fnv1a(FNV_OFFSET, payload) != sum {
         return None;
     }
     Some((String::from_utf8(payload.to_vec()).ok()?, sum_end))

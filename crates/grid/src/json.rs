@@ -1,14 +1,17 @@
 //! Minimal ordered-JSON emission for the `BENCH_*` artifacts.
 //!
-//! The vendored serde stand-in deliberately does not serialize, so the
-//! artifact writers (the grid's `BENCH_grid.json`, the bench binaries'
-//! perf-trajectory summaries) render JSON by hand through this ordered
-//! object builder. Field order is the insertion order and every value is
-//! formatted deterministically — two renders of equal data are equal
-//! *bytes*, which is what the grid's thread-count-independence guarantee
-//! is stated against. Lives here (rather than in `bml-bench`) so both the
-//! grid artifact writer and the bench binaries can use it; `bml-bench`
-//! re-exports it as `bml_bench::json`.
+//! The workspace has no serialization dependency, so the artifact writers
+//! (the grid's `BENCH_grid.json`, the bench binaries' perf-trajectory
+//! summaries) render JSON by hand through this ordered object builder.
+//! Field order is the insertion order and every value is formatted
+//! deterministically — two renders of equal data are equal *bytes*, which
+//! is what the grid's thread-count-independence guarantee is stated
+//! against. Strings are escaped by [`bml_obs::escape_json`]. Lives here
+//! (rather than in `bml-bench`) so both the grid artifact writer and the
+//! bench binaries can use it; `bml-bench` re-exports it as
+//! `bml_bench::json`.
+
+use bml_obs::escape_json;
 
 /// An ordered JSON object under construction.
 #[derive(Debug, Default)]
@@ -25,7 +28,7 @@ impl Object {
     /// Add a string field (escaped).
     #[must_use]
     pub fn str(mut self, key: &str, v: &str) -> Self {
-        let escaped = escape(v);
+        let escaped = escape_json(v);
         self.fields.push((key.into(), format!("\"{escaped}\"")));
         self
     }
@@ -56,7 +59,10 @@ impl Object {
     /// Add an array of strings (each escaped).
     #[must_use]
     pub fn strs(mut self, key: &str, vs: &[String]) -> Self {
-        let body: Vec<String> = vs.iter().map(|v| format!("\"{}\"", escape(v))).collect();
+        let body: Vec<String> = vs
+            .iter()
+            .map(|v| format!("\"{}\"", escape_json(v)))
+            .collect();
         self.fields
             .push((key.into(), format!("[{}]", body.join(","))));
         self
@@ -90,7 +96,7 @@ impl Object {
         let body: Vec<String> = self
             .fields
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", escape(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", escape_json(k), v))
             .collect();
         format!("{{{}}}", body.join(","))
     }
@@ -99,23 +105,6 @@ impl Object {
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.render() + "\n")
     }
-}
-
-/// Escape a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -152,6 +141,12 @@ mod tests {
 
     #[test]
     fn control_characters_are_escaped() {
-        assert_eq!(escape("a\nb\tc\u{1}"), "a\\nb\\tc\\u0001");
+        let o = Object::new()
+            .str("k\t", "a\nb\tc\u{1}")
+            .strs("v", &["\r".into()]);
+        assert_eq!(
+            o.render(),
+            "{\"k\\t\":\"a\\nb\\tc\\u0001\",\"v\":[\"\\r\"]}"
+        );
     }
 }

@@ -64,7 +64,6 @@
 //! | `ablation_window`     | `windows`                             |
 //! | `ablation_prediction` | `noise_sigmas`                        |
 //! | `ablation_scheduler`  | `schedulers`                          |
-//! | (split-policy sweep)  | `splits`                              |
 //! | `fig5_bounds --stepping` | `steppings`                        |
 //!
 //! Their `sweep_*` entry points in `bml_sim::runner` are thin wrappers

@@ -13,7 +13,6 @@ use bml_core::combination::SplitPolicy;
 use bml_core::profile::ArchProfile;
 use bml_sim::{SchedulerKind, Stepping};
 use bml_trace::LoadTrace;
-use serde::{Deserialize, Serialize};
 
 /// The seven dimension names, in enumeration-nesting order (outermost
 /// first). Artifact columns and aggregation reports use these names.
@@ -30,7 +29,7 @@ pub const DIMENSIONS: [&str; 7] = [
 /// Scheduler dimension value: which reconfiguration scheduler drives the
 /// cell. Resolved to a concrete [`SchedulerKind`] per cell, because the
 /// transition-aware scheduler's horizon comes from the cell's window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerDim {
     /// The paper's pro-active scheduler.
     Baseline,
@@ -69,7 +68,7 @@ impl SchedulerDim {
 /// Construction runs the paper's Steps 1-3 filtering, so a mix listing
 /// dominated machines (e.g. the full Table I) still builds the same
 /// infrastructure as its surviving subset — the *label* records intent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogSpec {
     /// Stable label used in artifacts and aggregation.
     pub name: String,
@@ -149,7 +148,7 @@ impl CatalogSpec {
 
 /// Trace dimension value: a named source from the `bml-trace` registry
 /// plus the two knobs all sources share.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpec {
     /// Registry source name (see [`bml_trace::registry::NAMES`]).
     pub source: String,
@@ -202,7 +201,7 @@ pub fn window_label(w: Option<u64>) -> String {
 }
 
 /// A declarative multi-dimensional experiment grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     /// Grid name, recorded in the artifact.
     pub name: String,
@@ -226,7 +225,7 @@ pub struct GridSpec {
 
 /// Coordinates of one cell: an index into each dimension's value list,
 /// the cell's flat enumeration index, and its derived seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellCoords {
     /// Flat enumeration index (0-based, enumeration order).
     pub index: usize,

@@ -1,7 +1,5 @@
-//! Energy accounting: integrating per-second power samples into energies,
-//! per-day aggregation (the Fig. 5 unit) and unit conversions.
-
-use serde::{Deserialize, Serialize};
+//! Energy accounting: a running meter with per-day aggregation (the
+//! Fig. 5 unit), overhead statistics and unit conversions.
 
 /// Seconds per day.
 pub const SECONDS_PER_DAY: u64 = 86_400;
@@ -14,31 +12,10 @@ pub fn joules_to_kwh(j: f64) -> f64 {
     j / JOULES_PER_KWH
 }
 
-/// Convert kWh to Joules.
-pub fn kwh_to_joules(kwh: f64) -> f64 {
-    kwh * JOULES_PER_KWH
-}
-
-/// Integrate per-second power samples (W) into energy (J). Each sample
-/// holds for one second — the paper's simulation granularity — so the
-/// integral is a plain sum.
-pub fn integrate_power(samples_w: &[f64]) -> f64 {
-    samples_w.iter().sum()
-}
-
-/// Per-day energies (J) from per-second power samples; the final partial
-/// day (if any) is included.
-pub fn daily_energy(samples_w: &[f64]) -> Vec<f64> {
-    samples_w
-        .chunks(SECONDS_PER_DAY as usize)
-        .map(|day| day.iter().sum())
-        .collect()
-}
-
 /// Running energy meter: feed it power samples, read total/interval
 /// energies. This is the simulator-facing equivalent of the paper's
 /// wattmeter + Kwapi pipeline.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     total_j: f64,
     samples: u64,
@@ -139,7 +116,7 @@ pub fn overhead_percent(measured: f64, reference: f64) -> f64 {
 
 /// Summary statistics of a per-day overhead series (the paper quotes
 /// average / minimum / maximum over the 86 days).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadStats {
     /// Mean overhead (%).
     pub mean: f64,
@@ -180,22 +157,6 @@ pub fn overhead_stats(measured: &[f64], reference: &[f64]) -> OverheadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn integration_is_sum() {
-        assert_eq!(integrate_power(&[1.0, 2.0, 3.0]), 6.0);
-        assert_eq!(integrate_power(&[]), 0.0);
-    }
-
-    #[test]
-    fn daily_split() {
-        let mut samples = vec![1.0; SECONDS_PER_DAY as usize];
-        samples.extend(vec![2.0; 100]);
-        let days = daily_energy(&samples);
-        assert_eq!(days.len(), 2);
-        assert_eq!(days[0], SECONDS_PER_DAY as f64);
-        assert_eq!(days[1], 200.0);
-    }
 
     #[test]
     fn meter_accumulates() {
@@ -280,8 +241,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(joules_to_kwh(3_600_000.0), 1.0);
-        assert_eq!(kwh_to_joules(2.0), 7_200_000.0);
-        assert!((kwh_to_joules(joules_to_kwh(1234.5)) - 1234.5).abs() < 1e-9);
     }
 
     #[test]

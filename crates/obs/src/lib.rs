@@ -470,6 +470,7 @@ mod tests {
     fn escaping_covers_quotes_and_controls() {
         assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(escape_json("\u{01}"), "\\u0001");
+        assert_eq!(escape_json("a\nb\tc\u{1}"), "a\\nb\\tc\\u0001");
     }
 
     #[test]

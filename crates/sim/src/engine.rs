@@ -65,7 +65,6 @@
 //! so even the reference mode never pays the full combination search once
 //! per simulated second.
 
-use bml_app::{plan_migrations, ApplicationSpec};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::reconfig::Configuration;
@@ -73,13 +72,13 @@ use bml_core::scheduler::{paper_window_length, Decision, ProActiveScheduler, Sch
 use bml_core::transition_aware::{TransitionAwareConfig, TransitionAwareScheduler};
 use bml_metrics::EnergyMeter;
 use bml_trace::{LoadTrace, Predictor};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::Cluster;
+use crate::migration::migration_cost;
 use crate::qos::QosReport;
 
 /// Which reconfiguration scheduler drives the simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerKind {
     /// The paper's pro-active scheduler: always jump to the ideal
     /// combination for the prediction.
@@ -90,7 +89,7 @@ pub enum SchedulerKind {
 }
 
 /// How the engine advances simulated time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Stepping {
     /// Tick every simulated second — the reference implementation.
     PerSecond,
@@ -139,7 +138,7 @@ impl AnyScheduler {
 }
 
 /// Simulation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Look-ahead window (s); `None` uses the paper's rule of
     /// 2 x the longest switch-on duration.
@@ -149,9 +148,6 @@ pub struct SimConfig {
     /// Start with every machine off (cold start) instead of pre-warming
     /// the combination for the first prediction.
     pub cold_start: bool,
-    /// Application spec used for instance migration accounting; `None`
-    /// disables instance-level bookkeeping.
-    pub app: Option<ApplicationSpec>,
     /// Scheduler implementation.
     pub scheduler: SchedulerKind,
     /// Optional machine-crash injection (counter-based, event-drivable).
@@ -166,7 +162,6 @@ impl Default for SimConfig {
             window: None,
             split: SplitPolicy::EfficiencyGreedy,
             cold_start: false,
-            app: Some(ApplicationSpec::stateless_web_server()),
             scheduler: SchedulerKind::Baseline,
             failures: None,
             stepping: Stepping::default(),
@@ -190,7 +185,7 @@ impl Default for SimConfig {
 /// failure trajectory is identical under per-second and event-driven
 /// stepping — the event loop jumps straight to the next eligible
 /// candidate instead of flipping a coin 86 400 times per machine-day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureModel {
     /// Mean time between failures of one machine (s).
     pub mtbf_s: f64,
@@ -352,7 +347,7 @@ impl FailureSampler {
 }
 
 /// One reconfiguration launched during a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigRecord {
     /// The second the decision was taken.
     pub at: u64,
@@ -361,7 +356,7 @@ pub struct ReconfigRecord {
 }
 
 /// Aggregated outcome of one simulated scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Scenario name (e.g. `"Big-Medium-Little"`).
     pub name: String,
@@ -381,7 +376,7 @@ pub struct ScenarioResult {
     pub nodes_switched_off: u64,
     /// Energy charged to On/Off transitions (J), included in the totals.
     pub reconfig_energy_j: f64,
-    /// Stop+start instance migrations performed by the application layer.
+    /// Stop+start migrations of web-server instances between architectures.
     pub instance_migrations: u64,
     /// Machine crashes injected by the failure model.
     pub failures_injected: u64,
@@ -423,7 +418,7 @@ pub struct ScenarioResult {
 /// every scalar of [`ScenarioResult`] and nothing that grows with the run
 /// (no per-day vectors, no reconfiguration log) — hundreds of grid cells
 /// stay cheap to hold, serialize, and diff.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
     /// Total energy (J), transitions included.
     pub total_energy_j: f64,
@@ -706,13 +701,11 @@ impl<'a> EngineState<'a> {
     /// stepping modes — the event loop only calls it at event instants,
     /// where the per-second loop's intermediate calls are provably
     /// `NoChange` or `Locked`.
-    fn decide_at(&mut self, now: u64, predicted: f64, bml: &BmlInfrastructure, config: &SimConfig) {
+    fn decide_at(&mut self, now: u64, predicted: f64, bml: &BmlInfrastructure) {
         if let Decision::Reconfigure(plan) = self.sched.decide(now, predicted, bml) {
-            if let Some(app) = &config.app {
-                let mplan = plan_migrations(&plan.from.0, &plan.target.0, app.migration);
-                self.migrations += u64::from(mplan.migrations);
-                self.meter.add_energy(mplan.energy_j);
-            }
+            let (migrations, energy_j) = migration_cost(&plan.from.0, &plan.target.0);
+            self.migrations += u64::from(migrations);
+            self.meter.add_energy(energy_j);
             // Zero-duration transitions cannot be spread over time; charge
             // them as an instantaneous lump.
             let mut lump = 0.0;
@@ -798,7 +791,7 @@ fn simulate_per_second(
         } else {
             predictor.predict(t)
         };
-        st.decide_at(t, prediction, bml, config);
+        st.decide_at(t, prediction, bml);
         let load = trace.get(t);
         let (power, served) = st.cluster.power_into(load, &mut st.counts_scratch);
         st.meter.record(power);
@@ -830,7 +823,7 @@ fn simulate_event_driven(
         } else {
             predictor.predict(now)
         };
-        st.decide_at(now, prediction, bml, config);
+        st.decide_at(now, prediction, bml);
 
         // Next decision-relevant event: between `now` and `next` the
         // prediction, the scheduler's lock state, and the cluster's pool
@@ -1201,21 +1194,6 @@ mod tests {
         // than the baseline.
         assert!(aware.reconfigurations <= baseline.reconfigurations);
         assert!(aware.qos.shortfall_fraction() < 0.01);
-    }
-
-    #[test]
-    fn migration_accounting_disabled() {
-        let mut rates = vec![5.0; 400];
-        rates.extend(vec![500.0; 400]);
-        let trace = LoadTrace::new(0, rates);
-        let r = run(
-            &trace,
-            &SimConfig {
-                app: None,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.instance_migrations, 0);
     }
 
     #[test]

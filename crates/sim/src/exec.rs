@@ -1,6 +1,6 @@
 //! The shared experiment-cell executor.
 //!
-//! Every experiment in this repo — the four ablation sweeps in
+//! Every experiment in this repo — the three ablation sweeps in
 //! [`crate::runner`], the `bml-grid` multi-dimensional scenario grids, the
 //! bench binaries — boils down to the same unit of work: *run the BML
 //! pro-active scenario once under a specific knob setting*. This module is
@@ -17,13 +17,11 @@
 //! any `--threads` setting, and keys its content-addressed cell cache on
 //! [`CellConfig::stable_descriptor`].
 
-use bml_app::ApplicationSpec;
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::scheduler::paper_window_length;
 use bml_trace::{LoadTrace, LookaheadMaxPredictor, NoisyPredictor};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{
     simulate_bml, FailureModel, ScenarioResult, SchedulerKind, SimConfig, Stepping,
@@ -31,7 +29,7 @@ use crate::engine::{
 
 /// Everything that distinguishes one experiment cell from another, apart
 /// from the trace and the infrastructure it runs against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
     /// Scheduler implementation driving the reconfigurations.
     pub scheduler: SchedulerKind,
@@ -47,16 +45,14 @@ pub struct CellConfig {
     pub stepping: Stepping,
     /// Start from an all-off cluster instead of pre-warming.
     pub cold_start: bool,
-    /// Application spec for migration accounting (`None` disables it).
-    pub app: Option<ApplicationSpec>,
     /// Optional machine-crash injection (counter-based, event-drivable).
     pub failures: Option<FailureModel>,
 }
 
 impl CellConfig {
     /// Lift a [`SimConfig`] into a clean-prediction cell: same scheduler,
-    /// window, split, stepping, cold-start, app and failure-model
-    /// settings, no noise.
+    /// window, split, stepping, cold-start and failure-model settings, no
+    /// noise.
     pub fn from_sim(base: &SimConfig) -> Self {
         CellConfig {
             scheduler: base.scheduler.clone(),
@@ -66,7 +62,6 @@ impl CellConfig {
             split: base.split,
             stepping: base.stepping,
             cold_start: base.cold_start,
-            app: base.app.clone(),
             failures: base.failures.clone(),
         }
     }
@@ -98,7 +93,6 @@ impl CellConfig {
             window: self.window,
             split: self.split,
             cold_start: self.cold_start,
-            app: self.app.clone(),
             scheduler: self.scheduler.clone(),
             failures: self.failures.clone(),
             stepping: self.stepping,

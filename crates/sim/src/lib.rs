@@ -12,6 +12,8 @@
 //! * [`engine`] — the simulation loop driving the `bml-core` scheduler
 //!   with any `bml-trace` predictor, in either per-second (reference) or
 //!   event-driven skip-ahead stepping ([`engine::Stepping`]);
+//! * `migration` (private) — the stateless web server's instance
+//!   migration accounting, charged on every reconfiguration;
 //! * [`qos`] — demand-vs-served accounting;
 //! * [`replay`] — schedule replay (records in, energies out): how
 //!   `bml-opt` verifies its offline-optimal schedules against the same
@@ -30,6 +32,7 @@
 pub mod cluster;
 pub mod engine;
 pub mod exec;
+mod migration;
 pub mod qos;
 pub mod replay;
 pub mod runner;
@@ -43,6 +46,4 @@ pub use engine::{
 pub use exec::{run_cell, run_cells, run_cells_checked, CellConfig, CellJob, CellPanic};
 pub use qos::QosReport;
 pub use replay::replay_schedule;
-pub use runner::{
-    run_comparison, sweep_prediction_noise, sweep_split_policy, sweep_window, ComparisonResult,
-};
+pub use runner::{run_comparison, sweep_prediction_noise, sweep_window, ComparisonResult};

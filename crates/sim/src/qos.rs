@@ -2,10 +2,8 @@
 //! scenario reports whether it "satisfied Quality of Service constraints"
 //! (paper abstract) alongside its energy.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregated QoS outcome of one simulated scenario.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QosReport {
     /// Seconds with non-zero demand.
     pub demand_seconds: u64,
@@ -66,7 +64,7 @@ impl QosReport {
     }
 
     /// Does this run satisfy a tolerated shortfall of `max_shortfall`
-    /// (e.g. from `bml_app::QosClass::tolerated_shortfall`)?
+    /// (e.g. 0.01, the 1% the paper's stateless web server tolerates)?
     pub fn satisfies(&self, max_shortfall: f64) -> bool {
         self.shortfall_fraction() <= max_shortfall + 1e-12
     }

@@ -8,17 +8,15 @@
 //! mapping from their knob to a [`CellConfig`].
 
 use bml_core::bml::BmlInfrastructure;
-use bml_core::combination::SplitPolicy;
 use bml_metrics::{overhead_stats, OverheadStats};
 use bml_trace::LoadTrace;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{ScenarioResult, SimConfig};
 use crate::exec::{run_cells, CellConfig, CellJob};
 use crate::scenarios;
 
 /// Outcome of the Fig. 5 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonResult {
     /// Label of the first day (for per-day reporting).
     pub first_day: u32,
@@ -202,34 +200,6 @@ pub fn sweep_scheduler(
     )
 }
 
-/// Ablation: load-split policy across online machines.
-pub fn sweep_split_policy(
-    trace: &LoadTrace,
-    bml: &BmlInfrastructure,
-    base: &SimConfig,
-) -> Vec<(SplitPolicy, ScenarioResult)> {
-    let base_cell = CellConfig::from_sim(base);
-    sweep(
-        trace,
-        bml,
-        [
-            SplitPolicy::EfficiencyGreedy,
-            SplitPolicy::ProportionalToCapacity,
-        ]
-        .into_iter()
-        .map(|split| {
-            (
-                split,
-                CellConfig {
-                    split,
-                    ..base_cell.clone()
-                },
-            )
-        })
-        .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,22 +267,5 @@ mod tests {
             degraded.qos.violation_seconds > clean.qos.violation_seconds
                 || (degraded.total_energy_j - clean.total_energy_j).abs() > 1.0
         );
-    }
-
-    #[test]
-    fn split_policy_sweep_greedy_no_worse() {
-        let trace = synthetic::diurnal(10.0, 1_500.0, 4.0, 1);
-        let bml = bml();
-        let res = sweep_split_policy(&trace, &bml, &SimConfig::default());
-        assert_eq!(res.len(), 2);
-        let greedy = res
-            .iter()
-            .find(|(p, _)| *p == SplitPolicy::EfficiencyGreedy)
-            .unwrap();
-        let prop = res
-            .iter()
-            .find(|(p, _)| *p == SplitPolicy::ProportionalToCapacity)
-            .unwrap();
-        assert!(greedy.1.total_energy_j <= prop.1.total_energy_j + 1e-6);
     }
 }

@@ -23,8 +23,6 @@
 //! 30 GB trace itself, but with this parser the shipped experiments run
 //! unchanged on the real data.
 
-use bytes::Buf;
-
 use crate::trace::LoadTrace;
 
 /// Size of one binary record.
@@ -99,18 +97,19 @@ impl std::fmt::Display for Wc98Error {
 
 impl std::error::Error for Wc98Error {}
 
-/// Decode one whole record from the front of a [`Buf`].
-fn decode_record(buf: &mut impl Buf) -> Wc98Record {
-    debug_assert!(buf.remaining() >= RECORD_BYTES);
+/// Decode one whole record: four big-endian `u32` words, then four bytes.
+fn decode_record(r: &[u8]) -> Wc98Record {
+    debug_assert_eq!(r.len(), RECORD_BYTES);
+    let word = |i: usize| u32::from_be_bytes([r[i], r[i + 1], r[i + 2], r[i + 3]]);
     Wc98Record {
-        timestamp: buf.get_u32(),
-        client_id: buf.get_u32(),
-        object_id: buf.get_u32(),
-        size: buf.get_u32(),
-        method: buf.get_u8(),
-        status: buf.get_u8(),
-        file_type: buf.get_u8(),
-        server: buf.get_u8(),
+        timestamp: word(0),
+        client_id: word(4),
+        object_id: word(8),
+        size: word(12),
+        method: r[16],
+        status: r[17],
+        file_type: r[18],
+        server: r[19],
     }
 }
 
@@ -150,18 +149,14 @@ impl Wc98Decoder {
             if self.partial_len < RECORD_BYTES {
                 return; // chunk exhausted mid-record
             }
-            let mut head: &[u8] = &self.partial;
-            out.push(decode_record(&mut head));
+            out.push(decode_record(&self.partial));
             self.partial_len = 0;
         }
-        out.reserve(chunk.len() / RECORD_BYTES);
-        while chunk.remaining() >= RECORD_BYTES {
-            out.push(decode_record(&mut chunk));
-        }
-        if !chunk.is_empty() {
-            self.partial[..chunk.len()].copy_from_slice(chunk);
-            self.partial_len = chunk.len();
-        }
+        let records = chunk.chunks_exact(RECORD_BYTES);
+        let rest = records.remainder();
+        out.extend(records.map(decode_record));
+        self.partial[..rest.len()].copy_from_slice(rest);
+        self.partial_len = rest.len();
     }
 
     /// Declare the log complete: errors if a partial record is buffered.
