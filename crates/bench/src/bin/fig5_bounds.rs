@@ -71,7 +71,9 @@ fn main() {
         opt_sched.n_segments,
         opt_sched.n_states,
     );
-    let optimality_gap = (c.bml.total_energy_j - opt_sched.energy_j) / opt_sched.energy_j;
+    let mut bml_summary = c.bml.summary();
+    bml_summary.attach_optimal(opt_sched.energy_j);
+    let optimality_gap = bml_summary.optimality_gap.unwrap_or(f64::NAN);
     // Four scenarios replay the trace, so the engine throughput CI tracks
     // is total simulated seconds across scenarios per wall-clock second.
     let sim_seconds = trace.len();

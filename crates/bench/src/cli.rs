@@ -9,17 +9,18 @@
 //! [`Args::days_or`]).
 
 /// The usage line printed by `--help` and on any parse error.
-pub const USAGE: &str = "usage: [--seed N] [--days N] [--window S] [--noise SIGMA] [--csv] \
+pub const USAGE: &str = "usage: [--seed N] [--days N] [--window S] [--csv] \
      [--json PATH] [--threads N] [--out-dir PATH] [--cache-dir PATH] \
      [--stepping event|per-second] [--resume] [--max-retries N] \
      [--chaos SEED] [--kill-after N] [--telemetry-out PATH]";
 
 /// Common command-line options of the experiment binaries.
 ///
-/// Flags: `--seed N`, `--days N`, `--window S`, `--csv`, `--noise SIGMA`,
-/// `--json PATH`, `--threads N`, `--out-dir PATH`, `--cache-dir PATH`,
-/// `--stepping event|per-second`. Unknown flags abort with a usage
-/// message.
+/// Flags: `--seed N`, `--days N`, `--window S`, `--csv`, `--json PATH`,
+/// `--threads N`, `--out-dir PATH`, `--cache-dir PATH`,
+/// `--stepping event|per-second`, `--resume`, `--max-retries N`,
+/// `--chaos SEED`, `--kill-after N`, `--telemetry-out PATH` and
+/// `--help`. Unknown flags abort with a usage message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// RNG seed (default 1998, the shipped experiment seed).
@@ -34,8 +35,6 @@ pub struct Args {
     pub window: Option<u64>,
     /// Emit CSV instead of aligned text tables.
     pub csv: bool,
-    /// Prediction noise sigma for the ablations.
-    pub noise: f64,
     /// Also write a machine-readable summary (the `BENCH_*.json` perf
     /// trajectory CI uploads) to this path.
     pub json: Option<String>,
@@ -81,7 +80,6 @@ impl Default for Args {
             days: None,
             window: None,
             csv: false,
-            noise: 0.0,
             json: None,
             threads: None,
             out_dir: ".".into(),
@@ -122,7 +120,6 @@ impl Args {
                 "--seed" => out.seed = parse_num(&value("--seed")?, "--seed")?,
                 "--days" => out.days = Some(parse_num(&value("--days")?, "--days")?),
                 "--window" => out.window = Some(parse_num(&value("--window")?, "--window")?),
-                "--noise" => out.noise = parse_num(&value("--noise")?, "--noise")?,
                 "--threads" => {
                     let n: usize = parse_num(&value("--threads")?, "--threads")?;
                     if n == 0 {
@@ -261,8 +258,6 @@ mod tests {
             "3",
             "--window",
             "600",
-            "--noise",
-            "0.2",
             "--csv",
             "--json",
             "out.json",
@@ -280,7 +275,6 @@ mod tests {
         assert_eq!(a.seed, 7);
         assert_eq!(a.days, Some(3));
         assert_eq!(a.window, Some(600));
-        assert_eq!(a.noise, 0.2);
         assert!(a.csv);
         assert_eq!(a.json.as_deref(), Some("out.json"));
         assert_eq!(a.threads, Some(4));
@@ -333,6 +327,10 @@ mod tests {
         assert!(err.contains("--threads N"), "{err}");
         assert!(err.contains("--out-dir PATH"), "{err}");
         assert!(err.contains("--cache-dir PATH"), "{err}");
+        // No binary reads a noise sigma, so the flag is not accepted.
+        let err = try_parse(&["--noise", "0.3"]).unwrap_err();
+        assert!(err.contains("unknown flag '--noise'"), "{err}");
+        assert!(!USAGE.contains("--noise"), "{USAGE}");
     }
 
     #[test]

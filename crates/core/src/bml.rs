@@ -169,15 +169,6 @@ impl BmlInfrastructure {
         config_power(&self.candidates, counts, load, policy)
     }
 
-    /// Serving capacity of a configuration.
-    pub fn config_capacity(&self, counts: &[u32]) -> f64 {
-        self.candidates
-            .iter()
-            .zip(counts)
-            .map(|(p, &c)| f64::from(c) * p.max_perf)
-            .sum()
-    }
-
     /// Ideal combination under *bounded* machine pools (`limits[k]` nodes
     /// of each architecture exist). The paper assumes unlimited pools but
     /// notes the extension ("cases of existing heterogeneous infrastructure
@@ -359,12 +350,6 @@ mod tests {
         let bml = paper_bml();
         assert_eq!(bml.big().name, "paravance");
         assert_eq!(bml.little().name, "raspberry");
-    }
-
-    #[test]
-    fn config_capacity_sums_nodes() {
-        let bml = paper_bml();
-        assert_eq!(bml.config_capacity(&[1, 2, 3]), 1331.0 + 66.0 + 27.0);
     }
 
     #[test]

@@ -161,26 +161,6 @@ pub fn pairwise_thresholds(profiles: &[ArchProfile]) -> Vec<Threshold> {
     thresholds
 }
 
-/// One point of a power-versus-rate curve, for figure regeneration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
-    /// Performance rate (application metric units).
-    pub rate: f64,
-    /// Power (W).
-    pub power: f64,
-}
-
-/// Sample the homogeneous-stack power curve of `profile` at integer rates
-/// `0..=limit` (the repeated staircase profiles of Figs. 1-2).
-pub fn stack_curve(profile: &ArchProfile, limit: u64) -> Vec<CurvePoint> {
-    (0..=limit)
-        .map(|r| CurvePoint {
-            rate: r as f64,
-            power: stack_power(profile, r as f64),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,16 +271,6 @@ mod tests {
         let p4 = compute_thresholds(&pair);
         assert_eq!(p3[0].rate, p4[0].rate);
         assert_eq!(p3[1].rate, 1.0);
-    }
-
-    #[test]
-    fn stack_curve_samples() {
-        let c = stack_curve(&catalog::raspberry(), 20);
-        assert_eq!(c.len(), 21);
-        assert_eq!(c[0].power, 0.0);
-        assert!((c[9].power - 3.7).abs() < 1e-9);
-        // Staircase jump between 9 and 10 req/s.
-        assert!(c[10].power > c[9].power + 2.0);
     }
 
     #[test]

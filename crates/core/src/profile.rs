@@ -153,13 +153,6 @@ impl ArchProfile {
         self.max_power / self.max_perf
     }
 
-    /// Energy (J) needed to boot then later shut down one node:
-    /// the full overhead of a transient commitment of this machine.
-    #[inline]
-    pub fn cycle_energy(&self) -> f64 {
-        self.on_energy + self.off_energy
-    }
-
     /// `true` if `self` performs no better than `other` while drawing at
     /// least as much peak power — i.e. `self` is dominated and can never
     /// improve energy proportionality (Step 2 removal criterion).
@@ -282,11 +275,5 @@ mod tests {
         assert!(!par.is_dominated_by(&tau));
         // A profile never dominates itself.
         assert!(!par.is_dominated_by(&par));
-    }
-
-    #[test]
-    fn cycle_energy_sums_transitions() {
-        let p = rasp();
-        assert!((p.cycle_energy() - 76.7).abs() < 1e-9);
     }
 }

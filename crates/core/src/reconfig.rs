@@ -85,17 +85,6 @@ impl ReconfigPlan {
     pub fn nodes_switched_off(&self) -> u32 {
         self.switch_off.iter().map(|&(_, c)| c).sum()
     }
-
-    /// Average extra power (W) the transition draws over its duration,
-    /// if the transition energy is spread uniformly (how the simulator
-    /// accounts it).
-    pub fn mean_transition_power(&self) -> f64 {
-        if self.duration > 0.0 {
-            self.energy / self.duration
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Compute the plan moving `from` to `to`; `None` when they are identical.
@@ -203,18 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_transition_power() {
-        let p = profiles();
-        let plan = plan_reconfiguration(
-            &p,
-            &Configuration(vec![0, 0, 0]),
-            &Configuration(vec![1, 0, 0]),
-        )
-        .unwrap();
-        assert!((plan.mean_transition_power() - 21341.0 / 189.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn configuration_helpers() {
         let p = profiles();
         let c = Configuration(vec![1, 2, 3]);
@@ -232,6 +209,6 @@ mod tests {
         let plan = plan_reconfiguration(&instant, &Configuration(vec![0]), &Configuration(vec![1]))
             .unwrap();
         assert_eq!(plan.duration, 0.0);
-        assert_eq!(plan.mean_transition_power(), 0.0);
+        assert_eq!(plan.energy, 0.0);
     }
 }

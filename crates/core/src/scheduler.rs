@@ -161,12 +161,6 @@ impl ProActiveScheduler {
         self.current = target;
         Decision::Reconfigure(plan)
     }
-
-    /// Force-set the current configuration (used by substrates that apply
-    /// an initial placement outside the decision loop).
-    pub fn set_current(&mut self, config: Configuration) {
-        self.current = config;
-    }
 }
 
 #[cfg(test)]

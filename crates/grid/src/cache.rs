@@ -39,7 +39,8 @@
 //! the cell is recomputed (and the entry rewritten); the cache can never
 //! turn disk rot into a panic or a wrong artifact. Writes go through a
 //! temp file + atomic rename, so a killed run leaves no half-written
-//! entries behind.
+//! entries behind. Nothing is synced to disk, so an OS crash or power
+//! loss can still lose or empty an entry; it then decodes as a miss.
 
 use std::io;
 use std::path::{Path, PathBuf};

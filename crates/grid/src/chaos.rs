@@ -10,9 +10,9 @@
 //! * **I/O errors** — cache, sink, or journal writes fail with an
 //!   injected error, exercising graceful degradation to in-memory
 //!   execution;
-//! * **torn writes** — a journal record is cut short mid-write
-//!   (simulated power loss), exercising the checksummed-framing recovery
-//!   on resume.
+//! * **torn writes** — a journal record is cut short mid-write (as a
+//!   process killed mid-write leaves it), exercising the
+//!   checksummed-framing recovery on resume.
 //!
 //! # Keying scheme
 //!

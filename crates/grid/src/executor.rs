@@ -29,8 +29,11 @@
 //! With a journal directory configured, every decided cell (succeeded
 //! *or* quarantined) is appended to a checksummed journal
 //! ([`crate::journal`]) before the run moves on; [`GridRunner::resume`]
-//! replays it so a killed run continues from the last durable cell and
+//! replays it so a killed run continues from the last journaled cell and
 //! still produces **byte-identical artifacts** to an uninterrupted run.
+//! Journal, cache and artifact writes are flushed, never synced: they
+//! survive a killed process (what `--kill-after` and the CI chaos job
+//! test), not an OS crash or power loss.
 //!
 //! I/O faults degrade instead of failing: a cache, sink, or journal
 //! write error disables that component for the rest of the run and is
@@ -595,7 +598,7 @@ pub(crate) fn execute(
         // Quarantine decisions: (attempts consumed, panic digest).
         let mut failures: Vec<Option<(u32, String)>> = vec![None; batch.len()];
         let mut keys: Vec<Option<String>> = vec![None; batch.len()];
-        // Journal-replayed decisions are already durable; everything
+        // Journal-replayed decisions are already on disk; everything
         // decided *this* run gets appended.
         let mut from_journal: Vec<bool> = vec![false; batch.len()];
         for (i, (c, config)) in batch.iter().zip(&configs).enumerate() {
@@ -694,7 +697,7 @@ pub(crate) fn execute(
 
         for (i, c) in batch.iter().enumerate() {
             // Persist computed results to the cache (journal hits and
-            // cache hits are already durable there).
+            // cache hits are already stored there).
             if computed[i] && cache_writes {
                 if let (Some(cache), Some(key), Some(summary)) = (&cache, &keys[i], &summaries[i]) {
                     let store = match opts
@@ -756,13 +759,7 @@ pub(crate) fn execute(
                     telemetry.count("engine.segments_batched", summary.segments_batched);
                     telemetry.count("engine.events_skipped", summary.events_skipped);
                     telemetry.count("engine.fallback_unsegmented", summary.fallback_unsegmented);
-                    let optimal = optima[&(c.trace, c.catalog, c.split)];
-                    summary.optimal_energy_j = Some(optimal);
-                    summary.optimality_gap = if optimal > 0.0 {
-                        Some((summary.total_energy_j - optimal) / optimal)
-                    } else {
-                        None
-                    };
+                    summary.attach_optimal(optima[&(c.trace, c.catalog, c.split)]);
                     let record = CellRecord {
                         labels: spec.cell_labels(c),
                         coords: *c,

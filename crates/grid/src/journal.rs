@@ -1,4 +1,5 @@
-//! Crash-resume journal: a durable log of per-cell decisions.
+//! Crash-resume journal: a log of per-cell decisions that survives a
+//! killed process.
 //!
 //! The streaming artifact writer already checkpoints rendered rows, but
 //! a rendered row cannot be *resumed from*: it carries formatted values,
@@ -6,8 +7,14 @@
 //! the epilogue lands. The journal is the machine-readable counterpart —
 //! one checksummed record per **decided** cell (succeeded or
 //! quarantined), appended and flushed before the run moves on — so a
-//! killed run restarts from the last durable cell instead of from zero,
-//! and the resumed artifact is byte-identical to an uninterrupted one.
+//! killed run restarts from the last journaled cell instead of from
+//! zero, and the resumed artifact is byte-identical to an uninterrupted
+//! one.
+//!
+//! Records are flushed to the OS, never synced to disk (no `sync_data`
+//! or `sync_all`): the journal survives a killed process (what
+//! `--kill-after` and the CI chaos job test), not an OS crash or power
+//! loss.
 //!
 //! # Record framing
 //!
@@ -58,7 +65,7 @@ pub const JOURNAL_NAME: &str = "BENCH_grid.journal";
 /// the cell cache's v2 summary encoding.
 pub const JOURNAL_FORMAT: &str = "bml-grid-journal/v2";
 
-/// One durable per-cell decision.
+/// One journaled per-cell decision.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellEntry {
     /// The cell completed; its summary (optima stripped, re-stamped by
@@ -122,7 +129,7 @@ impl Journal {
     /// append) plus the decisions already on disk.
     ///
     /// An absent journal, a foreign format, or a fingerprint mismatch
-    /// all mean "nothing durable to reuse": the journal is recreated
+    /// all mean "nothing to reuse": the journal is recreated
     /// fresh and the map comes back empty.
     pub fn resume(
         dir: &Path,
@@ -168,11 +175,12 @@ impl Journal {
         &self.path
     }
 
-    /// Append one decided cell and push it to the OS — the decision is
-    /// durable (up to a crash mid-write, which replay recovers from)
-    /// before the executor moves on. Returns the bytes written (fed to
-    /// the telemetry host plane; host-dependent under resume, so never
-    /// a deterministic counter).
+    /// Append one decided cell and flush it to the OS before the executor
+    /// moves on, so the decision survives a killed process (a kill
+    /// mid-write leaves a torn tail, which replay recovers from); it is
+    /// not synced, so an OS crash or power loss may still lose it.
+    /// Returns the bytes written (fed to the telemetry host plane;
+    /// host-dependent under resume, so never a deterministic counter).
     ///
     /// Chaos faults apply here: an injected I/O error surfaces as `Err`
     /// (the executor degrades), a torn write silently persists only a

@@ -101,8 +101,9 @@ impl CellSink for StreamingArtifactWriter {
         self.cells_emitted += 1;
         self.json.write_all(render_cell_json(record).as_bytes())?;
         self.csv.write_all(render_cell_csv(record).as_bytes())?;
-        // Every appended cell is a durable checkpoint: flush so a killed
-        // run leaves everything already streamed on disk.
+        // Flush every appended cell so a killed process leaves everything
+        // already streamed on disk (no sync: an OS crash or power loss
+        // may still lose it).
         self.json.flush()?;
         self.csv.flush()
     }

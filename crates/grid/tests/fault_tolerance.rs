@@ -101,9 +101,9 @@ fn resume_of_a_torn_journal_tail_recovers() {
     let (_, clean_json) = run_to_dir(&spec, &clean_dir, 2, |r| r).unwrap();
 
     // Kill mid-run with torn journal writes firing: some records reach
-    // disk incomplete (simulated power loss). Resume must drop the torn
-    // tail, recompute what it lost, and still match the clean bytes —
-    // torn writes cost work, never correctness.
+    // disk incomplete (as a process killed mid-write leaves them).
+    // Resume must drop the torn tail, recompute what it lost, and still
+    // match the clean bytes — torn writes cost work, never correctness.
     let chaos = ChaosPolicy::new(11).torn_write_prob(0.4);
     let dir = tmp_dir("torn");
     let err = run_to_dir(&spec, &dir, 2, |r| {

@@ -403,15 +403,6 @@ pub struct ScenarioResult {
     /// Every reconfiguration launched, in decision order — the replay's
     /// audit trail, and what the stepping-equivalence property pins.
     pub reconfig_log: Vec<ReconfigRecord>,
-    /// The offline-optimal energy (J) for the same trace/catalog/split,
-    /// from the `bml-opt` segment DP. `None` until an optimality pass
-    /// attaches it (the engine itself never computes it).
-    pub optimal_energy_j: Option<f64>,
-    /// Relative optimality gap `(total_energy_j - optimal) / optimal`.
-    /// `None` without an optimality pass or when the optimum is zero.
-    /// Negative gaps are possible for runs that violate QoS: the optimum
-    /// is constrained to full service, a violating run is not.
-    pub optimality_gap: Option<f64>,
 }
 
 /// The compact per-cell summary an experiment-grid aggregator consumes:
@@ -450,10 +441,31 @@ pub struct CellSummary {
     /// The stepping loop that actually ran (fallback audit; see
     /// [`ScenarioResult::stepping_effective`]).
     pub stepping_effective: Stepping,
-    /// Offline-optimal energy (J); see [`ScenarioResult::optimal_energy_j`].
+    /// The offline-optimal energy (J) for the same trace/catalog/split,
+    /// from the `bml-opt` segment DP. `None` until
+    /// [`CellSummary::attach_optimal`] sets it (the engine itself never
+    /// computes it).
     pub optimal_energy_j: Option<f64>,
-    /// Relative optimality gap; see [`ScenarioResult::optimality_gap`].
+    /// Relative optimality gap `(total_energy_j - optimal) / optimal`.
+    /// `None` without an attached optimum or when the optimum is zero.
+    /// Negative gaps are possible for runs that violate QoS: the optimum
+    /// is constrained to full service, a violating run is not.
     pub optimality_gap: Option<f64>,
+}
+
+impl CellSummary {
+    /// Attach an offline-optimal reference energy: sets
+    /// `optimal_energy_j` and derives `optimality_gap` relative to it
+    /// (`None` gap when the optimum is zero — an all-idle trace has
+    /// nothing to be proportional to).
+    pub fn attach_optimal(&mut self, optimal_energy_j: f64) {
+        self.optimal_energy_j = Some(optimal_energy_j);
+        self.optimality_gap = if optimal_energy_j > 0.0 {
+            Some((self.total_energy_j - optimal_energy_j) / optimal_energy_j)
+        } else {
+            None
+        };
+    }
 }
 
 impl ScenarioResult {
@@ -474,22 +486,9 @@ impl ScenarioResult {
             events_skipped: self.events_skipped,
             fallback_unsegmented: self.fallback_unsegmented,
             stepping_effective: self.stepping_effective,
-            optimal_energy_j: self.optimal_energy_j,
-            optimality_gap: self.optimality_gap,
+            optimal_energy_j: None,
+            optimality_gap: None,
         }
-    }
-
-    /// Attach an offline-optimal reference energy: sets
-    /// `optimal_energy_j` and derives `optimality_gap` relative to it
-    /// (`None` gap when the optimum is zero — an all-idle trace has
-    /// nothing to be proportional to).
-    pub fn attach_optimal(&mut self, optimal_energy_j: f64) {
-        self.optimal_energy_j = Some(optimal_energy_j);
-        self.optimality_gap = if optimal_energy_j > 0.0 {
-            Some((self.total_energy_j - optimal_energy_j) / optimal_energy_j)
-        } else {
-            None
-        };
     }
 
     /// Check that `other` is a replay-equivalent result of the same
@@ -766,8 +765,6 @@ impl<'a> EngineState<'a> {
             stepping_effective,
             reconfig_log: self.reconfig_log,
             daily_energy_j: self.meter.into_daily_joules(),
-            optimal_energy_j: None,
-            optimality_gap: None,
         }
     }
 }
@@ -1285,6 +1282,18 @@ mod tests {
         assert_eq!(r.fallback_unsegmented, 1, "fallback must be recorded");
         assert_eq!(r.segments_batched, 0);
         assert_eq!(r.summary().fallback_unsegmented, 1);
+    }
+
+    #[test]
+    fn attach_optimal_derives_the_gap_and_none_at_a_zero_optimum() {
+        let mut s = run(&synthetic::constant(100.0, 500), &SimConfig::default()).summary();
+        assert_eq!((s.optimal_energy_j, s.optimality_gap), (None, None));
+        s.attach_optimal(s.total_energy_j / 2.0);
+        assert_eq!(s.optimality_gap, Some(1.0));
+        // An all-idle trace's optimum is zero: no gap to report.
+        s.attach_optimal(0.0);
+        assert_eq!(s.optimal_energy_j, Some(0.0));
+        assert_eq!(s.optimality_gap, None);
     }
 
     #[test]

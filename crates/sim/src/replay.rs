@@ -144,8 +144,6 @@ pub fn replay_schedule(
         stepping_effective: Stepping::EventDriven,
         reconfig_log: log,
         daily_energy_j: meter.into_daily_joules(),
-        optimal_energy_j: None,
-        optimality_gap: None,
     }
 }
 

@@ -71,8 +71,6 @@ fn homogeneous_scenario(
         stepping_effective: Stepping::EventDriven,
         reconfig_log: Vec::new(),
         daily_energy_j: meter.into_daily_joules(),
-        optimal_energy_j: None,
-        optimality_gap: None,
     }
 }
 
@@ -153,8 +151,6 @@ pub fn lower_bound_theoretical(
         stepping_effective: Stepping::EventDriven,
         reconfig_log: Vec::new(),
         daily_energy_j: meter.into_daily_joules(),
-        optimal_energy_j: None,
-        optimality_gap: None,
     }
 }
 

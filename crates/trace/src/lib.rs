@@ -18,7 +18,6 @@ pub mod registry;
 pub mod segments;
 pub mod synthetic;
 pub mod trace;
-pub mod wc98;
 pub mod window;
 pub mod worldcup;
 

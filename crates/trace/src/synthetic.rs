@@ -89,21 +89,6 @@ pub fn random_walk(
     LoadTrace::new(0, rates)
 }
 
-/// Multiplicative noise wrapper: scales every sample of `trace` by
-/// `1 + e`, `e` uniform in `[-jitter, jitter]`, clamped at 0.
-pub fn with_noise(trace: &LoadTrace, jitter: f64, seed: u64) -> LoadTrace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rates = trace
-        .rates
-        .iter()
-        .map(|&r| {
-            let e: f64 = rng.gen_range(-jitter..=jitter);
-            (r * (1.0 + e)).max(0.0)
-        })
-        .collect();
-    LoadTrace::new(trace.first_day, rates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,16 +162,5 @@ mod tests {
         }
         let c = random_walk(5.0, 50.0, 2.0, 1000, 8);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn noise_stays_close_and_nonnegative() {
-        let base = constant(100.0, 1000);
-        let noisy = with_noise(&base, 0.1, 3);
-        for &r in &noisy.rates {
-            assert!((90.0..=110.0).contains(&r), "rate {r}");
-        }
-        let noisy0 = with_noise(&base, 0.0, 3);
-        assert_eq!(noisy0, base);
     }
 }

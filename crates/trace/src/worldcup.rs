@@ -14,8 +14,7 @@
 //!   `UpperBound Global` dimensioning,
 //! * a sharp post-final decay.
 //!
-//! Generation is deterministic given the seed. Real traces in the CSV
-//! interchange format can be substituted anywhere this one is used.
+//! Generation is deterministic given the seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,11 +204,6 @@ pub fn generate(params: &WorldCupParams) -> LoadTrace {
     LoadTrace::new(params.first_day, rates)
 }
 
-/// The default trace used by the shipped Fig.-5 experiments.
-pub fn paper_trace() -> LoadTrace {
-    generate(&WorldCupParams::default())
-}
-
 /// A reduced version (fewer days) for fast tests: same structure, same
 /// relative day labels.
 pub fn short_trace(n_days: u32) -> LoadTrace {
@@ -332,7 +326,7 @@ mod tests {
     #[test]
     fn full_trace_has_87_days() {
         // Only generated once here (slow-ish); keep assertions together.
-        let t = paper_trace();
+        let t = generate(&WorldCupParams::default());
         assert_eq!(t.n_days(), 87);
         assert_eq!(t.len(), 87 * 86_400);
         let dm = t.daily_max();

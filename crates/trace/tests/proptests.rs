@@ -38,17 +38,6 @@ proptest! {
     }
 
     #[test]
-    fn csv_roundtrip_preserves_trace(rates in arb_rates(), first_day in 0u32..100) {
-        let t = LoadTrace::new(first_day, rates);
-        let parsed = LoadTrace::from_csv(&t.to_csv()).unwrap();
-        prop_assert_eq!(parsed.first_day, t.first_day);
-        prop_assert_eq!(parsed.rates.len(), t.rates.len());
-        for (a, b) in parsed.rates.iter().zip(&t.rates) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn daily_max_bounds_global_max(rates in arb_rates()) {
         let t = LoadTrace::new(0, rates);
         let dm = t.daily_max();

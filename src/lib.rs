@@ -11,7 +11,7 @@
 //!   pro-active scheduler;
 //! * [`trace`] (`bml-trace`) — load traces, the World-Cup-98-like
 //!   workload, predictors;
-//! * [`metrics`] (`bml-metrics`) — IPR/LDR, energy accounting, report tables;
+//! * [`metrics`] (`bml-metrics`) — energy accounting, report tables;
 //! * [`sim`] (`bml-sim`) — the discrete-event simulator and the four
 //!   Fig. 5 scenarios;
 //! * [`grid`] (`bml-grid`) — declarative multi-dimensional scenario

@@ -132,23 +132,6 @@ fn cold_start_converges_to_warm_start_energy() {
 }
 
 #[test]
-fn trace_csv_roundtrip_preserves_simulation() {
-    // Serializing the trace to the CSV interchange format and re-reading
-    // it yields the identical scenario result (the format is lossless for
-    // integer-rounded rates).
-    let trace = generate(&WorldCupParams {
-        n_days: 1,
-        ..Default::default()
-    });
-    let reparsed = LoadTrace::from_csv(&trace.to_csv()).unwrap();
-    let infra = BmlInfrastructure::build(&bml::core::catalog::table1()).unwrap();
-    let a = scenarios::bml_proactive(&trace, &infra, &SimConfig::default());
-    let b = scenarios::bml_proactive(&reparsed, &infra, &SimConfig::default());
-    assert_eq!(a.total_energy_j, b.total_energy_j);
-    assert_eq!(a.reconfigurations, b.reconfigurations);
-}
-
-#[test]
 fn energy_metrics_cross_check() {
     // The proportionality index of the whole simulated system: BML's
     // realized energy over the trace is far closer to the load-weighted
