@@ -10,8 +10,9 @@
 //! theoretical lower bound (free transitions) and the live scheduler.
 //!
 //! ```text
-//! cargo run --release -p bml-bench --bin fig5_bounds \
-//!     [--days N] [--seed N] [--csv] [--json PATH]
+//! cargo run --release -p bml-bench --bin fig5_bounds -- \
+//!     [--days N] [--seed N] [--window S] [--stepping event|per-second] \
+//!     [--csv] [--json PATH] [--telemetry-out PATH]
 //! ```
 //!
 //! With `--json PATH` a machine-readable summary (totals, per-day

@@ -12,7 +12,8 @@
 //! cargo run --release -p bml-bench --bin grid -- \
 //!     [--days N] [--seed N] [--threads N] [--out-dir PATH] [--csv] \
 //!     [--cache-dir PATH] [--stepping event|per-second] \
-//!     [--resume] [--max-retries N] [--chaos SEED] [--kill-after N]
+//!     [--resume] [--max-retries N] [--chaos SEED] [--kill-after N] \
+//!     [--telemetry-out PATH]
 //! ```
 //!
 //! Without `--stepping` the grid sweeps *both* modes as a dimension (CI

@@ -9,8 +9,7 @@
 //!   "root_seed": <u64>,
 //!   "n_cells":  <usize>,
 //!   "dimensions": { <dimension>: [<value label>, ...], ... },   // spec order
-//!   "refine":   null | { "rounds", "budget_cells",
-//!                        "seeded_cells", "final_cells" },
+//!   "refine":   null,                                           // always null
 //!   "cells": [ { "index", "seed" (decimal string — full-range u64),
 //!                <7 dimension labels>,
 //!                "total_energy_j", "mean_power_w", "qos_shortfall",
@@ -57,26 +56,21 @@
 //! "streamed file == in-memory render" a structural identity rather than
 //! a test hope (the test pins it anyway).
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use crate::aggregate::{pareto_frontier, per_dimension_bests};
 use crate::executor::{CellRecord, FailedCell, GridOutcome};
 use crate::json::Object;
-use crate::refine::RefineMeta;
 use crate::spec::{GridSpec, DIMENSIONS};
 
 /// Current artifact schema identifier. v5 added the `failed_cells`
 /// quarantine section (`[]` on clean runs) and redefined
 /// `pareto_energy_vs_qos` entries as cell **enumeration** indices (on
 /// clean runs the two coincide) — cell rows are byte-identical to v4.
-/// v4 added the top-level `refine`
-/// field (`null` for exhaustive runs; round/budget provenance for
-/// artifacts produced by adaptive refinement) and is the first schema
-/// emitted by the streaming writer — cell rows and all v3 fields are
-/// unchanged. v3 added `optimal_energy_j` / `optimality_gap` (the
-/// replay-verified offline optimum from `bml-opt`). v2 added
-/// `stepping_effective` (the loop the engine actually ran).
+/// v4 added the top-level `refine` field and is the first schema emitted
+/// by the streaming writer — cell rows and all v3 fields are unchanged.
+/// `refine` is always `null`: no run path refines a grid. v3 added
+/// `optimal_energy_j` / `optimality_gap` (the replay-verified offline
+/// optimum from `bml-opt`). v2 added `stepping_effective` (the loop the
+/// engine actually ran).
 pub const SCHEMA: &str = "bml-grid/v5";
 
 /// JSON artifact file name.
@@ -85,10 +79,26 @@ pub const JSON_NAME: &str = "BENCH_grid.json";
 /// CSV artifact file name.
 pub const CSV_NAME: &str = "BENCH_grid.csv";
 
+/// Provenance of an adaptively refined grid, rendered into the
+/// artifact's `refine` field by [`json_prologue`]. Every grid run passes
+/// `None` and streams `"refine":null`; the type stays while callers
+/// outside this crate pass `json_prologue` its third argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RefineMeta {
+    /// Refinement rounds executed after the seed run.
+    pub rounds: u64,
+    /// The configured per-round cell cap.
+    pub budget_cells: u64,
+    /// Cell count of the seed grid.
+    pub seeded_cells: u64,
+    /// Cell count of the final grid (the artifact's cells).
+    pub final_cells: u64,
+}
+
 /// Everything before the first cell object: document header, dimension
-/// value lists, refinement provenance, and the opening `"cells":[`.
-/// Computable from the spec alone, so the streaming writer emits it
-/// before any cell has run.
+/// value lists, the `refine` field (`null` unless `refine` is given),
+/// and the opening `"cells":[`. Computable from the spec alone, so the
+/// streaming writer emits it before any cell has run.
 pub fn json_prologue(spec: &GridSpec, n_cells: usize, refine: Option<&RefineMeta>) -> String {
     let mut dims = Object::new();
     for (d, name) in DIMENSIONS.iter().enumerate() {
@@ -201,22 +211,15 @@ pub fn json_epilogue(out: &GridOutcome) -> String {
     format!("],\"failed_cells\":[{}],{}", failed.join(","), &tail[1..])
 }
 
-/// Render the versioned JSON artifact (no trailing newline) with
-/// refinement provenance.
-pub fn render_json_with(out: &GridOutcome, refine: Option<&RefineMeta>) -> String {
+/// Render the versioned JSON artifact (no trailing newline).
+pub fn render_json(out: &GridOutcome) -> String {
     let cells: Vec<String> = out.cells.iter().map(render_cell_json).collect();
     format!(
         "{}{}{}",
-        json_prologue(&out.spec, out.cells.len(), refine),
+        json_prologue(&out.spec, out.cells.len(), None),
         cells.join(","),
         json_epilogue(out)
     )
-}
-
-/// Render the versioned JSON artifact of an exhaustive run
-/// (`"refine":null`; no trailing newline).
-pub fn render_json(out: &GridOutcome) -> String {
-    render_json_with(out, None)
 }
 
 /// CSV column headers: coordinates, labels, then the summary fields.
@@ -283,24 +286,10 @@ pub fn render_csv(out: &GridOutcome) -> String {
     s
 }
 
-/// Write both artifacts into `dir` (created if missing); returns the two
-/// paths (JSON, CSV). The JSON gets a trailing newline, like every other
-/// `BENCH_*.json` this repo emits. This is the one-shot path; long runs
-/// stream instead (see [`crate::stream::StreamingArtifactWriter`], which
-/// produces the same bytes incrementally).
-pub fn write_artifacts(out: &GridOutcome, dir: &Path) -> io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let json_path = dir.join(JSON_NAME);
-    let csv_path = dir.join(CSV_NAME);
-    std::fs::write(&json_path, render_json(out) + "\n")?;
-    std::fs::write(&csv_path, render_csv(out))?;
-    Ok((json_path, csv_path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_grid;
+    use crate::executor::GridRunner;
     use crate::spec::{CatalogSpec, GridSpec, SchedulerDim, TraceSpec};
     use bml_core::combination::SplitPolicy;
     use bml_sim::Stepping;
@@ -321,7 +310,7 @@ mod tests {
             splits: vec![SplitPolicy::EfficiencyGreedy],
             steppings: vec![Stepping::EventDriven],
         };
-        run_grid(&spec, Some(2)).unwrap()
+        GridRunner::new(&spec).threads(2).run().unwrap().outcome
     }
 
     #[test]
@@ -370,7 +359,7 @@ mod tests {
             seeded_cells: 144,
             final_cells: out.cells.len() as u64,
         };
-        let j = render_json_with(&out, Some(&meta));
+        let j = json_prologue(&out.spec, out.cells.len(), Some(&meta));
         assert!(j.contains(
             "\"refine\":{\"rounds\":3,\"budget_cells\":10000,\"seeded_cells\":144,\"final_cells\":2}"
         ));
@@ -442,7 +431,7 @@ mod tests {
         assert_eq!(j.matches("\"optimality_gap\":").count(), out.cells.len());
         assert!(
             !j.contains("\"optimal_energy_j\":null"),
-            "run_grid attaches an optimum to every cell"
+            "GridRunner attaches an optimum to every cell"
         );
         let csv = render_csv(&out);
         let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
@@ -494,16 +483,5 @@ mod tests {
         let j = render_json(&out);
         let expected = format!("\"seed\":\"{}\"", out.cells[0].coords.seed);
         assert!(j.contains(&expected), "{j}");
-    }
-
-    #[test]
-    fn artifacts_write_to_directory() {
-        let out = outcome();
-        let dir = std::env::temp_dir().join("bml_grid_artifact_test");
-        let (j, c) = write_artifacts(&out, &dir).unwrap();
-        let bytes = std::fs::read_to_string(&j).unwrap();
-        assert_eq!(bytes, render_json(&out) + "\n");
-        assert_eq!(std::fs::read_to_string(&c).unwrap(), render_csv(&out));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

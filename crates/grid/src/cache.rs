@@ -2,10 +2,9 @@
 //!
 //! Re-running a grid after editing one dimension re-executes every cell,
 //! even though most of the cross-product is untouched — at 10k+ cells
-//! that dominates iteration time, and the adaptive refinement driver
-//! (`crate::refine`) re-visits surviving cells every round. This cache
-//! makes repeated cells free: each cell result is stored under a key that
-//! hashes **everything the result depends on and nothing it doesn't**.
+//! that dominates iteration time. This cache makes repeated cells free:
+//! each cell result is stored under a key that hashes **everything the
+//! result depends on and nothing it doesn't**.
 //!
 //! # What is in a key
 //!
@@ -227,14 +226,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / self.lookups as f64
         }
-    }
-
-    /// Accumulate another run's counters (refinement rounds sum up).
-    pub fn absorb(&mut self, other: CacheStats) {
-        self.lookups += other.lookups;
-        self.hits += other.hits;
-        self.opt_lookups += other.opt_lookups;
-        self.opt_hits += other.opt_hits;
     }
 }
 

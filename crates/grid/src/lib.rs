@@ -33,14 +33,12 @@
 //!
 //! Completed cells flow through the aggregator (per-dimension bests +
 //! the energy-vs-QoS Pareto frontier) into the versioned
-//! `BENCH_grid.json` and `BENCH_grid.csv` — streamed incrementally by the
-//! [`StreamingArtifactWriter`] or written at once by
-//! [`artifact::write_artifacts`]; both produce the same bytes. Repeat
-//! cells are served from the [`cache`] (keyed on *content*: trace bits,
-//! catalog constants, cell knobs, RNG keying and schema versions — never
-//! thread counts or hosts), and [`GridRunner::refine`] replaces
-//! exhaustive sweeps with Pareto-guided bisection of the numeric
-//! dimensions (see [`refine`]).
+//! `BENCH_grid.json` and `BENCH_grid.csv`, streamed incrementally by the
+//! [`StreamingArtifactWriter`]; the streamed bytes equal the in-memory
+//! [`render_json`] / [`render_csv`] of the same outcome. Repeat cells are
+//! served from the [`cache`] (keyed on *content*: trace bits, catalog
+//! constants, cell knobs, RNG keying and schema versions — never thread
+//! counts or hosts).
 //!
 //! # Determinism
 //!
@@ -80,20 +78,16 @@ pub mod chaos;
 pub mod executor;
 pub mod journal;
 pub mod json;
-pub mod refine;
 pub mod spec;
 pub mod stream;
 
 pub use aggregate::{pareto_frontier, per_dimension_bests, DimensionBest};
-pub use artifact::{render_csv, render_json, render_json_with, write_artifacts, SCHEMA};
+pub use artifact::{render_csv, render_json, SCHEMA};
 pub use cache::{CacheStats, CellCache, OptEntry};
 pub use chaos::ChaosPolicy;
-pub use executor::{
-    run_grid, CellRecord, FailedCell, GridOutcome, GridRun, GridRunner, RunWarning,
-};
+pub use executor::{CellRecord, FailedCell, GridOutcome, GridRun, GridRunner, RunWarning};
 pub use journal::{Journal, JOURNAL_NAME};
-pub use refine::{RefineBudget, RefineMeta, RefineOutcome};
 pub use spec::{
     CatalogSpec, CellCoords, GridSpec, GridSpecBuilder, SchedulerDim, TraceSpec, DIMENSIONS,
 };
-pub use stream::{CellSink, StreamingArtifactWriter};
+pub use stream::StreamingArtifactWriter;

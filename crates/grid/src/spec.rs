@@ -291,13 +291,6 @@ impl GridSpecBuilder {
         self
     }
 
-    /// Set the trace dimension.
-    #[must_use]
-    pub fn traces(mut self, traces: Vec<TraceSpec>) -> Self {
-        self.spec.traces = traces;
-        self
-    }
-
     /// Append one trace built from the registry-source triple.
     #[must_use]
     pub fn trace(mut self, source: impl Into<String>, days: u32, seed: u64) -> Self {

@@ -1,12 +1,11 @@
 //! Streaming artifact emission.
 //!
-//! `write_artifacts` assembles the whole document in memory and writes it
-//! at the end — fine at 144 cells, hostile at 10k+: a crash loses
-//! everything and memory holds every rendered row. A [`CellSink`]
-//! receives cells **as they complete, in enumeration order**, so the
-//! [`StreamingArtifactWriter`] appends each record to `BENCH_grid.json` /
-//! `BENCH_grid.csv` incrementally and only the aggregate epilogue waits
-//! for the end.
+//! Assembling the whole document in memory and writing it at the end is
+//! fine at 144 cells, hostile at 10k+: a crash loses everything and
+//! memory holds every rendered row. The [`StreamingArtifactWriter`]
+//! receives cells **as they complete, in enumeration order**, and appends
+//! each record to `BENCH_grid.json` / `BENCH_grid.csv` incrementally;
+//! only the aggregate epilogue waits for the end.
 //!
 //! The byte-identity guarantee survives streaming by construction: the
 //! writer emits exactly [`crate::artifact::json_prologue`] + the
@@ -25,32 +24,12 @@ use crate::artifact::{
     JSON_NAME,
 };
 use crate::executor::{CellRecord, GridOutcome};
-use crate::refine::RefineMeta;
 use crate::spec::GridSpec;
 
-/// A consumer of grid cells in enumeration order. The executor calls
-/// `begin` once before any cell, `cell` once per record (index order),
-/// and `finish` once with the complete outcome (the aggregates need every
-/// cell, so they anchor the end of the stream).
-pub trait CellSink {
-    /// The run is starting: the spec, total cell count, and refinement
-    /// provenance (when the stream is a refinement's final artifact) are
-    /// known before any cell executes.
-    fn begin(
-        &mut self,
-        spec: &GridSpec,
-        n_cells: usize,
-        refine: Option<&RefineMeta>,
-    ) -> io::Result<()>;
-
-    /// One completed cell, in enumeration order.
-    fn cell(&mut self, record: &CellRecord) -> io::Result<()>;
-
-    /// The run is complete; `out` holds every cell for aggregation.
-    fn finish(&mut self, out: &GridOutcome) -> io::Result<()>;
-}
-
-/// Streams both versioned artifacts to disk as cells complete.
+/// Streams both versioned artifacts to disk as cells complete. The
+/// executor calls `begin` once before any cell, `cell` once per record
+/// (index order), and `finish` once with the complete outcome (the
+/// aggregates need every cell, so they anchor the end of the stream).
 #[derive(Debug)]
 pub struct StreamingArtifactWriter {
     json: BufWriter<File>,
@@ -80,21 +59,17 @@ impl StreamingArtifactWriter {
     pub fn paths(&self) -> (&Path, &Path) {
         (&self.json_path, &self.csv_path)
     }
-}
 
-impl CellSink for StreamingArtifactWriter {
-    fn begin(
-        &mut self,
-        spec: &GridSpec,
-        n_cells: usize,
-        refine: Option<&RefineMeta>,
-    ) -> io::Result<()> {
+    /// The run is starting: the spec and total cell count are known
+    /// before any cell executes.
+    pub(crate) fn begin(&mut self, spec: &GridSpec, n_cells: usize) -> io::Result<()> {
         self.json
-            .write_all(json_prologue(spec, n_cells, refine).as_bytes())?;
+            .write_all(json_prologue(spec, n_cells, None).as_bytes())?;
         self.csv.write_all(csv_header_line().as_bytes())
     }
 
-    fn cell(&mut self, record: &CellRecord) -> io::Result<()> {
+    /// One completed cell, in enumeration order.
+    pub(crate) fn cell(&mut self, record: &CellRecord) -> io::Result<()> {
         if self.cells_emitted > 0 {
             self.json.write_all(b",")?;
         }
@@ -108,7 +83,8 @@ impl CellSink for StreamingArtifactWriter {
         self.csv.flush()
     }
 
-    fn finish(&mut self, out: &GridOutcome) -> io::Result<()> {
+    /// The run is complete; `out` holds every cell for aggregation.
+    pub(crate) fn finish(&mut self, out: &GridOutcome) -> io::Result<()> {
         // Trailing newline, like every BENCH_*.json this repo emits.
         self.json.write_all(json_epilogue(out).as_bytes())?;
         self.json.write_all(b"\n")?;

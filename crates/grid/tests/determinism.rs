@@ -6,7 +6,7 @@
 use bml_core::combination::SplitPolicy;
 use bml_grid::cache;
 use bml_grid::spec::{CatalogSpec, GridSpec, SchedulerDim};
-use bml_grid::{pareto_frontier, render_csv, render_json, run_grid, GridRunner};
+use bml_grid::{pareto_frontier, render_csv, render_json, GridRunner};
 use bml_opt::OptOptions;
 use bml_sim::Stepping;
 
@@ -43,8 +43,8 @@ fn artifacts_are_byte_identical_across_thread_counts() {
 #[test]
 fn reruns_reproduce_the_same_bytes() {
     let spec = spec();
-    let a = run_grid(&spec, Some(4)).unwrap();
-    let b = run_grid(&spec, Some(4)).unwrap();
+    let a = GridRunner::new(&spec).threads(4).run().unwrap().outcome;
+    let b = GridRunner::new(&spec).threads(4).run().unwrap().outcome;
     assert_eq!(render_json(&a), render_json(&b));
 }
 
@@ -53,8 +53,8 @@ fn root_seed_reaches_the_noise_cells() {
     let base = spec();
     let mut reseeded = spec();
     reseeded.root_seed = 2024;
-    let a = run_grid(&base, Some(4)).unwrap();
-    let b = run_grid(&reseeded, Some(4)).unwrap();
+    let a = GridRunner::new(&base).threads(4).run().unwrap().outcome;
+    let b = GridRunner::new(&reseeded).threads(4).run().unwrap().outcome;
     // Clean cells are seed-independent; some noisy cell must move.
     assert_ne!(
         render_json(&a),
@@ -68,7 +68,7 @@ fn cold_and_warm_cache_render_the_same_bytes_across_thread_counts() {
     let dir = std::env::temp_dir().join("bml_grid_determinism_cache");
     std::fs::remove_dir_all(&dir).ok();
     let spec = spec();
-    let uncached = run_grid(&spec, Some(4)).unwrap();
+    let uncached = GridRunner::new(&spec).threads(4).run().unwrap().outcome;
     let cold = GridRunner::new(&spec)
         .threads(8)
         .cache_dir(&dir)
@@ -222,7 +222,7 @@ fn cache_keys_are_content_addressed_not_positional() {
     // Same cells reached through different spec shapes (value order
     // swapped) must hit the same entries: keys hash content, not the
     // enumeration index. Clean cells only — noisy cells draw positional
-    // seeds, the documented refinement caveat.
+    // seeds (see `GridSpec::cells`).
     let dir = std::env::temp_dir().join("bml_grid_determinism_cache_shape");
     std::fs::remove_dir_all(&dir).ok();
     let forward = GridSpec::builder()
@@ -253,7 +253,7 @@ fn cache_keys_are_content_addressed_not_positional() {
 
 #[test]
 fn aggregates_reference_valid_cells() {
-    let out = run_grid(&spec(), None).unwrap();
+    let out = GridRunner::new(&spec()).run().unwrap().outcome;
     let frontier = pareto_frontier(&out);
     assert!(!frontier.is_empty());
     for &i in &frontier {

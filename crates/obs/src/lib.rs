@@ -111,13 +111,6 @@ impl Counters {
         self.map.get(key).copied().unwrap_or(0)
     }
 
-    /// Fold another counter set into this one (sums per key).
-    pub fn absorb(&mut self, other: &Counters) {
-        for (k, v) in &other.map {
-            *self.map.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-
     /// Iterate `(key, value)` in sorted key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.map.iter().map(|(k, v)| (k.as_str(), *v))
@@ -233,25 +226,6 @@ impl Timings {
         self.spans.get(name).copied()
     }
 
-    /// Fold another timing set into this one.
-    pub fn absorb(&mut self, other: &Timings) {
-        for (k, s) in &other.spans {
-            let e = self.spans.entry(k.clone()).or_default();
-            e.count += s.count;
-            e.total_us += s.total_us;
-            e.max_us = e.max_us.max(s.max_us);
-        }
-        for (k, h) in &other.histograms {
-            let e = self.histograms.entry(k.clone()).or_default();
-            for (le, n) in &h.buckets {
-                *e.buckets.entry(*le).or_insert(0) += n;
-            }
-        }
-        for (k, v) in &other.host {
-            *self.host.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-
     /// Single-line JSON of the whole timing plane:
     /// `{"spans":{...},"histograms":{...},"host":{...}}`.
     #[must_use]
@@ -313,20 +287,6 @@ impl Recorder {
     /// Record a completed wall-clock span.
     pub fn span(&mut self, name: &str, elapsed: Duration) {
         self.timings.record_span(name, elapsed);
-    }
-
-    /// Time `f` and record the elapsed wall clock as span `name`.
-    pub fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.span(name, t0.elapsed());
-        out
-    }
-
-    /// Fold another recorder (both planes) into this one.
-    pub fn absorb(&mut self, other: &Recorder) {
-        self.counters.absorb(&other.counters);
-        self.timings.absorb(&other.timings);
     }
 
     /// Canonical bytes of the `counters` section alone — the unit CI and
@@ -414,22 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_absorb_is_order_independent() {
-        let mut a = Counters::new();
-        a.add("x", 1);
-        a.add("y", 2);
-        let mut b = Counters::new();
-        b.add("y", 5);
-        b.add("z", 1);
-        let mut ab = a.clone();
-        ab.absorb(&b);
-        let mut ba = b.clone();
-        ba.absorb(&a);
-        assert_eq!(ab.render_json(), ba.render_json());
-        assert_eq!(ab.get("y"), 7);
-    }
-
-    #[test]
     fn histogram_buckets_are_powers_of_two() {
         let mut h = Histogram::default();
         h.observe(0); // clamps into the 1 µs bucket
@@ -471,23 +415,6 @@ mod tests {
         assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
         assert_eq!(escape_json("\u{01}"), "\\u0001");
         assert_eq!(escape_json("a\nb\tc\u{1}"), "a\\nb\\tc\\u0001");
-    }
-
-    #[test]
-    fn recorder_absorb_merges_both_planes() {
-        let mut a = Recorder::new();
-        a.count("n", 1);
-        a.host_count("h", 1);
-        a.span("s", Duration::from_micros(7));
-        let mut b = Recorder::new();
-        b.count("n", 2);
-        b.host_count("h", 3);
-        b.span("s", Duration::from_micros(2));
-        a.absorb(&b);
-        assert_eq!(a.counters.get("n"), 3);
-        assert_eq!(a.timings.host_get("h"), 4);
-        let s = a.timings.span("s").unwrap();
-        assert_eq!((s.count, s.total_us, s.max_us), (2, 9, 7));
     }
 
     #[test]

@@ -68,7 +68,7 @@
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::reconfig::Configuration;
-use bml_core::scheduler::{paper_window_length, Decision, ProActiveScheduler, SchedulerStats};
+use bml_core::scheduler::{Decision, ProActiveScheduler, SchedulerStats};
 use bml_core::transition_aware::{TransitionAwareConfig, TransitionAwareScheduler};
 use bml_metrics::EnergyMeter;
 use bml_trace::{LoadTrace, Predictor};
@@ -624,10 +624,6 @@ pub fn simulate_bml(
     predictor: &mut dyn Predictor,
     config: &SimConfig,
 ) -> ScenarioResult {
-    let window = config
-        .window
-        .unwrap_or_else(|| paper_window_length(bml.candidates()));
-    let _ = window; // the window is baked into the predictor; kept for reports
     let use_events = config.stepping == Stepping::EventDriven && predictor.is_segmented();
     if use_events {
         simulate_event_driven(trace, bml, predictor, config)

@@ -5,14 +5,14 @@
 //! bench binaries — boils down to the same unit of work: *run the BML
 //! pro-active scenario once under a specific knob setting*. This module is
 //! the single implementation of that unit ([`run_cell`]) plus the one
-//! parallel fan-out everything shares ([`run_cells`]).
+//! parallel fan-out everything shares ([`run_cells_checked`]).
 //!
-//! Determinism contract: [`run_cells`] preserves input order (the rayon
-//! parallel map deposits each result in its input's slot — the vendored
-//! shim schedules workers by range stealing, so *which* worker runs a
-//! cell varies, but *where* its result lands never does), and each cell's
-//! randomness is confined to its own [`CellConfig::noise_seed`], so the
-//! result vector is **bit-identical regardless of the worker-thread
+//! Determinism contract: [`run_cells_checked`] preserves input order (the
+//! rayon parallel map deposits each result in its input's slot — the
+//! vendored shim schedules workers by range stealing, so *which* worker
+//! runs a cell varies, but *where* its result lands never does), and each
+//! cell's randomness is confined to its own [`CellConfig::noise_seed`], so
+//! the result vector is **bit-identical regardless of the worker-thread
 //! count**. `bml-grid` relies on this to emit byte-identical artifacts at
 //! any `--threads` setting, and keys its content-addressed cell cache on
 //! [`CellConfig::stable_descriptor`].
@@ -137,27 +137,6 @@ pub fn run_cell(trace: &LoadTrace, bml: &BmlInfrastructure, cell: &CellConfig) -
     }
 }
 
-/// Execute a batch of cells in parallel, returning results in input order.
-///
-/// `threads` caps the worker count (`None` = rayon's default). The cap
-/// only changes wall-clock time, never results: output order is the input
-/// order and cells share no mutable state.
-pub fn run_cells(jobs: &[CellJob<'_>], threads: Option<usize>) -> Vec<ScenarioResult> {
-    let run = || {
-        jobs.par_iter()
-            .map(|j| run_cell(j.trace, j.bml, &j.cell))
-            .collect()
-    };
-    match threads {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n.max(1))
-            .build()
-            .expect("thread pool construction cannot fail")
-            .install(run),
-        None => run(),
-    }
-}
-
 /// A cell execution that panicked instead of producing a result: the
 /// payload, rendered to a message (`String`/`&str` payloads verbatim,
 /// anything else a placeholder). Produced by [`run_cells_checked`].
@@ -178,17 +157,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fault-isolated variant of [`run_cells`]: each cell runs under
-/// `catch_unwind`, so one panicking cell yields an `Err(CellPanic)` in
-/// its slot while every other cell still completes — the grid executor's
-/// retry/quarantine layer is built on this.
+/// Execute a batch of cells in parallel, returning results in input
+/// order. Each cell runs under `catch_unwind`, so one panicking cell
+/// yields an `Err(CellPanic)` in its slot while every other cell still
+/// completes — the grid executor's retry/quarantine layer is built on
+/// this.
+///
+/// `threads` caps the worker count (`None` = rayon's default). The cap
+/// only changes wall-clock time, never results: output order is the input
+/// order and cells share no mutable state.
 ///
 /// `inject` is a deterministic fault hook (the chaos harness): called
 /// with each job's **batch-local index** before the cell runs; returning
 /// `Some(msg)` makes that cell panic with `msg` instead of executing.
-/// The determinism contract of [`run_cells`] carries over: results land
-/// in input order whatever the thread count, and injection depends only
-/// on the index, never on scheduling.
+/// Injection depends only on the index, never on scheduling.
 pub fn run_cells_checked(
     jobs: &[CellJob<'_>],
     threads: Option<usize>,
@@ -361,7 +343,10 @@ mod tests {
             })
             .collect();
         let inject = |i: usize| (i == 1).then(|| format!("chaos: cell {i}"));
-        let clean = run_cells(&jobs, Some(1));
+        let clean: Vec<_> = jobs
+            .iter()
+            .map(|j| run_cell(j.trace, j.bml, &j.cell))
+            .collect();
         for threads in [1, 4] {
             let checked = run_cells_checked(&jobs, Some(threads), Some(&inject));
             assert_eq!(checked.len(), 3);
@@ -393,9 +378,20 @@ mod tests {
                 cell: clean_cell(),
             })
             .collect();
-        let one = run_cells(&jobs, Some(1));
-        let many = run_cells(&jobs, Some(4));
-        let default = run_cells(&jobs, None);
+        let run = |threads| -> Vec<_> {
+            run_cells_checked(&jobs, threads, None)
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect()
+        };
+        let serial: Vec<_> = jobs
+            .iter()
+            .map(|j| run_cell(j.trace, j.bml, &j.cell))
+            .collect();
+        let one = run(Some(1));
+        let many = run(Some(4));
+        let default = run(None);
+        assert_eq!(one, serial);
         assert_eq!(one, many);
         assert_eq!(one, default);
         // Order check: energies track the peak ordering of the traces.

@@ -43,7 +43,7 @@ pub use engine::{
     simulate_bml, CellSummary, FailureModel, ReconfigRecord, ScenarioResult, SchedulerKind,
     SimConfig, Stepping,
 };
-pub use exec::{run_cell, run_cells, run_cells_checked, CellConfig, CellJob, CellPanic};
+pub use exec::{run_cell, run_cells_checked, CellConfig, CellJob, CellPanic};
 pub use qos::QosReport;
 pub use replay::replay_schedule;
 pub use runner::{run_comparison, sweep_prediction_noise, sweep_window, ComparisonResult};

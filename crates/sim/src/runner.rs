@@ -3,16 +3,16 @@
 //!
 //! Each sweep is a thin wrapper that lays out its one-dimensional knob as
 //! experiment cells and hands them to the shared parallel cell executor
-//! ([`crate::exec::run_cells`]) — the same engine `bml-grid` drives for
-//! multi-dimensional scenario grids. The sweeps own nothing but the
-//! mapping from their knob to a [`CellConfig`].
+//! ([`crate::exec::run_cells_checked`]) — the same engine `bml-grid`
+//! drives for multi-dimensional scenario grids. The sweeps own nothing
+//! but the mapping from their knob to a [`CellConfig`].
 
 use bml_core::bml::BmlInfrastructure;
 use bml_metrics::{overhead_stats, OverheadStats};
 use bml_trace::LoadTrace;
 
 use crate::engine::{ScenarioResult, SimConfig};
-use crate::exec::{run_cells, CellConfig, CellJob};
+use crate::exec::{run_cells_checked, CellConfig, CellJob};
 use crate::scenarios;
 
 /// Outcome of the Fig. 5 comparison.
@@ -80,7 +80,8 @@ pub fn run_comparison(
 }
 
 /// Fan a list of cells out over the shared executor and zip the results
-/// back onto their knob values.
+/// back onto their knob values. A panicking cell re-panics here with its
+/// caught message: a sweep has no quarantine to put it in.
 fn sweep<K>(
     trace: &LoadTrace,
     bml: &BmlInfrastructure,
@@ -91,7 +92,10 @@ fn sweep<K>(
         .into_iter()
         .map(|cell| CellJob { trace, bml, cell })
         .collect();
-    knobs.into_iter().zip(run_cells(&jobs, None)).collect()
+    let results = run_cells_checked(&jobs, None, None)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| panic!("{}", p.message)));
+    knobs.into_iter().zip(results).collect()
 }
 
 /// Ablation: BML total energy and QoS as a function of the look-ahead

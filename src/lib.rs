@@ -40,7 +40,7 @@ pub use bml_trace as trace;
 /// One-stop import of the most used types across the workspace.
 pub mod prelude {
     pub use bml_core::prelude::*;
-    pub use bml_grid::{run_grid, GridOutcome, GridSpec};
+    pub use bml_grid::{GridOutcome, GridRunner, GridSpec};
     pub use bml_metrics::{EnergyMeter, OverheadStats, Table};
     pub use bml_opt::{solve_verified, OptOptions, OptimalSchedule};
     pub use bml_profiler::{paper_machines, profile_park, ProfilerConfig};
