@@ -17,12 +17,14 @@
 //!
 //! With `--json PATH` a machine-readable summary (totals, per-day
 //! energies, overhead statistics, wall time) is also written — the CI
-//! smoke job runs `--days 2 --json BENCH_fig5.json` and uploads it as the
-//! perf-trajectory artifact. With `--telemetry-out PATH` a `bml-obs/v1`
-//! telemetry document is written too: engine counters (reconfigurations,
-//! segments batched, events skipped, failure epochs) merged in scenario
-//! order on the deterministic plane, the comparison and DP-solve wall
-//! clocks as spans on the host plane.
+//! smoke job runs `--days 2 --json BENCH_fig5.json` and
+//! `--days 87 --json BENCH_fig5_87d.json`, gates the bound ordering on
+//! both and uploads them as perf-trajectory artifacts. With
+//! `--telemetry-out PATH` a `bml-obs/v1` telemetry document is written
+//! too: engine counters (reconfigurations, segments batched, events
+//! skipped, failure epochs) merged in scenario order on the deterministic
+//! plane, the comparison and DP-solve wall clocks as spans on the host
+//! plane.
 
 use bml_bench::{json, Args};
 use bml_core::bml::BmlInfrastructure;

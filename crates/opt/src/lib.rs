@@ -40,12 +40,27 @@
 //! pairs: transition costs are separable per architecture, so one
 //! up-sweep (boots) and one down-sweep (shutdowns) of a distance
 //! transform along each axis of the count lattice computes the exact
-//! min-plus convolution in `O(lattice)` per boundary. The sweeps walk the
-//! lattice line by line, pricing each step once per line position rather
-//! than once per cell. With [`OptOptions::beam_width`] set, only the `w`
-//! cheapest states survive each boundary — a lower-effort upper bound
-//! (never below the exact optimum) for catalogs where the exact lattice
-//! blows up.
+//! min-plus convolution in `O(lattice)` per boundary.
+//!
+//! The cost vector lives in the lattice for the whole pass, one value per
+//! cell. Each boundary sweeps it in place, adds the next segment's serving
+//! energy to the state cells and sets every other cell back to `INF`;
+//! nothing is scattered in or gathered out. The lattice's longest axis is
+//! contiguous in memory, so every other axis relaxes whole rows at a time,
+//! and the state cells fall into a few contiguous runs: 2 on the 68-cell
+//! lattice of a 7-day worldcup trace, 11 on the 170-cell lattice of the
+//! smoke grid's table1 solve. The serving table stores its columns in the
+//! same lattice order, so the serving add and the re-`INF` are a few slice
+//! operations per run. The sweeps still visit the architectures in order,
+//! so every cell sees the same float operations in the same order as a
+//! per-cell reference sweep, and the optimum is the same to the bit
+//! whatever the layout.
+//!
+//! With [`OptOptions::beam_width`] set, only the `w` cheapest states
+//! survive each boundary — a lower-effort upper bound (never below the
+//! exact optimum) for catalogs where the exact lattice blows up. The beam
+//! prunes the state cells of the same lattice vector, so the exact and
+//! beam DPs share one path.
 //!
 //! ## Memory
 //!
@@ -54,7 +69,11 @@
 //! checkpoint every `ceil(sqrt(S))` segments, and the backtrack re-runs
 //! one window at a time from its checkpoint into a single reused buffer
 //! of `ceil(sqrt(S))` rows: `O(K * sqrt(S))` memory for `K` states and
-//! `S` segments, for the price of a second forward pass.
+//! `S` segments, for the price of a second forward pass. Checkpoints and
+//! window rows hold only the `K` state values, copied run by run out of
+//! the lattice vector; a window restarts by copying its checkpoint's runs
+//! back into a lattice of `INF`. Both passes reuse that one lattice
+//! vector.
 //!
 //! ## Trust, but verify
 //!
@@ -203,7 +222,8 @@ struct Seg {
 /// One axis of the count lattice, priced once per solve.
 #[derive(Debug, Clone)]
 struct LatticeAxis {
-    /// Cells between neighbouring positions on a line along this axis.
+    /// Cells between neighbouring positions on a line along this axis
+    /// (1 on the contiguous axis).
     stride: usize,
     /// `gaps[j]`: machines between the axis's counts at positions `j`
     /// and `j + 1`.
@@ -213,23 +233,42 @@ struct LatticeAxis {
     boots: Vec<f64>,
 }
 
+/// A maximal run of consecutive lattice cells that are all states.
+#[derive(Debug, Clone, Copy)]
+struct StateRun {
+    /// First lattice cell of the run.
+    cell: usize,
+    /// Rank of the run's first state among all states in lattice order:
+    /// its column in `serve` and its offset in a K-sized cost row.
+    rank: usize,
+    len: usize,
+}
+
 /// The assembled DP instance.
 struct Dp<'a> {
     profiles: &'a [ArchProfile],
     horizon: u64,
     segs: Vec<Seg>,
     states: Vec<Vec<u32>>,
-    /// `serve[load * K + s]`: serving power (W) of state `s` at that
-    /// load, `INF` when the state's capacity cannot cover it.
+    /// `serve[load * K + rank_of[s]]`: serving power (W) of state `s` at
+    /// that load, `INF` when the state's capacity cannot cover it. The
+    /// columns are in lattice order, so each [`StateRun`] reads one
+    /// contiguous slice of a row.
     serve: Vec<f64>,
     costs: Vec<ArchCost>,
     /// The count lattice the distance transform sweeps: per
-    /// architecture, the sorted distinct counts across all states, laid
-    /// out row-major (the last architecture's lines are contiguous).
+    /// architecture (in architecture order), the sorted distinct counts
+    /// across all states. The longest axis is contiguous; see
+    /// [`lattice_strides`].
     lattice: Vec<LatticeAxis>,
     box_size: usize,
     /// Lattice cell of each state.
     cell_of: Vec<usize>,
+    /// Rank of each state among all states in lattice order.
+    rank_of: Vec<usize>,
+    /// The state cells as maximal runs, in lattice order; every other
+    /// cell of a cost vector is `INF` between boundaries.
+    runs: Vec<StateRun>,
     beam: Option<usize>,
     /// Running count of beam-pruned states (interior mutability because
     /// pruning happens under `&self`); the forward-pass snapshot is what
@@ -237,6 +276,27 @@ struct Dp<'a> {
     /// window recomputations re-prune the same boundaries and must not
     /// inflate it.
     pruned: std::cell::Cell<u64>,
+}
+
+/// Memory strides of a count lattice with `lens[a]` positions on axis
+/// `a`: axes sorted by length (ties keep architecture order) from the
+/// outermost to the contiguous one, so the longest axis is contiguous
+/// and every other axis relaxes whole rows at least that long. Returns
+/// the strides in architecture order and the lattice size.
+///
+/// The layout only decides where a cell lives. The sweeps still run in
+/// architecture order, so every cell sees the same float operations in
+/// the same order whatever the layout.
+fn lattice_strides(lens: &[usize]) -> (Vec<usize>, usize) {
+    let mut outer_to_inner: Vec<usize> = (0..lens.len()).collect();
+    outer_to_inner.sort_by_key(|&a| lens[a]);
+    let mut strides = vec![1; lens.len()];
+    let mut size = 1;
+    for &a in outer_to_inner.iter().rev() {
+        strides[a] = size;
+        size *= lens[a];
+    }
+    (strides, size)
 }
 
 impl<'a> Dp<'a> {
@@ -291,17 +351,6 @@ impl<'a> Dp<'a> {
         let states: Vec<Vec<u32>> = state_set.into_iter().collect();
         let k = states.len();
 
-        // Serving power per (load, state); INF = capacity cannot cover.
-        let mut serve = vec![INF; loads.len() * k];
-        for (li, &v) in loads.iter().enumerate() {
-            for (si, st) in states.iter().enumerate() {
-                let (w, served) = config_power(profiles, st, v, split);
-                if served + EPS >= v {
-                    serve[li * k + si] = w;
-                }
-            }
-        }
-
         let costs: Vec<ArchCost> = profiles.iter().map(ArchCost::new).collect();
 
         // The count lattice: axis a = sorted distinct counts of arch a.
@@ -313,15 +362,8 @@ impl<'a> Dp<'a> {
                 vals
             })
             .collect();
-        let mut strides = vec![1usize; n_archs];
-        for a in (0..n_archs.saturating_sub(1)).rev() {
-            strides[a] = strides[a + 1] * axes[a + 1].len();
-        }
-        let box_size = if n_archs == 0 {
-            1
-        } else {
-            strides[0] * axes[0].len()
-        };
+        let lens: Vec<usize> = axes.iter().map(Vec::len).collect();
+        let (strides, box_size) = lattice_strides(&lens);
         let cell_of: Vec<usize> = states
             .iter()
             .map(|s| {
@@ -334,6 +376,18 @@ impl<'a> Dp<'a> {
                     .sum()
             })
             .collect();
+        let mut in_lattice_order: Vec<usize> = (0..k).collect();
+        in_lattice_order.sort_unstable_by_key(|&s| cell_of[s]);
+        let mut rank_of = vec![0; k];
+        let mut runs: Vec<StateRun> = Vec::new();
+        for (rank, &s) in in_lattice_order.iter().enumerate() {
+            rank_of[s] = rank;
+            let cell = cell_of[s];
+            match runs.last_mut() {
+                Some(run) if run.cell + run.len == cell => run.len += 1,
+                _ => runs.push(StateRun { cell, rank, len: 1 }),
+            }
+        }
         let lattice: Vec<LatticeAxis> = axes
             .iter()
             .zip(&strides)
@@ -348,6 +402,18 @@ impl<'a> Dp<'a> {
             })
             .collect();
 
+        // Serving power per (load, state), columns in lattice order;
+        // INF = capacity cannot cover.
+        let mut serve = vec![INF; loads.len() * k];
+        for (li, &v) in loads.iter().enumerate() {
+            for (st, &rank) in states.iter().zip(&rank_of) {
+                let (w, served) = config_power(profiles, st, v, split);
+                if served + EPS >= v {
+                    serve[li * k + rank] = w;
+                }
+            }
+        }
+
         Dp {
             profiles,
             horizon: trace.len(),
@@ -358,6 +424,8 @@ impl<'a> Dp<'a> {
             lattice,
             box_size,
             cell_of,
+            rank_of,
+            runs,
             beam: opts.beam_width,
             pruned: std::cell::Cell::new(0),
         }
@@ -370,7 +438,7 @@ impl<'a> Dp<'a> {
     /// Serving energy of segment `i` in state `s` (INF when infeasible).
     fn serve_energy(&self, i: usize, s: usize) -> f64 {
         let seg = self.segs[i];
-        self.serve[seg.load as usize * self.k() + s] * f64::from(seg.len)
+        self.serve[seg.load as usize * self.k() + self.rank_of[s]] * f64::from(seg.len)
     }
 
     /// Direct transition cost from state `a` to state `b` at boundary
@@ -393,74 +461,115 @@ impl<'a> Dp<'a> {
         c
     }
 
-    /// Beam pruning: keep the `w` cheapest finite entries (ties broken by
-    /// index for determinism), INF out the rest.
-    fn prune(&self, dp: &mut [f64]) {
+    /// Beam pruning of a lattice cost vector: keep the `w` cheapest
+    /// finite states (ties broken by state index for determinism), INF
+    /// out the rest.
+    fn prune(&self, cells: &mut [f64]) {
         let Some(w) = self.beam else { return };
-        let mut order: Vec<usize> = (0..dp.len()).filter(|&s| dp[s].is_finite()).collect();
+        let cost = |s: usize| cells[self.cell_of[s]];
+        let mut order: Vec<usize> = (0..self.k()).filter(|&s| cost(s).is_finite()).collect();
         if order.len() <= w {
             return;
         }
-        order.sort_by(|&x, &y| dp[x].partial_cmp(&dp[y]).unwrap().then(x.cmp(&y)));
+        order.sort_by(|&x, &y| cost(x).partial_cmp(&cost(y)).unwrap().then(x.cmp(&y)));
         self.pruned
             .set(self.pruned.get() + (order.len() - w) as u64);
         for &s in &order[w..] {
-            dp[s] = INF;
+            cells[self.cell_of[s]] = INF;
         }
     }
 
-    /// Min-plus transition across boundary `tau`:
-    /// `out[b] = min_a dp[a] + trans_cost(a, b, tau)`, computed exactly
-    /// in `O(box)` via per-axis distance-transform sweeps over the count
-    /// lattice (transition costs are separable per architecture; an
-    /// up-then-down detour is never cheaper than the direct move, so the
-    /// two sweeps per axis relax every pair).
+    /// Min-plus transition across boundary `tau`, in place on a lattice
+    /// cost vector: every cell `b` becomes `min_a cells[a] +
+    /// trans_cost(a, b, tau)`, computed exactly in `O(box)` via per-axis
+    /// distance-transform sweeps (transition costs are separable per
+    /// architecture; an up-then-down detour is never cheaper than the
+    /// direct move, so the two sweeps per axis relax every pair).
     ///
-    /// Each sweep advances one line position at a time across every line
-    /// of the axis at once, so a step's price is computed once per
-    /// position and the cells of one position are independent.
-    fn transition(&self, dp: &[f64], tau: u64, buf: &mut [f64], out: &mut [f64]) {
-        buf.fill(INF);
-        for (s, &cell) in self.cell_of.iter().enumerate() {
-            buf[cell] = dp[s];
-        }
+    /// A strided axis advances one line position at a time across every
+    /// line at once: a position is a set of whole rows, priced once and
+    /// relaxed as independent cells. The contiguous axis walks one line
+    /// at a time and carries the running minimum in a register, so each
+    /// step of a line's add→min chain skips the store and reload, and
+    /// the independent lines' chains overlap.
+    fn sweep(&self, cells: &mut [f64], tau: u64) {
         for (axis, cost) in self.lattice.iter().zip(&self.costs) {
             let stride = axis.stride;
             let block = stride * (axis.gaps.len() + 1);
-            if cost.lead <= tau {
-                for (j, &price) in axis.boots.iter().enumerate() {
-                    for lines in buf.chunks_exact_mut(block) {
-                        let (from, to) = lines[j * stride..(j + 2) * stride].split_at_mut(stride);
-                        relax(to, from, price);
+            let boots = if cost.lead <= tau {
+                &axis.boots[..]
+            } else {
+                &[]
+            };
+            let off_unit = cost.off_cost(self.horizon - tau);
+            if stride == 1 {
+                for line in cells.chunks_exact_mut(block) {
+                    let mut prev = line[0];
+                    for (c, &price) in line[1..].iter_mut().zip(boots) {
+                        prev = min_plus(*c, prev, price);
+                        *c = prev;
                     }
                 }
+                for line in cells.chunks_exact_mut(block) {
+                    let (rest, last) = line.split_at_mut(block - 1);
+                    let mut prev = last[0];
+                    for (c, &gap) in rest.iter_mut().zip(&axis.gaps).rev() {
+                        prev = min_plus(*c, prev, off_unit * gap);
+                        *c = prev;
+                    }
+                }
+                continue;
             }
-            let off_unit = cost.off_cost(self.horizon - tau);
+            for (j, &price) in boots.iter().enumerate() {
+                for lines in cells.chunks_exact_mut(block) {
+                    let (from, to) = lines[j * stride..(j + 2) * stride].split_at_mut(stride);
+                    relax(to, from, price);
+                }
+            }
             for (j, &gap) in axis.gaps.iter().enumerate().rev() {
                 let price = off_unit * gap;
-                for lines in buf.chunks_exact_mut(block) {
+                for lines in cells.chunks_exact_mut(block) {
                     let (to, from) = lines[j * stride..(j + 2) * stride].split_at_mut(stride);
                     relax(to, from, price);
                 }
             }
         }
-        for (s, &cell) in self.cell_of.iter().enumerate() {
-            out[s] = buf[cell];
+    }
+
+    /// Cross the boundary into `next` in place: sweep the transition,
+    /// add `next`'s serving energy to the state cells, and INF every
+    /// other cell again. The lattice cost vector through the previous
+    /// segment becomes the one through `next`.
+    fn cross(&self, cells: &mut [f64], next: Seg) {
+        self.sweep(cells, u64::from(next.start));
+        let len = f64::from(next.len);
+        let serve = &self.serve[next.load as usize * self.k()..][..self.k()];
+        let mut end = 0;
+        for run in &self.runs {
+            cells[end..run.cell].fill(INF);
+            let run_cells = &mut cells[run.cell..][..run.len];
+            for (v, &w) in run_cells.iter_mut().zip(&serve[run.rank..]) {
+                *v += w * len;
+            }
+            end = run.cell + run.len;
+        }
+        cells[end..].fill(INF);
+    }
+
+    /// Copy the state cells of a lattice cost vector into a K-sized row,
+    /// in lattice order (`row[rank_of[s]]` is state `s`).
+    fn gather(&self, cells: &[f64], row: &mut [f64]) {
+        for run in &self.runs {
+            row[run.rank..][..run.len].copy_from_slice(&cells[run.cell..][..run.len]);
         }
     }
 
-    /// One forward step: prune `dp` (beam), transition over the boundary
-    /// into segment `i + 1`, add its serving energy. `next` becomes the
-    /// cost vector through segment `i + 1`.
-    fn step(&self, dp: &mut [f64], i: usize, buf: &mut [f64], next: &mut [f64]) {
-        self.prune(dp);
-        let seg = self.segs[i + 1];
-        self.transition(dp, u64::from(seg.start), buf, next);
-        let k = self.k();
-        let len = f64::from(seg.len);
-        let serve = &self.serve[seg.load as usize * k..][..k];
-        for (v, &w) in next.iter_mut().zip(serve) {
-            *v += w * len;
+    /// The inverse of [`Dp::gather`]: a lattice cost vector holding
+    /// `row` in its state cells and INF everywhere else.
+    fn scatter(&self, row: &[f64], cells: &mut [f64]) {
+        cells.fill(INF);
+        for run in &self.runs {
+            cells[run.cell..][..run.len].copy_from_slice(&row[run.rank..][..run.len]);
         }
     }
 
@@ -471,23 +580,29 @@ impl<'a> Dp<'a> {
         let k = self.k();
         let s_count = self.segs.len();
         let rows = window_rows(s_count);
-        let mut buf = vec![INF; self.box_size];
-        // Forward pass, checkpointing the cost vector at every window start.
-        let mut checkpoints: Vec<f64> = Vec::with_capacity(s_count.div_ceil(rows) * k);
-        let mut dp: Vec<f64> = (0..k).map(|s| self.serve_energy(0, s)).collect();
-        let mut next = vec![INF; k];
+        // The cost vector lives in the lattice for the whole pass.
+        let mut cells = vec![INF; self.box_size];
+        let seg = self.segs[0];
+        let first: Vec<f64> = self.serve[seg.load as usize * k..][..k]
+            .iter()
+            .map(|&w| w * f64::from(seg.len))
+            .collect();
+        self.scatter(&first, &mut cells);
+        // Forward pass, checkpointing the (pruned) cost vector at every
+        // window start.
+        let mut checkpoints = vec![INF; s_count.div_ceil(rows) * k];
         for i in 0..s_count - 1 {
+            self.prune(&mut cells);
             if i % rows == 0 {
-                checkpoints.extend_from_slice(&dp);
+                self.gather(&cells, &mut checkpoints[i / rows * k..][..k]);
             }
-            self.step(&mut dp, i, &mut buf, &mut next);
-            std::mem::swap(&mut dp, &mut next);
+            self.cross(&mut cells, self.segs[i + 1]);
         }
         let forward_pruned = self.pruned.get();
         let (mut best_s, mut best_v) = (usize::MAX, INF);
-        for (s, &v) in dp.iter().enumerate() {
-            if v < best_v {
-                best_v = v;
+        for (s, &cell) in self.cell_of.iter().enumerate() {
+            if cells[cell] < best_v {
+                best_v = cells[cell];
                 best_s = s;
             }
         }
@@ -497,38 +612,38 @@ impl<'a> Dp<'a> {
 
         let mut path = vec![0usize; s_count];
         path[s_count - 1] = best_s;
-        // Row `r` of the window holds dp_{w0 + r}, recomputed from the
-        // window's checkpoint.
+        // Row `r` of the window holds the pruned dp_{w0 + r}, recomputed
+        // from the window's checkpoint, in lattice order.
         let mut window = vec![INF; rows * k];
         let mut hi = s_count - 1;
         while hi > 0 {
             let c = (hi - 1) / rows;
             let w0 = c * rows;
-            window[..k].copy_from_slice(&checkpoints[c * k..][..k]);
+            let checkpoint = &checkpoints[c * k..][..k];
+            window[..k].copy_from_slice(checkpoint);
+            self.scatter(checkpoint, &mut cells);
             for r in 1..hi - w0 {
-                let (done, rest) = window.split_at_mut(r * k);
-                self.step(
-                    &mut done[(r - 1) * k..],
-                    w0 + r - 1,
-                    &mut buf,
-                    &mut rest[..k],
-                );
+                self.cross(&mut cells, self.segs[w0 + r]);
+                self.prune(&mut cells); // the same beam the forward pass saw
+                self.gather(&cells, &mut window[r * k..][..k]);
             }
             for i in (w0..hi).rev() {
-                let dp_i = &mut window[(i - w0) * k..][..k];
-                self.prune(dp_i); // the same beam the forward transition saw
+                let dp_i = &window[(i - w0) * k..][..k];
                 let b = path[i + 1];
                 let tau = u64::from(self.segs[i + 1].start);
                 // Seeding the scan with staying put lets it skip every
-                // `a` with `dp_i[a] >= best_c` unpriced: profiles forbid
+                // `a` whose cost is `>= best_c` unpriced: profiles forbid
                 // negative energies, so transition prices are >= 0 and
                 // such an `a` can never win. The seed cannot change the
                 // outcome: when staying ties the minimum it is chosen by
                 // the tie rule below anyway, and otherwise the scan still
-                // ends on the lowest-index minimizer.
-                let stay = dp_i[b];
+                // ends on the lowest-index minimizer. The scan walks the
+                // states in index order through `rank_of`, so that holds
+                // although the row is in lattice order.
+                let stay = dp_i[self.rank_of[b]];
                 let (mut best_a, mut best_c) = (b, stay);
-                for (a, &v) in dp_i.iter().enumerate() {
+                for (a, &rank) in self.rank_of.iter().enumerate() {
+                    let v = dp_i[rank];
                     if v >= best_c {
                         continue;
                     }
@@ -619,14 +734,23 @@ impl<'a> Dp<'a> {
     }
 }
 
-/// One distance-transform step along a lattice axis, for every line at
-/// once: `to[t] = min(to[t], from[t] + price)`.
+/// One relaxation: `min(cur, src + price)`, written so it compiles to a
+/// branch-free `minsd`/`minpd`. Costs are never NaN, so this is exactly
+/// the compare-and-assign it replaces.
+fn min_plus(cur: f64, src: f64, price: f64) -> f64 {
+    let cand = src + price;
+    if cand < cur {
+        cand
+    } else {
+        cur
+    }
+}
+
+/// One distance-transform step along a strided lattice axis, for every
+/// line at once: `to[t] = min(to[t], from[t] + price)`.
 fn relax(to: &mut [f64], from: &[f64], price: f64) {
     for (dst, &src) in to.iter_mut().zip(from) {
-        let cand = src + price;
-        if cand < *dst {
-            *dst = cand;
-        }
+        *dst = min_plus(*dst, src, price);
     }
 }
 
@@ -743,9 +867,11 @@ mod tests {
         SplitPolicy::EfficiencyGreedy
     }
 
-    /// The per-element sweep the strided [`Dp::transition`] replaced,
-    /// kept as its bit-exact reference: one pass over the whole box per
-    /// axis and direction, locating every cell on its line by division.
+    /// The per-element transition, the bit-exact reference for
+    /// [`Dp::sweep`]: scatter a K-vector (state order) into an INF
+    /// lattice, make one pass over the whole box per axis and direction,
+    /// locating every cell on its line by division, and gather the
+    /// states back.
     fn reference_transition(
         dp: &Dp<'_>,
         dp_in: &[f64],
@@ -941,24 +1067,53 @@ mod tests {
             .flat_map(|i| vec![f64::from(i * 97); 30])
             .collect();
         let trace = LoadTrace::new(0, rates);
-        let catalogs = [
-            ("table1", catalog::table1()),
+        let build = |profiles: &[ArchProfile]| BmlInfrastructure::build(profiles).unwrap();
+        let table1 = build(&catalog::table1());
+        // An extra state on a new last position of the contiguous axis
+        // puts a non-state cell between states the plain lattice holds
+        // side by side, so the runs split.
+        let (plain_runs, split_run) = {
+            let plain = Dp::build(&trace, &table1, greedy(), &OptOptions::default());
+            let contiguous = plain.lattice.iter().position(|a| a.stride == 1).unwrap();
+            let mut extra = vec![0; plain.profiles.len()];
+            extra[contiguous] = plain.states.iter().map(|s| s[contiguous]).max().unwrap() + 1;
+            (plain.runs.len(), extra)
+        };
+        let split_opts = OptOptions {
+            beam_width: None,
+            extra_states: vec![split_run],
+        };
+        let cases = [
+            ("table1", table1.clone(), OptOptions::default()),
             (
                 "big-medium",
-                vec![catalog::paravance(), catalog::chromebook()],
+                build(&[catalog::paravance(), catalog::chromebook()]),
+                OptOptions::default(),
             ),
             (
                 "big-little",
-                vec![catalog::paravance(), catalog::raspberry()],
+                build(&[catalog::paravance(), catalog::raspberry()]),
+                OptOptions::default(),
             ),
-            ("illustrative", catalog::illustrative()),
+            (
+                "illustrative",
+                build(&catalog::illustrative()),
+                OptOptions::default(),
+            ),
+            ("table1+split-run", table1, split_opts),
         ];
-        for (name, profiles) in catalogs {
-            let bml = BmlInfrastructure::build(&profiles).unwrap();
-            let dp = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
+        for (name, bml, opts) in cases {
+            let dp = Dp::build(&trace, &bml, greedy(), &opts);
             let k = dp.k();
             assert!(k >= 5, "{name}: want a non-trivial state space, got {k}");
-            // Deterministic pseudo-random dp vector.
+            assert!(
+                dp.runs.len() > 1,
+                "{name}: want states that are not adjacent"
+            );
+            if name == "table1+split-run" {
+                assert!(dp.runs.len() > plain_runs, "the extra state splits a run");
+            }
+            // Deterministic pseudo-random dp vector, in state order.
             let dp_in: Vec<f64> = (0..k)
                 .map(|s| {
                     if s % 7 == 3 {
@@ -968,6 +1123,11 @@ mod tests {
                     }
                 })
                 .collect();
+            let mut row = vec![INF; k];
+            for (s, &v) in dp_in.iter().enumerate() {
+                row[dp.rank_of[s]] = v;
+            }
+            let state_cells: BTreeSet<usize> = dp.cell_of.iter().copied().collect();
             // Boundaries just before, at and after every boot lead, and
             // throughout every shutdown ramp's truncation at the horizon.
             let mut taus = vec![1, dp.horizon / 2, dp.horizon - 1];
@@ -976,27 +1136,114 @@ mod tests {
                 taus.extend((1..=c.off_ceil + 1).map(|r| dp.horizon - r));
             }
             taus.retain(|tau| (1..dp.horizon).contains(tau));
+            let mut cells = vec![INF; dp.box_size];
             let mut buf = vec![INF; dp.box_size];
-            let (mut out, mut want) = (vec![INF; k], vec![INF; k]);
+            let mut want = vec![INF; k];
             for &tau in &taus {
-                dp.transition(&dp_in, tau, &mut buf, &mut out);
                 reference_transition(&dp, &dp_in, tau, &mut buf, &mut want);
-                for (b, (&got, &reference)) in out.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        got.to_bits(),
-                        reference.to_bits(),
-                        "{name} tau={tau} b={b}: strided {got} vs reference {reference}"
-                    );
-                    let naive = (0..k)
-                        .map(|a| dp_in[a] + dp.trans_cost(a, b, tau))
-                        .fold(INF, f64::min);
-                    assert!(
-                        (got - naive).abs() <= 1e-9 * naive.abs().max(1.0) || (got == naive),
-                        "{name} tau={tau} b={b}: lattice {got} vs naive {naive}"
-                    );
+                // Serve the next segment at an idle, a mid and a peak load
+                // (some states cannot cover the last).
+                for i in [0, 20, 41] {
+                    let next = Seg {
+                        start: tau as u32,
+                        ..dp.segs[i]
+                    };
+                    let rate = trace.rates[dp.segs[i].start as usize];
+                    let len = f64::from(next.len);
+                    dp.scatter(&row, &mut cells);
+                    dp.cross(&mut cells, next);
+                    for (b, (&cell, &reference)) in dp.cell_of.iter().zip(&want).enumerate() {
+                        let (w, served) = config_power(dp.profiles, &dp.states[b], rate, greedy());
+                        let serve = if served + EPS >= rate { w * len } else { INF };
+                        let got = cells[cell];
+                        assert_eq!(
+                            got.to_bits(),
+                            (reference + serve).to_bits(),
+                            "{name} tau={tau} i={i} b={b}: lattice {got} vs reference {}",
+                            reference + serve
+                        );
+                        let naive = (0..k)
+                            .map(|a| dp_in[a] + dp.trans_cost(a, b, tau))
+                            .fold(INF, f64::min)
+                            + serve;
+                        assert!(
+                            (got - naive).abs() <= 1e-9 * naive.abs().max(1.0) || (got == naive),
+                            "{name} tau={tau} i={i} b={b}: lattice {got} vs naive {naive}"
+                        );
+                    }
+                    for (c, &v) in cells.iter().enumerate() {
+                        assert!(
+                            state_cells.contains(&c) || v == INF,
+                            "{name} tau={tau} i={i}: off-state cell {c} holds {v}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn state_runs_on_the_worldcup_lattices() {
+        // The lattices the crate docs describe: fig5's 7 worldcup days
+        // and the smoke grid's 2-day tournament, both on table1.
+        let fig5 = bml_trace::worldcup::generate(&bml_trace::worldcup::WorldCupParams {
+            seed: 1998,
+            n_days: 7,
+            ..Default::default()
+        });
+        let tournament = bml_trace::registry::generate("worldcup-tournament", 2, 1998).unwrap();
+        let bml = bml();
+        for (name, trace, box_size, k, runs) in [
+            ("fig5", fig5, 68, 34, 2),
+            ("tournament", tournament, 170, 120, 11),
+        ] {
+            let dp = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
+            assert_eq!(
+                (dp.box_size, dp.k(), dp.runs.len()),
+                (box_size, k, runs),
+                "{name}"
+            );
+            let contiguous = dp.lattice.iter().find(|a| a.stride == 1).unwrap();
+            let longest = dp.lattice.iter().map(|a| a.gaps.len()).max().unwrap();
+            assert_eq!(
+                contiguous.gaps.len(),
+                longest,
+                "{name}: longest axis contiguous"
+            );
+        }
+    }
+
+    #[test]
+    fn beam_ties_keep_the_lowest_state_indices() {
+        // The lattice stores states in cell order, not state order; a beam
+        // tie must still go to the lowest state indices.
+        let rates: Vec<f64> = (0..8u32)
+            .flat_map(|i| vec![f64::from(i * 350); 10])
+            .collect();
+        let trace = LoadTrace::new(0, rates);
+        let bml = bml();
+        // The narrowest beam whose survivors differ between the two orders.
+        let width = {
+            let plain = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
+            (1..plain.k())
+                .find(|&w| (0..w).any(|s| plain.rank_of[s] >= w))
+                .expect("state and lattice order differ")
+        };
+        let opts = OptOptions {
+            beam_width: Some(width),
+            extra_states: vec![],
+        };
+        let dp = Dp::build(&trace, &bml, greedy(), &opts);
+        let k = dp.k();
+        let mut cells = vec![INF; dp.box_size];
+        dp.scatter(&vec![7.0; k], &mut cells);
+        dp.prune(&mut cells);
+        let kept: Vec<usize> = (0..k)
+            .filter(|&s| cells[dp.cell_of[s]].is_finite())
+            .collect();
+        assert_eq!(kept, (0..width).collect::<Vec<_>>());
+        assert_eq!(dp.pruned.get(), (k - width) as u64);
+        assert_eq!(cells.iter().filter(|v| v.is_finite()).count(), width);
     }
 
     #[test]

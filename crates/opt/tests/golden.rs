@@ -10,8 +10,12 @@
 //! `ceil(sqrt(S))`-row window (1, 2, 3, 16 and 17 segments), and every
 //! case must replay clean through the simulator.
 //!
+//! Beam-pruned solves are pinned separately (`BEAM_GOLDEN`): the beam
+//! shares the exact DP's forward pass and backtrack, and its prune count
+//! and tie-broken survivors must not move either.
+//!
 //! On a mismatch the assertion prints the whole actual table in the
-//! `GOLDEN` format below.
+//! table's own format.
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
@@ -43,6 +47,21 @@ const GOLDEN: &[(&str, u64, usize, usize, u64)] = &[
     ("steps17/table1/proportional", 0x411576fc59255e4b, 7, 21, 0x45f9373af2161aae),
     ("ties/exact", 0x409a400000000000, 2, 0, 0xe6bd86443df8ce07),
     ("ties/near", 0x409a400000000000, 2, 0, 0xe6bd86443df8ce07),
+];
+
+/// `(energy_j bits, states_pruned, schedule digest)` of a beam solve.
+type BeamSolve = (u64, u64, u64);
+
+/// `(case, solve)`, with `None` where the beam dead-ends.
+type BeamPin = (String, Option<BeamSolve>);
+
+#[rustfmt::skip]
+const BEAM_GOLDEN: &[(&str, Option<BeamSolve>)] = &[
+    ("steps16/table1/beam1", Some((0x4116b706af909940, 46, 0x158f4e86fe69c259))),
+    ("steps16/table1/beam3", Some((0x411691158bd425b2, 22, 0xd63e7c0ed3b98851))),
+    ("tournament/table1/beam1", None),
+    ("tournament/table1/beam3", None),
+    ("tournament/table1/beam16", Some((0x4142026abe712bc1, 255651, 0x1179145bf36b7700))),
 ];
 
 const SPLITS: [(&str, SplitPolicy); 2] = [
@@ -185,4 +204,45 @@ fn optima_match_the_golden_table() {
         .map(|(case, e, k, r, d)| format!("    (\"{case}\", {e:#018x}, {k}, {r}, {d:#018x}),\n"))
         .collect();
     assert!(actual == want, "optima drifted; actual table:\n{rendered}");
+}
+
+#[test]
+fn beam_optima_match_the_golden_table() {
+    let table1 = BmlInfrastructure::build(&catalog::table1()).unwrap();
+    let split = SplitPolicy::EfficiencyGreedy;
+    let mut actual: Vec<BeamPin> = Vec::new();
+    // Widths 1 and 3 dead-end on the tournament slice (so does 12);
+    // 16 crosses it.
+    for (name, trace, widths) in [
+        ("steps16", steps(16), &[1, 3][..]),
+        ("tournament", tournament_slice(), &[1, 3, 16][..]),
+    ] {
+        for &width in widths {
+            let case = format!("{name}/table1/beam{width}");
+            let opts = OptOptions {
+                beam_width: Some(width),
+                extra_states: vec![],
+            };
+            let solved = solve_verified(&trace, &table1, split, &opts).map(|(s, replay)| {
+                assert_eq!(replay.qos.violation_seconds, 0, "{case}: full service");
+                (s.energy_j.to_bits(), s.states_pruned, schedule_digest(&s))
+            });
+            actual.push((case, solved));
+        }
+    }
+    let want: Vec<BeamPin> = BEAM_GOLDEN
+        .iter()
+        .map(|&(case, solved)| (case.to_string(), solved))
+        .collect();
+    let rendered: String = actual
+        .iter()
+        .map(|(case, solved)| match solved {
+            Some((e, p, d)) => format!("    (\"{case}\", Some(({e:#018x}, {p}, {d:#018x}))),\n"),
+            None => format!("    (\"{case}\", None),\n"),
+        })
+        .collect();
+    assert!(
+        actual == want,
+        "beam optima drifted; actual table:\n{rendered}"
+    );
 }

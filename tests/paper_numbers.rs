@@ -1,10 +1,12 @@
 //! Integration tests pinning the numbers the paper states in Sec. V-B:
 //! which machines survive filtering, the minimum utilization thresholds,
-//! and the qualitative shape of Fig. 4.
+//! the qualitative shape of Fig. 4, and the ordering of Fig. 5's bounds
+//! around the offline optimum.
 
 use bml::core::candidates::RemovalReason;
 use bml::core::crossing::ThresholdKind;
 use bml::prelude::*;
+use bml::trace::worldcup::{generate, WorldCupParams};
 
 fn infra() -> BmlInfrastructure {
     BmlInfrastructure::build(&bml::core::catalog::table1()).unwrap()
@@ -118,5 +120,43 @@ fn profiled_machines_reproduce_catalog_pipeline() {
             .iter()
             .map(|p| p.name.as_str())
             .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn fig5_bounds_bracket_the_offline_optimum() {
+    // Fig. 5 on one worldcup day: the lower bound reconfigures for free,
+    // the optimum pays Table I's transitions with hindsight, BML pays them
+    // online, and the upper bounds never reconfigure (per day, then over
+    // the whole trace).
+    let trace = generate(&WorldCupParams {
+        seed: 1998,
+        n_days: 1,
+        ..Default::default()
+    });
+    let infra = infra();
+    let config = SimConfig::default();
+    let c = run_comparison(&trace, &infra, &config);
+    let (optimum, replay) = solve_verified(&trace, &infra, config.split, &OptOptions::default())
+        .expect("the exact DP cannot dead-end");
+    let ordered = [
+        (c.lower_bound.name.as_str(), c.lower_bound.total_energy_j),
+        (replay.name.as_str(), optimum.energy_j),
+        (c.bml.name.as_str(), c.bml.total_energy_j),
+        (c.ub_per_day.name.as_str(), c.ub_per_day.total_energy_j),
+        (c.ub_global.name.as_str(), c.ub_global.total_energy_j),
+    ];
+    for pair in ordered.windows(2) {
+        let ((below, e_below), (above, e_above)) = (pair[0], pair[1]);
+        assert!(
+            e_below <= e_above,
+            "{below} ({e_below} J) must not exceed {above} ({e_above} J)"
+        );
+    }
+    assert_eq!(replay.qos.violation_seconds, 0);
+    assert_eq!(
+        replay.qos.shortfall_fraction(),
+        0.0,
+        "the optimum serves in full"
     );
 }
