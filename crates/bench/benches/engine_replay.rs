@@ -1,7 +1,7 @@
-//! Replay-throughput bench: per-second vs event-driven stepping on a
-//! two-day synthetic trace with realistic plateau structure (5-minute
-//! constant-load blocks following a diurnal shape — the granularity of
-//! binned production traffic), in three flavors:
+//! Replay-throughput bench: per-second vs event-driven stepping. Three
+//! flavors run on a two-day synthetic trace with realistic plateau
+//! structure (5-minute constant-load blocks following a diurnal shape —
+//! the granularity of binned production traffic):
 //!
 //! * **clean** — exact look-ahead-max prediction, no failures;
 //! * **noisy** — sigma-0.2 counter-based prediction noise (resampled
@@ -9,24 +9,28 @@
 //! * **failures** — counter-based machine-crash injection (geometric
 //!   inter-failure gaps per machine slot).
 //!
+//! A fourth, **worldcup**, runs the clean cell on the trace the grid and
+//! Fig. 5 actually replay: two worldcup-tournament days (seed 1998),
+//! whose constant-load runs last about a second. There the event loop
+//! still pays one span per run, so its advantage is small.
+//!
 //! The noisy and failure flavors used to silently fall back to the
 //! per-second reference loop (sequential RNG draws); counter-based
 //! sampling keeps them on the event path, and this bench is the proof.
 //!
 //! The headline metric printed before the criterion timings is
 //! **simulated-seconds per wall-clock second** for each engine, plus one
-//! speedup ratio per flavor. The development acceptance floor on this
-//! trace is 5x the per-second reference for every flavor (measured
-//! ~8-15x clean on dev hardware); CI parses the speedup lines from this
-//! bench's output and fails below a conservative 3x floor, absorbing
-//! shared-runner timing noise.
+//! speedup ratio per flavor. CI parses the speedup lines of the three
+//! plateau flavors from this bench's output and fails below a
+//! conservative 3x floor, absorbing shared-runner timing noise; the
+//! worldcup line is printed in the same format but not gated.
 
 use std::time::Instant;
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
 use bml_sim::{run_cell, CellConfig, FailureModel, ScenarioResult, SimConfig, Stepping};
-use bml_trace::LoadTrace;
+use bml_trace::{registry, LoadTrace};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// Deterministic two-day trace of 5-minute constant-load plateaus
@@ -44,8 +48,11 @@ fn plateau_trace(days: u32) -> LoadTrace {
     LoadTrace::new(0, rates)
 }
 
-/// The three benched flavors: (label, cell template with stepping unset).
-fn flavors() -> [(&'static str, CellConfig); 3] {
+/// The benched flavors: (label, trace, cell template with stepping
+/// unset).
+fn flavors() -> [(&'static str, LoadTrace, CellConfig); 4] {
+    let plateau = plateau_trace(2);
+    let worldcup = registry::generate("worldcup-tournament", 2, 1998).expect("registry trace");
     let clean = CellConfig::from_sim(&SimConfig::default());
     let noisy = CellConfig {
         noise_sigma: 0.2,
@@ -57,7 +64,12 @@ fn flavors() -> [(&'static str, CellConfig); 3] {
         failures: Some(FailureModel::new(43_200.0, 300, 7)),
         ..clean.clone()
     };
-    [("clean", clean), ("noisy", noisy), ("failures", failures)]
+    [
+        ("clean", plateau.clone(), clean.clone()),
+        ("noisy", plateau.clone(), noisy),
+        ("failures", plateau, failures),
+        ("worldcup", worldcup, clean),
+    ]
 }
 
 fn with_stepping(cell: &CellConfig, stepping: Stepping) -> CellConfig {
@@ -68,27 +80,27 @@ fn with_stepping(cell: &CellConfig, stepping: Stepping) -> CellConfig {
 }
 
 fn bench_engine_replay(c: &mut Criterion) {
-    let trace = plateau_trace(2);
     let bml = BmlInfrastructure::build(&catalog::table1()).unwrap();
-    let sim_secs = trace.len() as f64;
+    let flavors = flavors();
 
     // Headline: simulated-seconds per wall-clock second, per engine and
     // flavor. Best-of-5 (minimum wall time) so the CI-gated ratios are
     // not at the mercy of a single OS-scheduling stall on a shared
     // runner — the event-driven replay finishes in ~1 ms, where one-shot
     // timing would be dominated by jitter.
-    for (flavor, cell) in flavors() {
+    for (flavor, trace, cell) in &flavors {
+        let sim_secs = trace.len() as f64;
         let mut rates = [0.0f64; 2];
         for (i, stepping) in [Stepping::PerSecond, Stepping::EventDriven]
             .into_iter()
             .enumerate()
         {
-            let cfg = with_stepping(&cell, stepping);
+            let cfg = with_stepping(cell, stepping);
             let mut best_wall = f64::INFINITY;
             let mut result: Option<ScenarioResult> = None;
             for _ in 0..5 {
                 let started = Instant::now();
-                let r = run_cell(&trace, &bml, &cfg);
+                let r = run_cell(trace, &bml, &cfg);
                 best_wall = best_wall.min(started.elapsed().as_secs_f64());
                 result = Some(black_box(r));
             }
@@ -119,14 +131,14 @@ fn bench_engine_replay(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("engine_replay");
     g.sample_size(10);
-    for (flavor, cell) in flavors() {
+    for (flavor, trace, cell) in &flavors {
         for (suffix, stepping) in [
             ("per_second", Stepping::PerSecond),
             ("event_driven", Stepping::EventDriven),
         ] {
-            let cfg = with_stepping(&cell, stepping);
+            let cfg = with_stepping(cell, stepping);
             g.bench_function(format!("{flavor}_{suffix}_2day"), |b| {
-                b.iter(|| run_cell(black_box(&trace), black_box(&bml), &cfg))
+                b.iter(|| run_cell(black_box(trace), black_box(&bml), &cfg))
             });
         }
     }

@@ -50,41 +50,12 @@
 use std::path::Path;
 use std::time::Duration;
 
-use bml_bench::{json, Args};
-use bml_core::combination::SplitPolicy;
-use bml_grid::spec::{CatalogSpec, GridSpec, SchedulerDim};
+use bml_bench::{json, smoke_spec, Args};
 use bml_grid::{
     pareto_frontier, per_dimension_bests, ChaosPolicy, GridRunner, StreamingArtifactWriter,
 };
 use bml_metrics::{joules_to_kwh, Table};
 use bml_sim::Stepping;
-
-/// The default smoke grid: 144 cells (3 catalogs x 2 schedulers x
-/// 3 windows x 2 sigmas x 2 splits x 2 steppings) on one tournament
-/// trace. Both stepping modes are included by default on purpose — CI
-/// diffs event-driven cells against their per-second twins; an explicit
-/// `--stepping` restricts the dimension to that one mode (72 cells).
-fn smoke_spec(days: u32, seed: u64, steppings: Vec<Stepping>) -> GridSpec {
-    GridSpec::builder()
-        .name(format!("smoke-{days}d"))
-        .root_seed(seed)
-        .trace("worldcup-tournament", days, seed)
-        .catalogs(vec![
-            CatalogSpec::table1(),
-            CatalogSpec::big_medium(),
-            CatalogSpec::big_little(),
-        ])
-        .schedulers(vec![SchedulerDim::Baseline, SchedulerDim::TransitionAware])
-        .windows(vec![None, Some(189), Some(756)])
-        .noise_sigmas(vec![0.0, 0.2])
-        .splits(vec![
-            SplitPolicy::EfficiencyGreedy,
-            SplitPolicy::ProportionalToCapacity,
-        ])
-        .steppings(steppings)
-        .build()
-        .expect("the smoke grid is always a valid spec")
-}
 
 /// Print one structured event as a single JSON line on stderr.
 fn event(obj: json::Object) {

@@ -10,9 +10,10 @@
 //!
 //! This module also provides an exact dynamic-programming packer
 //! ([`optimal_dp`]) used as an ablation to quantify how close the paper's
-//! greedy fill is to optimal, and [`config_power`] which computes the power
-//! drawn by an arbitrary *given* set of powered-on machines serving a load,
-//! under a configurable load-split policy.
+//! greedy fill is to optimal, and [`PowerCurve`] (with its one-shot form
+//! [`config_power`]) which computes the power drawn by an arbitrary *given*
+//! set of powered-on machines serving a load, under a configurable
+//! load-split policy.
 
 use crate::profile::ArchProfile;
 
@@ -242,68 +243,143 @@ pub enum SplitPolicy {
     ProportionalToCapacity,
 }
 
+/// One machine set's power-vs-load function, compiled once and evaluated
+/// per load.
+///
+/// Between two reconfigurations a cluster's online fleet is fixed, so the
+/// power it draws is a function of the load alone: the idle sum plus a
+/// piecewise-linear dynamic part, and `served = min(load, capacity)`.
+/// [`PowerCurve::new`] derives everything that depends only on the fleet
+/// — the capacity, the idle sum, and the slope-ordered `(cap_k, slope_k)`
+/// tiers of the greedy split or the proportional shares
+/// `cap_k / capacity` — so that [`PowerCurve::eval`] does only the part
+/// that varies with the load. It performs the same float operations in the
+/// same order as a from-scratch evaluation, so every value is bit-identical
+/// to [`config_power`]'s.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PowerCurve {
+    capacity: f64,
+    idle: f64,
+    dynamic: Dynamic,
+}
+
+/// The load-dependent part of a [`PowerCurve`].
+#[derive(Debug, Clone, PartialEq)]
+enum Dynamic {
+    /// [`SplitPolicy::EfficiencyGreedy`]: `(cap_k, slope_k)` of every
+    /// powered architecture, in increasing slope order (ties keep profile
+    /// order).
+    Tiers(Vec<(f64, f64)>),
+    /// [`SplitPolicy::ProportionalToCapacity`]: `(slope_k, cap_k /
+    /// capacity)` of every architecture in profile order, powered or not;
+    /// empty when the capacity is zero.
+    Shares(Vec<(f64, f64)>),
+}
+
+impl PowerCurve {
+    /// Compile the curve of `counts[k]` powered-on nodes of each
+    /// architecture under `policy`.
+    pub fn new(profiles: &[ArchProfile], counts: &[u32], policy: SplitPolicy) -> Self {
+        assert_eq!(profiles.len(), counts.len());
+        let capacity: f64 = profiles
+            .iter()
+            .zip(counts)
+            .map(|(p, &c)| f64::from(c) * p.max_perf)
+            .sum();
+        let idle: f64 = profiles
+            .iter()
+            .zip(counts)
+            .map(|(p, &c)| f64::from(c) * p.idle_power)
+            .sum();
+        let dynamic = match policy {
+            SplitPolicy::EfficiencyGreedy => {
+                let mut order: Vec<usize> =
+                    (0..profiles.len()).filter(|&k| counts[k] > 0).collect();
+                order.sort_by(|&a, &b| {
+                    profiles[a]
+                        .slope()
+                        .partial_cmp(&profiles[b].slope())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                Dynamic::Tiers(
+                    order
+                        .into_iter()
+                        .map(|k| {
+                            (
+                                f64::from(counts[k]) * profiles[k].max_perf,
+                                profiles[k].slope(),
+                            )
+                        })
+                        .collect(),
+                )
+            }
+            SplitPolicy::ProportionalToCapacity => Dynamic::Shares(if capacity <= 0.0 {
+                Vec::new()
+            } else {
+                profiles
+                    .iter()
+                    .zip(counts)
+                    .map(|(p, &c)| (p.slope(), f64::from(c) * p.max_perf / capacity))
+                    .collect()
+            }),
+        };
+        PowerCurve {
+            capacity,
+            idle,
+            dynamic,
+        }
+    }
+
+    /// Power (W) drawn and load actually served at `load`; see
+    /// [`config_power`].
+    #[inline]
+    pub fn eval(&self, load: f64) -> (f64, f64) {
+        let served = load.clamp(0.0, self.capacity);
+        let dynamic = match &self.dynamic {
+            Dynamic::Tiers(tiers) => {
+                let mut rem = served;
+                let mut dyn_p = 0.0;
+                for &(cap_k, slope) in tiers {
+                    if rem <= 0.0 {
+                        break;
+                    }
+                    let take = rem.min(cap_k);
+                    dyn_p += slope * take;
+                    rem -= take;
+                }
+                dyn_p
+            }
+            Dynamic::Shares(shares) => {
+                if self.capacity <= 0.0 {
+                    0.0
+                } else {
+                    shares
+                        .iter()
+                        .map(|&(slope, share)| slope * served * share)
+                        .sum()
+                }
+            }
+        };
+        (self.idle + dynamic, served)
+    }
+}
+
 /// Power (W) drawn and load actually served by `counts[k]` powered-on nodes
 /// of each architecture serving `load`, under `policy`.
 ///
 /// Load beyond total capacity is dropped (returned `served` < `load`);
 /// machines beyond what the load needs still draw idle power — that is the
 /// whole energy-proportionality problem.
+///
+/// This compiles a [`PowerCurve`] and evaluates it once. Callers that
+/// evaluate the same machine set at many loads should keep the curve.
 pub fn config_power(
     profiles: &[ArchProfile],
     counts: &[u32],
     load: f64,
     policy: SplitPolicy,
 ) -> (f64, f64) {
-    assert_eq!(profiles.len(), counts.len());
-    let capacity: f64 = profiles
-        .iter()
-        .zip(counts)
-        .map(|(p, &c)| f64::from(c) * p.max_perf)
-        .sum();
-    let served = load.clamp(0.0, capacity);
-    let idle: f64 = profiles
-        .iter()
-        .zip(counts)
-        .map(|(p, &c)| f64::from(c) * p.idle_power)
-        .sum();
-    let dynamic = match policy {
-        SplitPolicy::EfficiencyGreedy => {
-            let mut order: Vec<usize> = (0..profiles.len()).filter(|&k| counts[k] > 0).collect();
-            order.sort_by(|&a, &b| {
-                profiles[a]
-                    .slope()
-                    .partial_cmp(&profiles[b].slope())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mut rem = served;
-            let mut dyn_p = 0.0;
-            for k in order {
-                if rem <= 0.0 {
-                    break;
-                }
-                let cap_k = f64::from(counts[k]) * profiles[k].max_perf;
-                let take = rem.min(cap_k);
-                dyn_p += profiles[k].slope() * take;
-                rem -= take;
-            }
-            dyn_p
-        }
-        SplitPolicy::ProportionalToCapacity => {
-            if capacity <= 0.0 {
-                0.0
-            } else {
-                profiles
-                    .iter()
-                    .zip(counts)
-                    .map(|(p, &c)| {
-                        let cap_k = f64::from(c) * p.max_perf;
-                        p.slope() * served * (cap_k / capacity)
-                    })
-                    .sum()
-            }
-        }
-    };
-    (idle + dynamic, served)
+    PowerCurve::new(profiles, counts, policy).eval(load)
 }
 
 #[cfg(test)]
@@ -501,6 +577,141 @@ mod tests {
                 "load {load}: greedy {g} > proportional {pr}"
             );
         }
+    }
+
+    /// `config_power`'s from-scratch body before [`PowerCurve`] existed,
+    /// kept verbatim as the reference the compiled curve is pinned to.
+    fn reference_config_power(
+        profiles: &[ArchProfile],
+        counts: &[u32],
+        load: f64,
+        policy: SplitPolicy,
+    ) -> (f64, f64) {
+        assert_eq!(profiles.len(), counts.len());
+        let capacity: f64 = profiles
+            .iter()
+            .zip(counts)
+            .map(|(p, &c)| f64::from(c) * p.max_perf)
+            .sum();
+        let served = load.clamp(0.0, capacity);
+        let idle: f64 = profiles
+            .iter()
+            .zip(counts)
+            .map(|(p, &c)| f64::from(c) * p.idle_power)
+            .sum();
+        let dynamic = match policy {
+            SplitPolicy::EfficiencyGreedy => {
+                let mut order: Vec<usize> =
+                    (0..profiles.len()).filter(|&k| counts[k] > 0).collect();
+                order.sort_by(|&a, &b| {
+                    profiles[a]
+                        .slope()
+                        .partial_cmp(&profiles[b].slope())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                let mut rem = served;
+                let mut dyn_p = 0.0;
+                for k in order {
+                    if rem <= 0.0 {
+                        break;
+                    }
+                    let cap_k = f64::from(counts[k]) * profiles[k].max_perf;
+                    let take = rem.min(cap_k);
+                    dyn_p += profiles[k].slope() * take;
+                    rem -= take;
+                }
+                dyn_p
+            }
+            SplitPolicy::ProportionalToCapacity => {
+                if capacity <= 0.0 {
+                    0.0
+                } else {
+                    profiles
+                        .iter()
+                        .zip(counts)
+                        .map(|(p, &c)| {
+                            let cap_k = f64::from(c) * p.max_perf;
+                            p.slope() * served * (cap_k / capacity)
+                        })
+                        .sum()
+                }
+            }
+        };
+        (idle + dynamic, served)
+    }
+
+    /// Every count vector with `0..=max` machines per architecture.
+    fn count_vectors(n_archs: usize, max: u32) -> Vec<Vec<u32>> {
+        let mut out = vec![Vec::new()];
+        for _ in 0..n_archs {
+            out = out
+                .into_iter()
+                .flat_map(|v| {
+                    (0..=max).map(move |c| {
+                        let mut v = v.clone();
+                        v.push(c);
+                        v
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    #[test]
+    fn power_curve_matches_the_reference_bit_for_bit() {
+        // The profile mixes of the grid's `CatalogSpec` presets (table1,
+        // big-medium-little, big-medium, big-little, big-only,
+        // illustrative), both as listed and as filtered to candidates.
+        let mixes: [&[&str]; 6] = [
+            &["paravance", "taurus", "graphene", "chromebook", "raspberry"],
+            &["paravance", "chromebook", "raspberry"],
+            &["paravance", "chromebook"],
+            &["paravance", "raspberry"],
+            &["paravance"],
+            &["A", "B", "C", "D"],
+        ];
+        let mut evaluated = 0usize;
+        for names in mixes {
+            let listed: Vec<ArchProfile> = names
+                .iter()
+                .map(|n| catalog::by_name(n).expect("catalog profile"))
+                .collect();
+            let bml = crate::bml::BmlInfrastructure::build(&listed).expect("preset builds");
+            let thresholds = bml.threshold_rates();
+            for profiles in [&listed[..], bml.candidates()] {
+                for counts in count_vectors(profiles.len(), 3) {
+                    for split in [
+                        SplitPolicy::EfficiencyGreedy,
+                        SplitPolicy::ProportionalToCapacity,
+                    ] {
+                        let curve = PowerCurve::new(profiles, &counts, split);
+                        let capacity: f64 = profiles
+                            .iter()
+                            .zip(&counts)
+                            .map(|(p, &c)| f64::from(c) * p.max_perf)
+                            .sum();
+                        let mut loads = vec![0.0, 0.5, 1.0];
+                        loads.extend(&thresholds);
+                        loads.extend([capacity - 1e-9, capacity, 2.0 * capacity]);
+                        for load in loads {
+                            let (w, served) = curve.eval(load);
+                            let (rw, rserved) =
+                                reference_config_power(profiles, &counts, load, split);
+                            assert_eq!(
+                                (w.to_bits(), served.to_bits()),
+                                (rw.to_bits(), rserved.to_bits()),
+                                "{names:?} counts {counts:?} {split:?} load {load}: \
+                                 ({w}, {served}) vs ({rw}, {rserved})"
+                            );
+                            assert_eq!(config_power(profiles, &counts, load, split), (w, served));
+                            evaluated += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(evaluated > 20_000, "only {evaluated} evaluations");
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct ProActiveScheduler {
     current: Configuration,
     busy_until: Option<u64>,
     stats: SchedulerStats,
+    /// Bits of the last prediction answered [`Decision::NoChange`]; see
+    /// [`ProActiveScheduler::decide`].
+    steady: Option<u64>,
 }
 
 impl ProActiveScheduler {
@@ -86,6 +89,7 @@ impl ProActiveScheduler {
             current: initial,
             busy_until: None,
             stats: SchedulerStats::default(),
+            steady: None,
         }
     }
 
@@ -124,6 +128,14 @@ impl ProActiveScheduler {
     ///
     /// Reconfiguration durations are rounded *up* to whole seconds when
     /// computing the lock-out, matching the paper's 1 s decision grid.
+    ///
+    /// An unlocked decision is a pure function of the prediction and the
+    /// current configuration (for a fixed `bml`, which callers pass
+    /// unchanged on every call). So the scheduler remembers the last
+    /// prediction it answered [`Decision::NoChange`] for and answers an
+    /// equal prediction the same way without consulting the table, until
+    /// a [`Decision::Reconfigure`] changes the configuration and clears
+    /// the memo. A memo hit still counts as a decision.
     pub fn decide(&mut self, now: u64, predicted_load: f64, bml: &BmlInfrastructure) -> Decision {
         if let Some(until) = self.busy_until {
             if now < until {
@@ -134,17 +146,22 @@ impl ProActiveScheduler {
         }
         self.stats.decisions += 1;
         let predicted = predicted_load.max(0.0);
+        if self.steady == Some(predicted.to_bits()) {
+            return Decision::NoChange;
+        }
         // Allocation-free no-change test against the precomputed table:
-        // on steady load (the common case, once per second) the decision
-        // costs one binary search and one counts comparison.
+        // a new prediction that keeps the combination costs one binary
+        // search and one counts comparison.
         if bml
             .combination_table()
             .counts_match(predicted, &self.current.0)
         {
+            self.steady = Some(predicted.to_bits());
             return Decision::NoChange;
         }
         let target = Configuration(bml.ideal_combination(predicted).counts(bml.n_archs()));
         if target == self.current {
+            self.steady = Some(predicted.to_bits());
             return Decision::NoChange;
         }
         let plan = plan_reconfiguration(bml.candidates(), &self.current, &target)
@@ -159,6 +176,7 @@ impl ProActiveScheduler {
         self.stats.reconfig_energy += plan.energy;
         self.stats.reconfig_seconds += plan.duration;
         self.current = target;
+        self.steady = None;
         Decision::Reconfigure(plan)
     }
 }
@@ -231,6 +249,32 @@ mod tests {
         assert_eq!(s.decide(13, 10.0, &bml), Decision::NoChange);
         assert_eq!(s.stats().reconfigurations, 1);
         assert_eq!(s.stats().decisions, 3);
+    }
+
+    #[test]
+    fn steady_memo_is_cleared_by_a_reconfiguration() {
+        let bml = bml();
+        let mut s = ProActiveScheduler::new(bml.n_archs());
+        // 1 chromebook, locked until 12.
+        s.decide(0, 10.0, &bml);
+        // NoChange at p = 10 fills the memo; a memo hit still counts as a
+        // decision.
+        assert_eq!(s.decide(12, 10.0, &bml), Decision::NoChange);
+        assert_eq!(s.decide(13, 10.0, &bml), Decision::NoChange);
+        assert_eq!(s.stats().decisions, 3);
+        // q = 600 reconfigures to a Big; once unlocked, p must move the
+        // fleet back instead of hitting a stale NoChange.
+        assert!(matches!(
+            s.decide(14, 600.0, &bml),
+            Decision::Reconfigure(_)
+        ));
+        let unlock = s.busy_until().expect("booting a Big locks");
+        match s.decide(unlock, 10.0, &bml) {
+            Decision::Reconfigure(plan) => assert_eq!(plan.target.0, vec![0, 1, 0]),
+            d => panic!("stale memo answered {d:?}"),
+        }
+        assert_eq!(s.stats().decisions, 5);
+        assert_eq!(s.stats().reconfigurations, 3);
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct TransitionAwareScheduler {
     current: Configuration,
     busy_until: Option<u64>,
     stats: SchedulerStats,
+    /// Bits of the last prediction answered [`Decision::NoChange`]; see
+    /// [`TransitionAwareScheduler::decide`].
+    steady: Option<u64>,
     /// Candidates evaluated on the last unlocked decision (diagnostics).
     pub last_candidates: Vec<ScoredCandidate>,
 }
@@ -88,6 +91,7 @@ impl TransitionAwareScheduler {
             current: initial,
             busy_until: None,
             stats: SchedulerStats::default(),
+            steady: None,
             last_candidates: Vec::new(),
         }
     }
@@ -170,7 +174,12 @@ impl TransitionAwareScheduler {
         }
     }
 
-    /// One decision step; same contract as the baseline scheduler.
+    /// One decision step; same contract as the baseline scheduler,
+    /// including its steady-decision memo: a prediction equal to the last
+    /// one answered [`Decision::NoChange`] gets `NoChange` again without
+    /// re-scoring the candidates (they would score the same, so
+    /// `last_candidates` stays as it is), until a
+    /// [`Decision::Reconfigure`] clears the memo.
     pub fn decide(&mut self, now: u64, predicted: f64, bml: &BmlInfrastructure) -> Decision {
         if let Some(until) = self.busy_until {
             if now < until {
@@ -181,6 +190,9 @@ impl TransitionAwareScheduler {
         }
         self.stats.decisions += 1;
         let predicted = predicted.max(0.0);
+        if self.steady == Some(predicted.to_bits()) {
+            return Decision::NoChange;
+        }
 
         let candidates = self.candidates(predicted, bml);
         let mut scored: Vec<ScoredCandidate> = candidates
@@ -198,6 +210,7 @@ impl TransitionAwareScheduler {
         let best = scored.first().expect("at least the ideal candidate");
         let target = best.config.clone();
         if target == self.current {
+            self.steady = Some(predicted.to_bits());
             return Decision::NoChange;
         }
         let plan: ReconfigPlan =
@@ -212,6 +225,7 @@ impl TransitionAwareScheduler {
         self.stats.reconfig_energy += plan.energy;
         self.stats.reconfig_seconds += plan.duration;
         self.current = target;
+        self.steady = None;
         Decision::Reconfigure(plan)
     }
 }
@@ -327,6 +341,37 @@ mod tests {
             "{:?}",
             s.last_candidates
         );
+    }
+
+    #[test]
+    fn steady_memo_is_cleared_by_a_reconfiguration() {
+        let bml = bml();
+        let mut s = TransitionAwareScheduler::with_initial(
+            Configuration(vec![1, 0, 0]),
+            TransitionAwareConfig::paper(),
+        );
+        // p = 520 holds the Big (see `suppresses_uneconomical_shrink`).
+        assert_eq!(s.decide(0, 520.0, &bml), Decision::NoChange);
+        let scored = s.last_candidates.clone();
+        assert!(!scored.is_empty());
+        // A memo hit counts as a decision and leaves the diagnostics alone.
+        assert_eq!(s.decide(1, 520.0, &bml), Decision::NoChange);
+        assert_eq!(s.stats().decisions, 2);
+        assert_eq!(s.last_candidates, scored);
+        // q = 5 shrinks to one Raspberry; once unlocked, p must grow the
+        // fleet back instead of hitting a stale NoChange.
+        match s.decide(2, 5.0, &bml) {
+            Decision::Reconfigure(plan) => assert_eq!(plan.target.0, vec![0, 0, 1]),
+            d => panic!("{d:?}"),
+        }
+        let unlock = s.busy_until().expect("the shrink locks");
+        assert!(matches!(
+            s.decide(unlock, 520.0, &bml),
+            Decision::Reconfigure(_)
+        ));
+        assert!(s.current().capacity(bml.candidates()) >= 520.0);
+        assert_eq!(s.stats().decisions, 4);
+        assert_ne!(s.last_candidates, scored);
     }
 
     #[test]

@@ -64,10 +64,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use bml_core::scheduler::paper_window_length;
 use bml_obs::{Heartbeat, Recorder};
 use bml_sim::exec::{run_cells_checked, CellConfig, CellJob};
-use bml_sim::{CellSummary, SimConfig};
+use bml_sim::CellSummary;
 use rayon::prelude::*;
 
 use crate::cache::{self, CacheStats, CellCache, OptEntry};
@@ -483,7 +482,6 @@ impl<'a> GridRunner<'a> {
         }
 
         let max_attempts = max_retries + 1;
-        let base = SimConfig::default();
         let mut cells: Vec<CellRecord> = Vec::with_capacity(coords.len());
         let mut failed_cells: Vec<FailedCell> = Vec::new();
         let mut emitted = 0usize;
@@ -500,21 +498,7 @@ impl<'a> GridRunner<'a> {
             // back by index).
             let configs: Vec<CellConfig> = batch
                 .iter()
-                .map(|c| {
-                    let bml = &catalogs[c.catalog];
-                    let window = spec.windows[c.window];
-                    let split = spec.splits[c.split];
-                    let window_s = window.unwrap_or_else(|| paper_window_length(bml.candidates()));
-                    CellConfig {
-                        scheduler: spec.schedulers[c.scheduler].resolve(window_s, split),
-                        window,
-                        noise_sigma: spec.noise_sigmas[c.sigma],
-                        noise_seed: c.seed,
-                        split,
-                        stepping: spec.steppings[c.stepping],
-                        ..CellConfig::from_sim(&base)
-                    }
-                })
+                .map(|c| spec.cell_config(c, &catalogs[c.catalog]))
                 .collect();
             let mut summaries: Vec<Option<CellSummary>> = vec![None; batch.len()];
             // Quarantine decisions: (attempts consumed, panic digest).

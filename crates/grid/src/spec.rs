@@ -11,7 +11,9 @@ use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
 use bml_core::combination::SplitPolicy;
 use bml_core::profile::ArchProfile;
-use bml_sim::{SchedulerKind, Stepping};
+use bml_core::scheduler::paper_window_length;
+use bml_sim::exec::CellConfig;
+use bml_sim::{SchedulerKind, SimConfig, Stepping};
 use bml_trace::LoadTrace;
 
 /// The seven dimension names, in enumeration-nesting order (outermost
@@ -470,6 +472,26 @@ impl GridSpec {
             }
         }
         out
+    }
+
+    /// The engine configuration of cell `coords` on `bml`, the
+    /// infrastructure its catalog resolves to: the scheduler resolved for
+    /// the cell's window (the paper's 2x-longest-boot rule when the window
+    /// is `None`) and split, the cell's noise sigma with its seed, and its
+    /// stepping; everything else at [`SimConfig::default`].
+    pub fn cell_config(&self, coords: &CellCoords, bml: &BmlInfrastructure) -> CellConfig {
+        let window = self.windows[coords.window];
+        let split = self.splits[coords.split];
+        let window_s = window.unwrap_or_else(|| paper_window_length(bml.candidates()));
+        CellConfig {
+            scheduler: self.schedulers[coords.scheduler].resolve(window_s, split),
+            window,
+            noise_sigma: self.noise_sigmas[coords.sigma],
+            noise_seed: coords.seed,
+            split,
+            stepping: self.steppings[coords.stepping],
+            ..CellConfig::from_sim(&SimConfig::default())
+        }
     }
 
     /// The label of cell coordinate `coords` along dimension `dim`

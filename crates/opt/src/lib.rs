@@ -25,8 +25,9 @@
 //!   when its capacity covers the load — the QoS target is full service,
 //!   the same constraint the ideal combination satisfies.
 //! * **Serving cost** of a segment in state `s` is
-//!   `config_power(s, load) * len`, the exact power the simulator meters
-//!   for an online fleet `s` under the chosen split policy.
+//!   `PowerCurve::new(s).eval(load) * len`, the exact power the simulator
+//!   meters for an online fleet `s` under the chosen split policy (one
+//!   compiled [`bml_core::combination::PowerCurve`] per state).
 //! * **Transition cost** between consecutive segments prices every
 //!   booted machine at its full ramp energy (`on_energy / on_duration`
 //!   over `ceil(on_duration)` seconds — exactly what the cluster's ramp
@@ -92,7 +93,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bml_core::bml::BmlInfrastructure;
-use bml_core::combination::{config_power, SplitPolicy};
+use bml_core::combination::{PowerCurve, SplitPolicy};
 use bml_core::profile::ArchProfile;
 use bml_sim::{replay_schedule, ReconfigRecord, ScenarioResult};
 use bml_trace::LoadTrace;
@@ -403,11 +404,12 @@ impl<'a> Dp<'a> {
             .collect();
 
         // Serving power per (load, state), columns in lattice order;
-        // INF = capacity cannot cover.
+        // INF = capacity cannot cover. One compiled curve per state.
         let mut serve = vec![INF; loads.len() * k];
-        for (li, &v) in loads.iter().enumerate() {
-            for (st, &rank) in states.iter().zip(&rank_of) {
-                let (w, served) = config_power(profiles, st, v, split);
+        for (st, &rank) in states.iter().zip(&rank_of) {
+            let curve = PowerCurve::new(profiles, st, split);
+            for (li, &v) in loads.iter().enumerate() {
+                let (w, served) = curve.eval(v);
                 if served + EPS >= v {
                     serve[li * k + rank] = w;
                 }
@@ -857,6 +859,7 @@ pub fn optimal_instant(bml: &BmlInfrastructure, rate: u64, split: SplitPolicy) -
 mod tests {
     use super::*;
     use bml_core::catalog;
+    use bml_core::combination::config_power;
     use proptest::prelude::*;
 
     fn bml() -> BmlInfrastructure {

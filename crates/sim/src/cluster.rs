@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use bml_core::combination::{config_power, SplitPolicy};
+use bml_core::combination::{PowerCurve, SplitPolicy};
 use bml_core::profile::ArchProfile;
 use bml_core::reconfig::ReconfigPlan;
 
@@ -63,33 +63,57 @@ impl ArchPool {
 /// infrastructure that owns them — a replay spins up one cluster per
 /// scenario, and cloning the profile vector per run was a measurable
 /// share of the sweep runners' allocations.
+///
+/// The power the pools draw is a function of the load alone until a pool
+/// changes, so the cluster keeps it compiled: the [`PowerCurve`] of the
+/// online machines and the ramp power of the in-flight transitions. Both
+/// are rebuilt only when [`Cluster::tick`], [`Cluster::apply`] or
+/// [`Cluster::fail_one`] actually changes a pool, which makes
+/// [`Cluster::power`] an allocation-free evaluation per second or span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster<'a> {
     profiles: &'a [ArchProfile],
     pools: Vec<ArchPool>,
     split: SplitPolicy,
+    /// Serving power of the online machines.
+    curve: PowerCurve,
+    /// [`Cluster::transition_power`] of the current pools.
+    ramp: f64,
 }
 
 impl<'a> Cluster<'a> {
     /// Empty cluster (everything off) over the candidate profiles.
     pub fn new(profiles: &'a [ArchProfile], split: SplitPolicy) -> Self {
-        let pools = vec![ArchPool::default(); profiles.len()];
-        Cluster {
-            profiles,
-            pools,
-            split,
-        }
+        Cluster::with_online(profiles, &vec![0; profiles.len()], split)
     }
 
     /// Cluster with `counts[k]` machines of each architecture already
     /// online (warm start).
     pub fn with_online(profiles: &'a [ArchProfile], counts: &[u32], split: SplitPolicy) -> Self {
-        let mut c = Cluster::new(profiles, split);
-        assert_eq!(counts.len(), c.pools.len());
-        for (pool, &n) in c.pools.iter_mut().zip(counts) {
-            pool.online = n;
-        }
+        assert_eq!(counts.len(), profiles.len());
+        let pools = counts
+            .iter()
+            .map(|&online| ArchPool {
+                online,
+                ..ArchPool::default()
+            })
+            .collect();
+        let mut c = Cluster {
+            profiles,
+            pools,
+            split,
+            curve: PowerCurve::new(profiles, counts, split),
+            ramp: 0.0,
+        };
+        c.ramp = c.transition_power();
         c
+    }
+
+    /// Rebuild the cached serving curve and ramp power after a pool
+    /// changed.
+    fn recompile(&mut self) {
+        self.curve = PowerCurve::new(self.profiles, &self.online_counts(), self.split);
+        self.ramp = self.transition_power();
     }
 
     /// The candidate profiles (Big first).
@@ -108,11 +132,13 @@ impl<'a> Cluster<'a> {
     /// Call once per second, before applying decisions and measuring
     /// power.
     pub fn tick(&mut self, now: u64) {
+        let mut changed = false;
         for (p, pool) in self.profiles.iter().zip(&mut self.pools) {
             while let Some(&(until, count)) = pool.booting.front() {
                 if until <= now {
                     pool.booting.pop_front();
                     pool.online += count;
+                    changed = true;
                 } else {
                     break;
                 }
@@ -124,6 +150,7 @@ impl<'a> Cluster<'a> {
                     pool.online -= count;
                     let until = start + p.off_duration.ceil() as u64;
                     pool.shutting.push_back((until, count));
+                    changed = true;
                 } else {
                     break;
                 }
@@ -131,6 +158,7 @@ impl<'a> Cluster<'a> {
             while let Some(&(until, _)) = pool.shutting.front() {
                 if until <= now {
                     pool.shutting.pop_front();
+                    changed = true;
                 } else {
                     break;
                 }
@@ -148,10 +176,14 @@ impl<'a> Cluster<'a> {
                         .position(|&(u, _)| u > until)
                         .unwrap_or(pool.booting.len());
                     pool.booting.insert(pos, (until, count));
+                    changed = true;
                 } else {
                     break;
                 }
             }
+        }
+        if changed {
+            self.recompile();
         }
     }
 
@@ -176,6 +208,7 @@ impl<'a> Cluster<'a> {
             }
         }
         pool.repairing.push_back((now + repair_s, 1));
+        self.recompile();
         true
     }
 
@@ -201,12 +234,14 @@ impl<'a> Cluster<'a> {
                 .map(|&(k, _)| self.profiles[k].on_duration.ceil() as u64)
                 .max()
                 .unwrap_or(0);
+        let mut changed = !plan.switch_on.is_empty();
         for &(k, n) in &plan.switch_off {
             let pool = &mut self.pools[k];
             let n = n.min(pool.online - pool.retiring_count());
             if n == 0 {
                 continue;
             }
+            changed = true;
             if boot_complete <= now {
                 pool.online -= n;
                 let until = now + self.profiles[k].off_duration.ceil() as u64;
@@ -218,6 +253,9 @@ impl<'a> Cluster<'a> {
         for &(k, n) in &plan.switch_on {
             let until = now + self.profiles[k].on_duration.ceil() as u64;
             self.pools[k].booting.push_back((until, n));
+        }
+        if changed {
+            self.recompile();
         }
         // Keep completion queues ordered (durations are per-arch constants,
         // so appends are already non-decreasing per pool).
@@ -267,22 +305,17 @@ impl<'a> Cluster<'a> {
             .sum()
     }
 
-    /// Total power (W) and served load for this second: online machines
-    /// serve `load` under the cluster's split policy, transitions add
-    /// their ramp power.
+    /// Total power (W) and served load for this second or constant-load
+    /// span: online machines serve `load` under the cluster's split
+    /// policy, transitions add their ramp power. Evaluates the cached
+    /// curve, so it allocates nothing and costs a few float operations;
+    /// the value is bit-identical to
+    /// `config_power(profiles, &online_counts(), load, split).0 +
+    /// transition_power()`.
+    #[inline]
     pub fn power(&self, load: f64) -> (f64, f64) {
-        let mut scratch = Vec::with_capacity(self.pools.len());
-        self.power_into(load, &mut scratch)
-    }
-
-    /// Allocation-free variant of [`Cluster::power`] for hot replay
-    /// loops: the caller owns the online-counts scratch buffer and reuses
-    /// it across calls.
-    pub fn power_into(&self, load: f64, counts_scratch: &mut Vec<u32>) -> (f64, f64) {
-        counts_scratch.clear();
-        counts_scratch.extend(self.pools.iter().map(|p| p.online));
-        let (serving, served) = config_power(self.profiles, counts_scratch, load, self.split);
-        (serving + self.transition_power(), served)
+        let (serving, served) = self.curve.eval(load);
+        (serving + self.ramp, served)
     }
 
     /// Earliest pending lifecycle epoch across all pools — a boot
@@ -313,7 +346,7 @@ impl<'a> Cluster<'a> {
     ///
     /// This is the span-integration *identity* the event-driven engine
     /// relies on — there the ramp is folded into the total power
-    /// ([`Cluster::power_into`]) and integrated by
+    /// ([`Cluster::power`]) and integrated by
     /// `EnergyMeter::accumulate_span`, so this helper is for external
     /// substrates and tests that want the ramp share in isolation.
     pub fn transition_energy_over(&self, secs: u64) -> f64 {
@@ -389,9 +422,8 @@ mod tests {
         c.tick(0);
         assert_eq!(c.next_transition_event(), Some(189));
         assert!((c.transition_energy_over(189) - 21341.0).abs() < 1e-6);
-        // And the buffered power path agrees with the allocating one.
-        let mut scratch = Vec::new();
-        assert_eq!(c.power_into(0.0, &mut scratch), c.power(0.0));
+        // And the cached ramp is the one folded into the total power.
+        assert_eq!(c.power(0.0).0, c.transition_power());
         c.tick(189);
         assert_eq!(c.next_transition_event(), None);
         assert_eq!(c.transition_energy_over(1_000), 0.0);
@@ -500,6 +532,64 @@ mod tests {
         assert_eq!(c.pools()[0].shutting_count(), 1);
         c.tick(26);
         assert_eq!(c.total_tracked(), 17);
+    }
+
+    /// `power(load)` must equal the from-scratch formula over the current
+    /// pools bit for bit, at every load of interest.
+    fn assert_power_is_fresh(c: &Cluster<'_>, stage: &str) {
+        for load in [0.0, 0.5, 7.0, 20.0, 100.0, 600.0, 1_500.0, 5_000.0] {
+            let (w, served) = c.power(load);
+            let (serving, fresh_served) =
+                bml_core::combination::config_power(c.profiles, &c.online_counts(), load, c.split);
+            let fresh = serving + c.transition_power();
+            assert_eq!(
+                (w.to_bits(), served.to_bits()),
+                (fresh.to_bits(), fresh_served.to_bits()),
+                "{stage}, load {load}: cached ({w}, {served}) vs fresh ({fresh}, {fresh_served})"
+            );
+        }
+    }
+
+    #[test]
+    fn cached_power_tracks_every_pool_change() {
+        // Boot, handover, crash, repair and shutdown: a missed recompile
+        // after any pool change shows up as a stale power.
+        let profiles = trio();
+        for split in [
+            SplitPolicy::EfficiencyGreedy,
+            SplitPolicy::ProportionalToCapacity,
+        ] {
+            let mut c = Cluster::new(&profiles, split);
+            assert_power_is_fresh(&c, "new");
+            c.apply(&plan(&[0, 0, 0], &[0, 2, 1]), 0); // boot 2 chromebooks + 1 pi
+            assert_power_is_fresh(&c, "apply boot");
+            for t in 0..=20 {
+                c.tick(t);
+                assert_power_is_fresh(&c, &format!("tick {t} after boot"));
+            }
+            assert_eq!(c.online_counts(), vec![0, 2, 1]);
+            // Handover: a Big boots while the small machines keep serving.
+            c.apply(&plan(&[0, 2, 1], &[1, 0, 0]), 20);
+            assert_power_is_fresh(&c, "apply handover");
+            assert!(c.fail_one(1, 30, 50), "a retiring chromebook crashes");
+            assert_power_is_fresh(&c, "fail_one");
+            assert!(!c.fail_one(0, 30, 50), "no Big online yet");
+            assert_power_is_fresh(&c, "fail_one on an empty pool");
+            for t in 21..=230 {
+                c.tick(t);
+                assert_power_is_fresh(&c, &format!("tick {t} after handover"));
+            }
+            // The crashed chromebook was repaired and rebooted; the
+            // retirees handed over at 209 and finished shutting down.
+            assert_eq!(c.online_counts(), vec![1, 1, 0]);
+            c.apply(&plan(&[1, 1, 0], &[0, 0, 0]), 230);
+            assert_power_is_fresh(&c, "apply shutdown");
+            for t in 230..=255 {
+                c.tick(t);
+                assert_power_is_fresh(&c, &format!("tick {t} after shutdown"));
+            }
+            assert_eq!(c.total_tracked(), 0);
+        }
     }
 
     #[test]

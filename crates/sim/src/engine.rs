@@ -59,11 +59,26 @@
 //! [`ScenarioResult::stepping_effective`], which benches, grid artifacts
 //! and the CI gates assert on — no silent fallback can creep back in.
 //!
-//! The per-second ideal-combination queries (the scheduler's no-change
-//! test and the target configuration) are served by the infrastructure's
-//! precomputed [`bml_core::table::CombinationTable`] in O(log segments),
-//! so even the reference mode never pays the full combination search once
-//! per simulated second.
+//! # What a second or a span costs
+//!
+//! Both loops share the per-epoch invariants instead of re-deriving them
+//! every second or span, so the reference mode pays only for what varies
+//! with time:
+//!
+//! * power is the cluster's cached [`bml_core::combination::PowerCurve`]
+//!   plus its cached ramp power, recompiled only when a pool changes
+//!   (see [`Cluster::power`]) — an allocation-free evaluation per second
+//!   or span;
+//! * the schedulers remember the last prediction they answered
+//!   `NoChange` for, so a steady prediction costs one comparison; a new
+//!   one is served by the infrastructure's precomputed
+//!   [`bml_core::table::CombinationTable`] in O(log segments), never by
+//!   the full combination search;
+//! * the look-ahead prediction and its next change-point come from the
+//!   run-length [`bml_trace::LookaheadMaxTable`] through the predictor's
+//!   forward cursor, in O(1) per query (one binary search after a locked
+//!   stretch the cursor skipped), and a noisy predictor draws each
+//!   resample window's factor once.
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
@@ -650,8 +665,6 @@ struct EngineState<'a> {
     events_skipped: u64,
     fallback_unsegmented: u64,
     reconfig_log: Vec<ReconfigRecord>,
-    /// Reused online-counts buffer for the per-step power query.
-    counts_scratch: Vec<u32>,
 }
 
 impl<'a> EngineState<'a> {
@@ -686,7 +699,6 @@ impl<'a> EngineState<'a> {
             events_skipped: 0,
             fallback_unsegmented: 0,
             reconfig_log: Vec::new(),
-            counts_scratch: Vec::with_capacity(n),
         }
     }
 
@@ -786,7 +798,7 @@ fn simulate_per_second(
         };
         st.decide_at(t, prediction, bml);
         let load = trace.get(t);
-        let (power, served) = st.cluster.power_into(load, &mut st.counts_scratch);
+        let (power, served) = st.cluster.power(load);
         st.meter.record(power);
         st.qos.record(load, served);
     }
@@ -844,7 +856,7 @@ fn simulate_event_driven(
         while t < next {
             let span_end = trace.run_end(t).min(next);
             let load = trace.get(t);
-            let (power, served) = st.cluster.power_into(load, &mut st.counts_scratch);
+            let (power, served) = st.cluster.power(load);
             st.meter.accumulate_span(power, span_end - t);
             st.qos.record_span(load, served, span_end - t);
             st.segments_batched += 1;

@@ -58,7 +58,6 @@ pub fn replay_schedule(
     let mut believed = Configuration(initial.to_vec());
     let mut meter = EnergyMeter::new();
     let mut qos = QosReport::default();
-    let mut scratch = Vec::with_capacity(profiles.len());
     let mut log = Vec::new();
     let mut reconfigurations = 0u64;
     let mut nodes_on = 0u64;
@@ -119,7 +118,7 @@ pub fn replay_schedule(
         while t < next {
             let span_end = trace.run_end(t).min(next);
             let load = trace.get(t);
-            let (power, served) = cluster.power_into(load, &mut scratch);
+            let (power, served) = cluster.power(load);
             meter.accumulate_span(power, span_end - t);
             qos.record_span(load, served, span_end - t);
             t = span_end;

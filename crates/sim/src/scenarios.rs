@@ -13,7 +13,7 @@
 //!   combination", no On/Off latency or energy: unreachable floor.
 
 use bml_core::bml::BmlInfrastructure;
-use bml_core::combination::{config_power, SplitPolicy};
+use bml_core::combination::{config_power, PowerCurve, SplitPolicy};
 use bml_core::profile::ArchProfile;
 use bml_metrics::EnergyMeter;
 use bml_trace::{LoadTrace, LookaheadMaxPredictor};
@@ -32,9 +32,9 @@ fn nodes_for(rate: f64, max_perf: f64) -> u32 {
 
 /// Shared loop for the homogeneous upper bounds: `counts_for_day` gives
 /// the number of Big machines powered during each day. The fleet is
-/// constant within a day, so power only changes with the raw load —
-/// accounting batches over maximal constant-load runs exactly like the
-/// event-driven engine.
+/// constant within a day, so its power curve is compiled once per day and
+/// power only changes with the raw load — accounting batches over maximal
+/// constant-load runs exactly like the event-driven engine.
 fn homogeneous_scenario(
     name: &str,
     trace: &LoadTrace,
@@ -46,9 +46,9 @@ fn homogeneous_scenario(
     let mut meter = EnergyMeter::new();
     let mut qos = QosReport::default();
     for day in 0..trace.n_days() {
-        let n = counts_for_day(day);
+        let curve = PowerCurve::new(profiles, &[counts_for_day(day)], split);
         for seg in bml_trace::constant_runs(trace.day(day)) {
-            let (w, served) = config_power(profiles, &[n], seg.value, split);
+            let (w, served) = curve.eval(seg.value);
             meter.accumulate_span(w, seg.len());
             qos.record_span(seg.value, served, seg.len());
         }

@@ -4,11 +4,11 @@
 //! ([`trace::LoadTrace`]), deterministic synthetic generators
 //! ([`synthetic`], and the World-Cup-98-like tournament workload in
 //! [`worldcup`] substituting the paper's 1998 World Cup trace), an O(n)
-//! sliding-window maximum ([`window`]), constant-run segment iteration
-//! for the event-driven replay engine ([`segments`]), the load
-//! predictors the pro-active scheduler consumes ([`predictor`]), and a
-//! named trace-source registry ([`registry`]) so experiment grids can
-//! reference workloads declaratively.
+//! sliding-window maximum kept as its constant runs ([`window`]),
+//! constant-run segment iteration for the event-driven replay engine
+//! ([`segments`]), the load predictors the pro-active scheduler consumes
+//! ([`predictor`]), and a named trace-source registry ([`registry`]) so
+//! experiment grids can reference workloads declaratively.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

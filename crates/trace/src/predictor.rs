@@ -57,9 +57,16 @@ pub trait Predictor {
 /// The paper's emulated prediction: maximum of the *actual future* load
 /// over a look-ahead window (378 s = 2x the longest switch-on duration in
 /// the paper's hardware).
+///
+/// The predictor keeps a cursor on the table run its last query landed
+/// in, so a forward replay — per-second or event-driven — finds each
+/// prediction and change-point in O(1) when it lands in the cursor's run
+/// or the next one; other queries fall back to a binary search.
 #[derive(Debug, Clone)]
 pub struct LookaheadMaxPredictor {
     table: LookaheadMaxTable,
+    /// Table run of the last [`Predictor::predict`] inside the trace.
+    cursor: usize,
 }
 
 impl LookaheadMaxPredictor {
@@ -67,6 +74,7 @@ impl LookaheadMaxPredictor {
     pub fn new(trace: &LoadTrace, horizon: u64) -> Self {
         LookaheadMaxPredictor {
             table: LookaheadMaxTable::new(&trace.rates, horizon),
+            cursor: 0,
         }
     }
 
@@ -78,7 +86,11 @@ impl LookaheadMaxPredictor {
 
 impl Predictor for LookaheadMaxPredictor {
     fn predict(&mut self, now: u64) -> f64 {
-        self.table.max_from(now)
+        if now as usize >= self.table.len() {
+            return 0.0;
+        }
+        self.cursor = self.table.locate(now, self.cursor);
+        self.table.run_value(self.cursor)
     }
     fn name(&self) -> &'static str {
         "lookahead-max"
@@ -87,7 +99,7 @@ impl Predictor for LookaheadMaxPredictor {
         true
     }
     fn next_change(&self, now: u64) -> Option<u64> {
-        self.table.next_change(now)
+        self.table.next_change_near(now, self.cursor)
     }
 }
 
@@ -226,6 +238,9 @@ pub struct NoisyPredictor<P: Predictor> {
     sigma: f64,
     seed: u64,
     resample_s: u64,
+    /// `(window, factor)` of the last resample window drawn, so a replay
+    /// draws each window's gaussian once instead of once per second.
+    cached: Option<(u64, f64)>,
 }
 
 /// Default noise-resample window: the paper's 378 s look-ahead window
@@ -249,17 +264,27 @@ impl<P: Predictor> NoisyPredictor<P> {
             sigma,
             seed,
             resample_s: resample_s.max(1),
+            cached: None,
         }
     }
 
     /// The multiplicative error factor of the resample window covering
-    /// `now` — a pure function of `(seed, now / resample_s)`.
-    fn factor(&self, now: u64) -> f64 {
+    /// `now` — a pure function of `(seed, now / resample_s)`, drawn once
+    /// per window and then served from the cache.
+    fn factor(&mut self, now: u64) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
         }
         let window = now / self.resample_s;
-        1.0 + self.sigma * bml_core::rng::truncated_gaussian(bml_core::rng::mix(self.seed, window))
+        if let Some((w, factor)) = self.cached {
+            if w == window {
+                return factor;
+            }
+        }
+        let factor = 1.0
+            + self.sigma * bml_core::rng::truncated_gaussian(bml_core::rng::mix(self.seed, window));
+        self.cached = Some((window, factor));
+        factor
     }
 }
 

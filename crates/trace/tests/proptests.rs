@@ -9,6 +9,25 @@ fn arb_rates() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..10_000.0, 0..2_000)
 }
 
+/// Plateau traces: runs of 1..400 s, each at one of four load levels, so
+/// ties, long runs and windows spanning several runs are the norm rather
+/// than the exception they are under [`arb_rates`].
+fn arb_plateaus() -> impl Strategy<Value = Vec<f64>> {
+    const LEVELS: [f64; 4] = [0.0, 150.0, 900.0, 2_500.0];
+    proptest::collection::vec((0usize..4, 1usize..400), 0..16).prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(level, len)| std::iter::repeat_n(LEVELS[level], len))
+            .collect()
+    })
+}
+
+/// The windowed maximum of every second, the naive way.
+fn naive_maxima(rates: &[f64], horizon: u64) -> Vec<f64> {
+    (0..rates.len() as u64)
+        .map(|t| naive_lookahead_max(rates, t, horizon))
+        .collect()
+}
+
 proptest! {
     #[test]
     fn window_max_equals_naive(rates in arb_rates(), horizon in 1u64..500) {
@@ -34,6 +53,50 @@ proptest! {
         let big = LookaheadMaxTable::new(&rates, hi);
         for t in (0..rates.len() as u64).step_by(23) {
             prop_assert!(big.max_from(t) >= small.max_from(t));
+        }
+    }
+
+    #[test]
+    fn plateau_window_max_equals_naive(rates in arb_plateaus(), horizon in 1u64..500) {
+        let table = LookaheadMaxTable::new(&rates, horizon);
+        prop_assert_eq!(table.len(), rates.len());
+        for (t, &expected) in naive_maxima(&rates, horizon).iter().enumerate() {
+            prop_assert_eq!(table.max_from(t as u64), expected, "t = {}", t);
+        }
+        prop_assert_eq!(table.max_from(rates.len() as u64), 0.0);
+    }
+
+    #[test]
+    fn plateau_next_change_points_are_exact(rates in arb_plateaus(), horizon in 1u64..500) {
+        // From every second, the reported point is the first second whose
+        // value differs: it changes the value and no second before it does.
+        let table = LookaheadMaxTable::new(&rates, horizon);
+        let maxima = naive_maxima(&rates, horizon);
+        let mut first_change = None;
+        for t in (0..maxima.len()).rev() {
+            if maxima.get(t + 1).is_some_and(|&next| next != maxima[t]) {
+                first_change = Some(t as u64 + 1);
+            }
+            prop_assert_eq!(table.next_change(t as u64), first_change, "t = {}", t);
+        }
+        prop_assert_eq!(table.next_change(rates.len() as u64), None);
+    }
+
+    #[test]
+    fn plateau_predictor_out_of_order_matches_naive(
+        rates in arb_plateaus(),
+        horizon in 1u64..500,
+        probes in proptest::collection::vec(0u64..7_000, 0..200),
+    ) {
+        // Backward and random queries defeat the predictor's forward
+        // cursor, so every answer comes through its fallback search.
+        let trace = LoadTrace::new(0, rates.clone());
+        let table = LookaheadMaxTable::new(&rates, horizon);
+        let mut p = LookaheadMaxPredictor::new(&trace, horizon);
+        let n = rates.len() as u64;
+        for now in (0..n + 3).rev().chain(probes) {
+            prop_assert_eq!(p.predict(now), naive_lookahead_max(&rates, now, horizon), "now = {}", now);
+            prop_assert_eq!(p.next_change(now), table.next_change(now), "now = {}", now);
         }
     }
 
