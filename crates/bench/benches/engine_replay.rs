@@ -24,13 +24,19 @@
 //! plateau flavors from this bench's output and fails below a
 //! conservative 3x floor, absorbing shared-runner timing noise; the
 //! worldcup line is printed in the same format but not gated.
+//!
+//! Each cell also builds its look-ahead table, which both loops pay
+//! alike. An ungated line per flavor prints that build and the speedup
+//! of the loops alone, without it: on worldcup the build is a large
+//! share of an event-driven cell, so the end-to-end ratio understates
+//! what the event loop itself gains.
 
 use std::time::Instant;
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
 use bml_sim::{run_cell, CellConfig, FailureModel, ScenarioResult, SimConfig, Stepping};
-use bml_trace::{registry, LoadTrace};
+use bml_trace::{registry, LoadTrace, LookaheadMaxTable};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// Deterministic two-day trace of 5-minute constant-load plateaus
@@ -90,6 +96,7 @@ fn bench_engine_replay(c: &mut Criterion) {
     // timing would be dominated by jitter.
     for (flavor, trace, cell) in &flavors {
         let sim_secs = trace.len() as f64;
+        let mut walls = [0.0f64; 2];
         let mut rates = [0.0f64; 2];
         for (i, stepping) in [Stepping::PerSecond, Stepping::EventDriven]
             .into_iter()
@@ -111,6 +118,7 @@ fn bench_engine_replay(c: &mut Criterion) {
                  {:?} — a silent fallback would fake the speedup",
                 r.stepping_effective
             );
+            walls[i] = best_wall;
             rates[i] = sim_secs / best_wall;
             let name = match stepping {
                 Stepping::PerSecond => "per-second",
@@ -126,6 +134,19 @@ fn bench_engine_replay(c: &mut Criterion) {
         println!(
             "engine_replay/{flavor} speedup: event-driven is {:.1}x the per-second engine",
             rates[1] / rates[0]
+        );
+        let window = cell.resolved_window(&bml);
+        let mut build = f64::INFINITY;
+        for _ in 0..5 {
+            let started = Instant::now();
+            black_box(LookaheadMaxTable::new(&trace.rates, window));
+            build = build.min(started.elapsed().as_secs_f64());
+        }
+        println!(
+            "engine_replay/{flavor} table build: {:.2} ms per cell, paid by both loops \
+             (loops alone: {:.1}x)",
+            build * 1e3,
+            (walls[0] - build) / (walls[1] - build)
         );
     }
 

@@ -31,7 +31,8 @@ pub struct Args {
     /// mistaking an explicit request for the default. Read through
     /// [`Args::days_or`].
     pub days: Option<u32>,
-    /// Look-ahead window override (seconds); `None` = the paper's 378 s.
+    /// Look-ahead window override (seconds, at least 1); `None` = the
+    /// paper's 378 s.
     pub window: Option<u64>,
     /// Emit CSV instead of aligned text tables.
     pub csv: bool,
@@ -119,7 +120,13 @@ impl Args {
             match flag.as_str() {
                 "--seed" => out.seed = parse_num(&value("--seed")?, "--seed")?,
                 "--days" => out.days = Some(parse_num(&value("--days")?, "--days")?),
-                "--window" => out.window = Some(parse_num(&value("--window")?, "--window")?),
+                "--window" => {
+                    let w: u64 = parse_num(&value("--window")?, "--window")?;
+                    if w == 0 {
+                        return Err(format!("--window must be at least 1 s\n{USAGE}"));
+                    }
+                    out.window = Some(w);
+                }
                 "--threads" => {
                     let n: usize = parse_num(&value("--threads")?, "--threads")?;
                     if n == 0 {
@@ -348,6 +355,8 @@ mod tests {
         assert!(err.contains("bad value 'zero' for --threads"), "{err}");
         let err = try_parse(&["--threads", "0"]).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
+        let err = try_parse(&["--window", "0"]).unwrap_err();
+        assert!(err.contains("--window must be at least 1 s"), "{err}");
         let err = try_parse(&["--stepping", "warp"]).unwrap_err();
         assert!(err.contains("bad value 'warp' for --stepping"), "{err}");
     }

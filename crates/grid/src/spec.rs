@@ -384,9 +384,9 @@ impl GridSpec {
             * self.steppings.len()
     }
 
-    /// Validate the spec: every dimension non-empty, sigmas finite and
-    /// non-negative, every trace source registered, every catalog mix
-    /// buildable.
+    /// Validate the spec: every dimension non-empty, windows at least
+    /// 1 s, sigmas finite and non-negative, every trace source registered,
+    /// every catalog mix buildable.
     pub fn validate(&self) -> Result<(), String> {
         let dims: [(&str, usize); 7] = [
             ("traces", self.traces.len()),
@@ -401,6 +401,15 @@ impl GridSpec {
             if len == 0 {
                 return Err(format!("grid '{}': dimension '{name}' is empty", self.name));
             }
+        }
+        if self.windows.contains(&Some(0)) {
+            // The predictor would run a 0 s window as 1 s while the
+            // transition-aware scheduler priced 0 s and the artifact said
+            // `0s`; reject instead, like `days: 0`.
+            return Err(format!(
+                "grid '{}': window 0 s (want >= 1 s, or None for the paper's rule)",
+                self.name
+            ));
         }
         for &s in &self.noise_sigmas {
             if !s.is_finite() || s < 0.0 {
@@ -629,6 +638,9 @@ mod tests {
         let mut empty = tiny_spec();
         empty.windows.clear();
         assert!(empty.validate().unwrap_err().contains("windows"));
+        let mut zero_window = tiny_spec();
+        zero_window.windows = vec![None, Some(0)];
+        assert!(zero_window.validate().unwrap_err().contains("window 0 s"));
         let mut bad_sigma = tiny_spec();
         bad_sigma.noise_sigmas = vec![-0.1];
         assert!(bad_sigma.validate().is_err());

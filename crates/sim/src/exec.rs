@@ -7,6 +7,12 @@
 //! the single implementation of that unit ([`run_cell`]) plus the one
 //! parallel fan-out everything shares ([`run_cells_checked`]).
 //!
+//! A cell's look-ahead table is a function of its trace and its resolved
+//! window alone, so the fan-out builds one table per distinct (trace,
+//! resolved window) per call and shares it among that pair's cells — on
+//! the smoke grid, 3 tables for 144 cells; each cell's predictor keeps
+//! its own cursor.
+//!
 //! Determinism contract: [`run_cells_checked`] preserves input order (the
 //! rayon parallel map deposits each result in its input's slot — the
 //! vendored shim schedules workers by range stealing, so *which* worker
@@ -17,10 +23,12 @@
 //! any `--threads` setting, and keys its content-addressed cell cache on
 //! [`CellConfig::stable_descriptor`].
 
+use std::sync::{Arc, OnceLock};
+
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::scheduler::paper_window_length;
-use bml_trace::{LoadTrace, LookaheadMaxPredictor, NoisyPredictor};
+use bml_trace::{LoadTrace, LookaheadMaxPredictor, LookaheadMaxTable, NoisyPredictor};
 use rayon::prelude::*;
 
 use crate::engine::{
@@ -87,6 +95,14 @@ impl CellConfig {
         format!("{self:?}")
     }
 
+    /// The look-ahead window (s) this cell predicts over, and resamples
+    /// its noise on, when run on `bml`: its own, or the paper's
+    /// 2x-longest-boot rule over `bml`'s candidates.
+    pub fn resolved_window(&self, bml: &BmlInfrastructure) -> u64 {
+        self.window
+            .unwrap_or_else(|| paper_window_length(bml.candidates()))
+    }
+
     /// The engine configuration this cell runs under.
     fn sim_config(&self) -> SimConfig {
         SimConfig {
@@ -122,18 +138,84 @@ pub struct CellJob<'a> {
 /// look-ahead window (`mix(noise_seed, window_index)`, see
 /// [`bml_core::rng`]), so noisy cells honor the requested stepping just
 /// like clean ones.
+///
+/// Builds the cell's look-ahead table for this call alone;
+/// [`run_cells_checked`] shares one table among the cells of a batch
+/// that replay the same trace with the same window.
 pub fn run_cell(trace: &LoadTrace, bml: &BmlInfrastructure, cell: &CellConfig) -> ScenarioResult {
+    let table = LookaheadMaxTable::new(&trace.rates, cell.resolved_window(bml));
+    run_cell_on(trace, bml, cell, Arc::new(table))
+}
+
+/// [`run_cell`] over a look-ahead table built from `trace` with the
+/// cell's resolved window, possibly shared with other cells.
+fn run_cell_on(
+    trace: &LoadTrace,
+    bml: &BmlInfrastructure,
+    cell: &CellConfig,
+    table: Arc<LookaheadMaxTable>,
+) -> ScenarioResult {
     let config = cell.sim_config();
-    let window = cell
-        .window
-        .unwrap_or_else(|| paper_window_length(bml.candidates()));
-    let mut inner = LookaheadMaxPredictor::new(trace, window);
+    let mut inner = LookaheadMaxPredictor::from_table(table);
     if cell.noise_sigma == 0.0 {
         simulate_bml(trace, bml, &mut inner, &config)
     } else {
+        let window = cell.resolved_window(bml);
         let mut predictor =
             NoisyPredictor::with_resample(inner, cell.noise_sigma, cell.noise_seed, window);
         simulate_bml(trace, bml, &mut predictor, &config)
+    }
+}
+
+/// The look-ahead tables of one fan-out: one slot per distinct (trace,
+/// resolved window) among its jobs, traces compared by reference. Each
+/// slot's table is built by the first of its jobs to ask and then shared
+/// by all of them.
+struct SharedTables<'a> {
+    slots: Vec<TableSlot<'a>>,
+    /// Index into `slots` of each job, in job order.
+    slot_of: Vec<usize>,
+}
+
+struct TableSlot<'a> {
+    trace: &'a LoadTrace,
+    window: u64,
+    table: OnceLock<Arc<LookaheadMaxTable>>,
+}
+
+impl<'a> SharedTables<'a> {
+    /// Give every job its slot; builds no table.
+    fn assign(jobs: &[CellJob<'a>]) -> Self {
+        let mut slots: Vec<TableSlot<'a>> = Vec::new();
+        let slot_of = jobs
+            .iter()
+            .map(|j| {
+                let window = j.cell.resolved_window(j.bml);
+                slots
+                    .iter()
+                    .position(|s| std::ptr::eq(s.trace, j.trace) && s.window == window)
+                    .unwrap_or_else(|| {
+                        slots.push(TableSlot {
+                            trace: j.trace,
+                            window,
+                            table: OnceLock::new(),
+                        });
+                        slots.len() - 1
+                    })
+            })
+            .collect();
+        SharedTables { slots, slot_of }
+    }
+
+    /// Job `i`'s table, building it if no job of its slot has yet. A
+    /// build that panics leaves the slot empty, so the panic reaches only
+    /// the jobs that ask for that table, each on its own.
+    fn table(&self, i: usize) -> Arc<LookaheadMaxTable> {
+        let slot = &self.slots[self.slot_of[i]];
+        let table = slot
+            .table
+            .get_or_init(|| Arc::new(LookaheadMaxTable::new(&slot.trace.rates, slot.window)));
+        Arc::clone(table)
     }
 }
 
@@ -163,9 +245,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// completes — the grid executor's retry/quarantine layer is built on
 /// this.
 ///
+/// Each cell's result equals [`run_cell`]'s, but the call builds one
+/// look-ahead table per distinct (trace, resolved window) among `jobs` —
+/// the same trace *reference*, so content-equal copies of a trace do not
+/// share — inside the first of its cells to need it, and every other
+/// cell of the pair reads that table.
+///
 /// `threads` caps the worker count (`None` = rayon's default). The cap
 /// only changes wall-clock time, never results: output order is the input
-/// order and cells share no mutable state.
+/// order and cells share nothing mutable but the write-once table slots.
 ///
 /// `inject` is a deterministic fault hook (the chaos harness): called
 /// with each job's **batch-local index** before the cell runs; returning
@@ -177,19 +265,21 @@ pub fn run_cells_checked(
     inject: Option<&(dyn Fn(usize) -> Option<String> + Sync)>,
 ) -> Vec<Result<ScenarioResult, CellPanic>> {
     let indices: Vec<usize> = (0..jobs.len()).collect();
+    let tables = SharedTables::assign(jobs);
     let run = || {
         indices
             .par_iter()
             .map(|&i| {
                 let j = &jobs[i];
-                // `run_cell` only touches the job's own borrows, and a
-                // panicking cell contributes nothing but its message, so
-                // no broken invariant can leak across the boundary.
+                // A cell touches only the job's own borrows and its shared
+                // table, which a panicking build leaves unset; a panicking
+                // cell contributes nothing but its message, so no broken
+                // invariant can leak across the boundary.
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     if let Some(msg) = inject.and_then(|f| f(i)) {
                         panic!("{msg}");
                     }
-                    run_cell(j.trace, j.bml, &j.cell)
+                    run_cell_on(j.trace, j.bml, &j.cell, tables.table(i))
                 }))
                 .map_err(|payload| CellPanic {
                     message: panic_message(payload.as_ref()),
@@ -361,6 +451,111 @@ mod tests {
         let unchecked = run_cells_checked(&jobs, Some(4), None);
         let ok: Vec<_> = unchecked.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(ok, clean);
+    }
+
+    #[test]
+    fn tables_are_shared_per_trace_reference_and_resolved_window() {
+        let trace = step_trace(&[40.0, 900.0, 120.0], 1_200);
+        let copy = trace.clone();
+        let table1 = bml();
+        let illustrative = BmlInfrastructure::build(&catalog::illustrative()).unwrap();
+        assert_eq!(paper_window_length(table1.candidates()), 378);
+        let job = |trace, bml, window, noise_sigma| CellJob {
+            trace,
+            bml,
+            cell: CellConfig {
+                window,
+                noise_sigma,
+                noise_seed: 5,
+                ..clean_cell()
+            },
+        };
+        let illustrative_window = paper_window_length(illustrative.candidates());
+        assert_ne!(illustrative_window, 378);
+        let jobs = [
+            job(&trace, &table1, None, 0.0),
+            job(&trace, &table1, Some(378), 0.0),
+            job(&trace, &table1, None, 0.2),
+            job(&trace, &table1, Some(189), 0.0),
+            job(&copy, &table1, None, 0.0),
+            job(&trace, &illustrative, None, 0.0),
+            job(&trace, &table1, Some(illustrative_window), 0.2),
+            job(&trace, &table1, Some(756), 0.2),
+        ];
+        let tables = SharedTables::assign(&jobs);
+        assert_eq!(tables.slots.len(), 5);
+        assert!(tables.slots.iter().all(|s| s.table.get().is_none()));
+        let built: Vec<_> = (0..jobs.len()).map(|i| tables.table(i)).collect();
+        // None resolves to the catalog's paper window, clean and noisy
+        // cells alike, so these share one table...
+        assert!(Arc::ptr_eq(&built[0], &built[1]));
+        assert!(Arc::ptr_eq(&built[0], &built[2]));
+        assert!(Arc::ptr_eq(&built[5], &built[6]));
+        // ...while another window, or another allocation of equal rates,
+        // gets a table of its own.
+        for other in [3, 4, 5, 7] {
+            assert!(!Arc::ptr_eq(&built[0], &built[other]), "job {other}");
+        }
+        assert!(!Arc::ptr_eq(&built[3], &built[7]));
+        for (table, window) in built.iter().zip([378, 378, 378, 189, 378]) {
+            assert_eq!(table.horizon(), window);
+        }
+        assert_eq!(built[5].horizon(), illustrative_window);
+
+        let none = SharedTables::assign(&[]);
+        assert!(none.slots.is_empty() && none.slot_of.is_empty());
+    }
+
+    #[test]
+    fn shared_tables_reproduce_run_cell_on_a_mixed_batch() {
+        let traces = [
+            step_trace(&[40.0, 900.0, 120.0], 1_200),
+            step_trace(&[600.0, 30.0], 1_500),
+        ];
+        let catalogs = [
+            bml(),
+            BmlInfrastructure::build(&catalog::illustrative()).unwrap(),
+        ];
+        let mut jobs = Vec::new();
+        for trace in &traces {
+            for bml in &catalogs {
+                for window in [None, Some(189), Some(756)] {
+                    for noise_sigma in [0.0, 0.2] {
+                        for stepping in [Stepping::EventDriven, Stepping::PerSecond] {
+                            jobs.push(CellJob {
+                                trace,
+                                bml,
+                                cell: CellConfig {
+                                    window,
+                                    noise_sigma,
+                                    noise_seed: jobs.len() as u64,
+                                    stepping,
+                                    ..clean_cell()
+                                },
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(jobs.len(), 48);
+        let expected: Vec<_> = jobs
+            .iter()
+            .map(|j| run_cell(j.trace, j.bml, &j.cell))
+            .collect();
+        let inject = |i: usize| (i == 29).then(|| format!("chaos: cell {i}"));
+        for threads in [1, 4] {
+            let checked = run_cells_checked(&jobs, Some(threads), Some(&inject));
+            assert_eq!(checked.len(), jobs.len());
+            for (i, (got, want)) in checked.into_iter().zip(&expected).enumerate() {
+                if i == 29 {
+                    let panic = got.unwrap_err();
+                    assert_eq!(panic.message, "chaos: cell 29");
+                } else {
+                    assert_eq!(got.as_ref(), Ok(want), "cell {i} at {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! known change-points, and noisy runs stay on the event-driven replay
 //! engine.
 
+use std::sync::Arc;
+
 use crate::trace::LoadTrace;
 use crate::window::LookaheadMaxTable;
 
@@ -58,24 +60,33 @@ pub trait Predictor {
 /// over a look-ahead window (378 s = 2x the longest switch-on duration in
 /// the paper's hardware).
 ///
-/// The predictor keeps a cursor on the table run its last query landed
-/// in, so a forward replay — per-second or event-driven — finds each
-/// prediction and change-point in O(1) when it lands in the cursor's run
-/// or the next one; other queries fall back to a binary search.
+/// The windowed maxima live in an immutable [`LookaheadMaxTable`] behind
+/// an [`Arc`], so any number of predictors — on any threads — can read
+/// one table: the table is a function of the trace and the horizon
+/// alone. Each predictor keeps its own cursor on the table run its last
+/// query landed in, so a forward replay — per-second or event-driven —
+/// finds each prediction and change-point in O(1) when it lands in the
+/// cursor's run or the next one; other queries fall back to a binary
+/// search. Predictors sharing a table never see each other's queries,
+/// and `Clone` shares the table and copies the cursor.
 #[derive(Debug, Clone)]
 pub struct LookaheadMaxPredictor {
-    table: LookaheadMaxTable,
+    table: Arc<LookaheadMaxTable>,
     /// Table run of the last [`Predictor::predict`] inside the trace.
     cursor: usize,
 }
 
 impl LookaheadMaxPredictor {
-    /// Precompute the windowed maxima for `trace` (O(n)).
+    /// Precompute the windowed maxima for `trace` (O(n)) into a table of
+    /// this predictor's own.
     pub fn new(trace: &LoadTrace, horizon: u64) -> Self {
-        LookaheadMaxPredictor {
-            table: LookaheadMaxTable::new(&trace.rates, horizon),
-            cursor: 0,
-        }
+        Self::from_table(Arc::new(LookaheadMaxTable::new(&trace.rates, horizon)))
+    }
+
+    /// A predictor reading a table built once and shared, e.g. by every
+    /// cell that replays the same trace with the same horizon.
+    pub fn from_table(table: Arc<LookaheadMaxTable>) -> Self {
+        LookaheadMaxPredictor { table, cursor: 0 }
     }
 
     /// The look-ahead horizon in seconds.

@@ -15,13 +15,20 @@
 //!
 //! A lookup is a binary search over the runs, or O(1) from a forward
 //! cursor (what [`crate::LookaheadMaxPredictor`] keeps across a replay);
-//! the next change-point is the next run's start.
+//! the next change-point is the next run's start. The cursor lives in the
+//! predictor, not the table, so one table serves every replay of the same
+//! trace and horizon.
 
 use std::collections::VecDeque;
 
 /// Precomputed look-ahead window maxima: `max(rates[t .. t + horizon])`
 /// for every `t`, windows clamped at the end of the trace, stored as
 /// maximal runs of constant value.
+///
+/// Immutable once built, and a function of the rates and the horizon
+/// alone: share one table (behind an `Arc`) among all the predictors that
+/// replay the same trace with the same horizon; each
+/// [`crate::LookaheadMaxPredictor`] keeps its own cursor.
 #[derive(Debug, Clone)]
 pub struct LookaheadMaxTable {
     horizon: u64,

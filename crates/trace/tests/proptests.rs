@@ -1,5 +1,7 @@
 //! Property-based tests for traces, windows and predictors.
 
+use std::sync::Arc;
+
 use bml_trace::predictor::{LookaheadMaxPredictor, Predictor};
 use bml_trace::trace::LoadTrace;
 use bml_trace::window::{naive_lookahead_max, LookaheadMaxTable};
@@ -97,6 +99,40 @@ proptest! {
         for now in (0..n + 3).rev().chain(probes) {
             prop_assert_eq!(p.predict(now), naive_lookahead_max(&rates, now, horizon), "now = {}", now);
             prop_assert_eq!(p.next_change(now), table.next_change(now), "now = {}", now);
+        }
+    }
+
+    #[test]
+    fn plateau_predictors_sharing_a_table_answer_like_their_own(
+        rates in arb_plateaus(),
+        horizon in 1u64..500,
+        probes in proptest::collection::vec(0u64..7_000, 0..200),
+    ) {
+        // Two predictors over one table, queried in turn: one walks
+        // forward, the other backwards and then at random points. Each
+        // must answer exactly like a predictor with a table of its own.
+        let trace = LoadTrace::new(0, rates);
+        let table = Arc::new(LookaheadMaxTable::new(&trace.rates, horizon));
+        let mut shared = [
+            LookaheadMaxPredictor::from_table(Arc::clone(&table)),
+            LookaheadMaxPredictor::from_table(table),
+        ];
+        let mut own = [
+            LookaheadMaxPredictor::new(&trace, horizon),
+            LookaheadMaxPredictor::new(&trace, horizon),
+        ];
+        let n = trace.len();
+        let queries: [Vec<u64>; 2] = [
+            (0..n + 3).collect(),
+            (0..n + 3).rev().chain(probes).collect(),
+        ];
+        for step in 0..queries[0].len().max(queries[1].len()) {
+            for k in 0..2 {
+                if let Some(&now) = queries[k].get(step) {
+                    prop_assert_eq!(shared[k].predict(now), own[k].predict(now), "predictor {} now = {}", k, now);
+                    prop_assert_eq!(shared[k].next_change(now), own[k].next_change(now), "predictor {} now = {}", k, now);
+                }
+            }
         }
     }
 
