@@ -67,14 +67,36 @@
 //!
 //! The backtrack needs every segment's cost vector, and an 87-day worldcup
 //! trace has millions of segments. The forward pass therefore keeps one
-//! checkpoint every `ceil(sqrt(S))` segments, and the backtrack re-runs
-//! one window at a time from its checkpoint into a single reused buffer
-//! of `ceil(sqrt(S))` rows: `O(K * sqrt(S))` memory for `K` states and
-//! `S` segments, for the price of a second forward pass. Checkpoints and
-//! window rows hold only the `K` state values, copied run by run out of
-//! the lattice vector; a window restarts by copying its checkpoint's runs
-//! back into a lattice of `INF`. Both passes reuse that one lattice
-//! vector.
+//! checkpoint every `ceil(sqrt(S))` segments, `O(K * sqrt(S))` memory for
+//! `K` states and `S` segments, and the backtrack re-runs each window of
+//! `ceil(sqrt(S))` rows from its checkpoint, for the price of a second
+//! forward pass. The windows go through a fixed pool of `T + 1` window
+//! buffers, allocated before the backtrack starts (one buffer when
+//! `T = 1`; `T` is below), so the buffers take `O(T * K * sqrt(S))`.
+//! Checkpoints and window rows hold only the `K` state values, copied run
+//! by run out of a lattice vector; a window restarts by copying its
+//! checkpoint's runs back into its buffer's own lattice of `INF`.
+//!
+//! ## Concurrency
+//!
+//! The backtrack runs two steps per window. The first recomputes window
+//! `c`'s rows from checkpoint `c` and depends on nothing else. The second
+//! runs the argmin chain over those rows, last segment first; it needs
+//! the state the chain chose just after the window, so windows chain
+//! strictly in descending order. With `T = rayon::current_num_threads()`
+//! above 1, `T` scoped workers recompute windows round-robin in
+//! descending order while the calling thread chains them; at `T = 1` the
+//! caller runs both steps itself and spawns nothing. A top-level solve
+//! gets every core; a solve inside a parallel map gets its worker's share
+//! of the map's cap, so the grid's concurrent solves under `--threads N`
+//! never recompute on more than `N` threads (one each, inline, at `N = 2`
+//! and six solves).
+//!
+//! No bit moves with `T`. A row is the same float computation from the
+//! same checkpoint whichever thread runs it, and the chain reads the rows
+//! in the same order on one thread. The beam's prune count comes from the
+//! forward pass alone. The forward pass and the chain stay sequential,
+//! and they now bound the solve.
 //!
 //! ## Trust, but verify
 //!
@@ -90,7 +112,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::mpsc;
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::{PowerCurve, SplitPolicy};
@@ -271,12 +294,6 @@ struct Dp<'a> {
     /// cell of a cost vector is `INF` between boundaries.
     runs: Vec<StateRun>,
     beam: Option<usize>,
-    /// Running count of beam-pruned states (interior mutability because
-    /// pruning happens under `&self`); the forward-pass snapshot is what
-    /// [`OptimalSchedule::states_pruned`] reports — the backtrack's
-    /// window recomputations re-prune the same boundaries and must not
-    /// inflate it.
-    pruned: std::cell::Cell<u64>,
 }
 
 /// Memory strides of a count lattice with `lens[a]` positions on axis
@@ -317,20 +334,19 @@ impl<'a> Dp<'a> {
 
         // Distinct loads (indexed in order of first appearance) and the
         // segment list.
-        let mut load_idx: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut load_idx: HashMap<u64, u32> = HashMap::new();
+        let mut loads: Vec<f64> = Vec::new();
         let mut segs: Vec<Seg> = Vec::new();
         for seg in trace.constant_runs() {
-            let next = load_idx.len() as u32;
-            let load = *load_idx.entry(seg.value.to_bits()).or_insert(next);
+            let load = *load_idx.entry(seg.value.to_bits()).or_insert_with(|| {
+                loads.push(seg.value);
+                loads.len() as u32 - 1
+            });
             segs.push(Seg {
                 start: seg.start as u32,
                 len: seg.len() as u32,
                 load,
             });
-        }
-        let mut loads = vec![0.0f64; load_idx.len()];
-        for (&bits, &i) in &load_idx {
-            loads[i as usize] = f64::from_bits(bits);
         }
 
         // Candidate states: the combination table's answer for every
@@ -429,7 +445,6 @@ impl<'a> Dp<'a> {
             rank_of,
             runs,
             beam: opts.beam_width,
-            pruned: std::cell::Cell::new(0),
         }
     }
 
@@ -465,20 +480,19 @@ impl<'a> Dp<'a> {
 
     /// Beam pruning of a lattice cost vector: keep the `w` cheapest
     /// finite states (ties broken by state index for determinism), INF
-    /// out the rest.
-    fn prune(&self, cells: &mut [f64]) {
-        let Some(w) = self.beam else { return };
+    /// out the rest. Returns how many states it INF'd out.
+    fn prune(&self, cells: &mut [f64]) -> u64 {
+        let Some(w) = self.beam else { return 0 };
         let cost = |s: usize| cells[self.cell_of[s]];
         let mut order: Vec<usize> = (0..self.k()).filter(|&s| cost(s).is_finite()).collect();
         if order.len() <= w {
-            return;
+            return 0;
         }
         order.sort_by(|&x, &y| cost(x).partial_cmp(&cost(y)).unwrap().then(x.cmp(&y)));
-        self.pruned
-            .set(self.pruned.get() + (order.len() - w) as u64);
         for &s in &order[w..] {
             cells[self.cell_of[s]] = INF;
         }
+        (order.len() - w) as u64
     }
 
     /// Min-plus transition across boundary `tau`, in place on a lattice
@@ -575,10 +589,11 @@ impl<'a> Dp<'a> {
         }
     }
 
-    /// Forward pass + windowed backtrack. Returns the optimal state per
-    /// segment plus the forward pass's beam-prune count, or `None` when
-    /// the (beam-pruned) DP dead-ends.
-    fn solve_path(&self) -> Option<(Vec<usize>, u64)> {
+    /// Forward pass + windowed backtrack, with up to `workers` threads
+    /// recomputing the backtrack's windows (see [`pipeline`]). Returns the
+    /// optimal state per segment plus the forward pass's beam-prune count,
+    /// or `None` when the (beam-pruned) DP dead-ends.
+    fn solve_path(&self, workers: usize) -> Option<(Vec<usize>, u64)> {
         let k = self.k();
         let s_count = self.segs.len();
         let rows = window_rows(s_count);
@@ -592,15 +607,15 @@ impl<'a> Dp<'a> {
         self.scatter(&first, &mut cells);
         // Forward pass, checkpointing the (pruned) cost vector at every
         // window start.
+        let mut pruned = 0;
         let mut checkpoints = vec![INF; s_count.div_ceil(rows) * k];
         for i in 0..s_count - 1 {
-            self.prune(&mut cells);
+            pruned += self.prune(&mut cells);
             if i % rows == 0 {
                 self.gather(&cells, &mut checkpoints[i / rows * k..][..k]);
             }
             self.cross(&mut cells, self.segs[i + 1]);
         }
-        let forward_pruned = self.pruned.get();
         let (mut best_s, mut best_v) = (usize::MAX, INF);
         for (s, &cell) in self.cell_of.iter().enumerate() {
             if cells[cell] < best_v {
@@ -614,59 +629,82 @@ impl<'a> Dp<'a> {
 
         let mut path = vec![0usize; s_count];
         path[s_count - 1] = best_s;
-        // Row `r` of the window holds the pruned dp_{w0 + r}, recomputed
-        // from the window's checkpoint, in lattice order.
-        let mut window = vec![INF; rows * k];
-        let mut hi = s_count - 1;
-        while hi > 0 {
-            let c = (hi - 1) / rows;
-            let w0 = c * rows;
-            let checkpoint = &checkpoints[c * k..][..k];
-            window[..k].copy_from_slice(checkpoint);
-            self.scatter(checkpoint, &mut cells);
-            for r in 1..hi - w0 {
-                self.cross(&mut cells, self.segs[w0 + r]);
-                self.prune(&mut cells); // the same beam the forward pass saw
-                self.gather(&cells, &mut window[r * k..][..k]);
-            }
-            for i in (w0..hi).rev() {
-                let dp_i = &window[(i - w0) * k..][..k];
-                let b = path[i + 1];
-                let tau = u64::from(self.segs[i + 1].start);
-                // Seeding the scan with staying put lets it skip every
-                // `a` whose cost is `>= best_c` unpriced: profiles forbid
-                // negative energies, so transition prices are >= 0 and
-                // such an `a` can never win. The seed cannot change the
-                // outcome: when staying ties the minimum it is chosen by
-                // the tie rule below anyway, and otherwise the scan still
-                // ends on the lowest-index minimizer. The scan walks the
-                // states in index order through `rank_of`, so that holds
-                // although the row is in lattice order.
-                let stay = dp_i[self.rank_of[b]];
-                let (mut best_a, mut best_c) = (b, stay);
-                for (a, &rank) in self.rank_of.iter().enumerate() {
-                    let v = dp_i[rank];
-                    if v >= best_c {
-                        continue;
-                    }
-                    let cost = v + self.trans_cost(a, b, tau);
-                    if cost < best_c {
-                        best_c = cost;
-                        best_a = a;
-                    }
-                }
-                debug_assert!(best_c.is_finite(), "reachable state has a predecessor");
-                // Prefer staying put on (float-) ties: fewer records, and
-                // the common no-reconfiguration case short-circuits.
-                path[i] = if stay <= best_c + 1e-9 * best_c.abs() + 1e-6 {
-                    b
-                } else {
-                    best_a
-                };
-            }
-            hi = w0;
+        pipeline(
+            (s_count - 1).div_ceil(rows),
+            workers,
+            || Window::new(self.box_size, rows * k),
+            |c, window| self.recompute(c, rows, &checkpoints, window),
+            |c, window| self.chain(c, rows, &window.rows, &mut path),
+        );
+        Some((path, pruned))
+    }
+
+    /// The segments backtrack window `c` covers: from its checkpoint to
+    /// the next window's, or to the last segment, whose state the forward
+    /// pass's argmin already fixed.
+    fn window_span(&self, c: usize, rows: usize) -> std::ops::Range<usize> {
+        let w0 = c * rows;
+        w0..(w0 + rows).min(self.segs.len() - 1)
+    }
+
+    /// The backtrack's first step for window `c`: row `r` of
+    /// `window.rows` becomes the pruned cost vector through segment
+    /// `c * rows + r`, re-run from checkpoint `c` alone, in lattice order.
+    fn recompute(&self, c: usize, rows: usize, checkpoints: &[f64], window: &mut Window) {
+        let k = self.k();
+        let span = self.window_span(c, rows);
+        let checkpoint = &checkpoints[c * k..][..k];
+        let (cells, window_rows) = window.split();
+        window_rows[..k].copy_from_slice(checkpoint);
+        self.scatter(checkpoint, cells);
+        for r in 1..span.len() {
+            self.cross(cells, self.segs[span.start + r]);
+            self.prune(cells); // the same beam the forward pass saw
+            self.gather(cells, &mut window_rows[r * k..][..k]);
         }
-        Some((path, forward_pruned))
+    }
+
+    /// The backtrack's second step for window `c`: the argmin chain over
+    /// its recomputed `rows`, last segment first, each choice reading the
+    /// state `path` already holds for the segment after it.
+    fn chain(&self, c: usize, rows: usize, window: &[f64], path: &mut [usize]) {
+        let k = self.k();
+        let span = self.window_span(c, rows);
+        for i in span.clone().rev() {
+            let dp_i = &window[(i - span.start) * k..][..k];
+            let b = path[i + 1];
+            let tau = u64::from(self.segs[i + 1].start);
+            // Seeding the scan with staying put lets it skip every `a`
+            // whose cost is `>= best_c` unpriced: profiles forbid negative
+            // energies, so transition prices are >= 0 and such an `a` can
+            // never win. The seed cannot change the outcome: when staying
+            // ties the minimum it is chosen by the tie rule below anyway,
+            // and otherwise the scan still ends on the lowest-index
+            // minimizer. The scan walks the states in index order through
+            // `rank_of`, so that holds although the row is in lattice
+            // order.
+            let stay = dp_i[self.rank_of[b]];
+            let (mut best_a, mut best_c) = (b, stay);
+            for (a, &rank) in self.rank_of.iter().enumerate() {
+                let v = dp_i[rank];
+                if v >= best_c {
+                    continue;
+                }
+                let cost = v + self.trans_cost(a, b, tau);
+                if cost < best_c {
+                    best_c = cost;
+                    best_a = a;
+                }
+            }
+            debug_assert!(best_c.is_finite(), "reachable state has a predecessor");
+            // Prefer staying put on (float-) ties: fewer records, and the
+            // common no-reconfiguration case short-circuits.
+            path[i] = if stay <= best_c + 1e-9 * best_c.abs() + 1e-6 {
+                b
+            } else {
+                best_a
+            };
+        }
     }
 
     /// Total energy of a state path, priced canonically (serve + direct
@@ -736,6 +774,117 @@ impl<'a> Dp<'a> {
     }
 }
 
+/// `f64`s of padding on each side of a [`Window`]'s lattice vector: 128
+/// bytes, a cache line pair. Every boundary rewrites the whole vector, so
+/// a line it shared with another worker's buffer would bounce between
+/// cores on every segment; that cost the concurrent recompute a third of
+/// its speed on a 2-core host.
+const PAD: usize = 16;
+
+/// One backtrack window buffer: the lattice vector its rows are re-run
+/// in (padded by [`PAD`] on each side) and the rows themselves
+/// (`ceil(sqrt(S))` rows of `K` state values).
+struct Window {
+    padded_cells: Vec<f64>,
+    rows: Vec<f64>,
+}
+
+impl Window {
+    fn new(box_size: usize, row_values: usize) -> Self {
+        Window {
+            padded_cells: vec![INF; box_size + 2 * PAD],
+            rows: vec![INF; row_values],
+        }
+    }
+
+    /// The lattice vector and the rows, both writable.
+    fn split(&mut self) -> (&mut [f64], &mut [f64]) {
+        let n = self.padded_cells.len() - 2 * PAD;
+        (&mut self.padded_cells[PAD..][..n], &mut self.rows)
+    }
+}
+
+/// Drive the backtrack's two steps over windows `n_windows - 1` down to
+/// 0: `recompute(c, buf)` fills a buffer from window `c`'s checkpoint
+/// alone, then `chain(c, buf)` reads it. `chain` runs on the calling
+/// thread and sees every window once, in strictly descending order,
+/// whatever `workers` is.
+///
+/// `workers` is clamped to the window count. At 1 the caller runs both
+/// steps itself, one window at a time into one buffer, and spawns
+/// nothing. Otherwise `workers` scoped threads recompute — worker `j`
+/// takes the `j`-th, `(j + workers)`-th, ... window in descending order —
+/// into a fixed pool of `workers + 1` buffers made before any worker
+/// starts: one per worker and the caller's spare. Before the caller waits
+/// for a window it queues its spare with that window's worker, for the
+/// worker's next window, so a worker never waits for the caller to wake
+/// up. The buffer for the window the caller waits for was queued one
+/// round earlier, so the hand-off cannot deadlock.
+///
+/// A panicking worker drops its channel; the caller then resumes that
+/// worker's panic instead of waiting for a window that never comes.
+fn pipeline<B: Send>(
+    n_windows: usize,
+    workers: usize,
+    mut new_buffer: impl FnMut() -> B,
+    recompute: impl Fn(usize, &mut B) + Sync,
+    mut chain: impl FnMut(usize, &B),
+) {
+    let workers = workers.min(n_windows);
+    if workers <= 1 {
+        let mut buf = new_buffer();
+        for c in (0..n_windows).rev() {
+            recompute(c, &mut buf);
+            chain(c, &buf);
+        }
+        return;
+    }
+    let buffers: Vec<B> = (0..workers).map(|_| new_buffer()).collect();
+    let mut spare = new_buffer();
+    std::thread::scope(|scope| {
+        let recompute = &recompute;
+        let mut lanes: Vec<_> = buffers
+            .into_iter()
+            .enumerate()
+            .map(|(j, buf)| {
+                // A lane holds at most one filled buffer and two free ones
+                // (this window's and the next's), so the sends never block,
+                // and the channels allocate only here.
+                let (filled_tx, filled_rx) = mpsc::sync_channel::<B>(1);
+                let (free_tx, free_rx) = mpsc::sync_channel::<B>(2);
+                free_tx.send(buf).expect("the receiver is in scope");
+                let worker = scope.spawn(move || {
+                    for c in (0..n_windows).rev().skip(j).step_by(workers) {
+                        // A closed channel means the caller is unwinding.
+                        let Ok(mut buf) = free_rx.recv() else { return };
+                        recompute(c, &mut buf);
+                        if filled_tx.send(buf).is_err() {
+                            return;
+                        }
+                    }
+                });
+                (filled_rx, free_tx, Some(worker))
+            })
+            .collect();
+        for (m, c) in (0..n_windows).rev().enumerate() {
+            let (filled, free, worker) = &mut lanes[m % workers];
+            if m + workers < n_windows {
+                // The worker may have died; its panic surfaces below.
+                let _ = free.send(spare);
+            }
+            let Ok(buf) = filled.recv() else {
+                let worker = worker.take().expect("a lane fails once");
+                let payload = worker
+                    .join()
+                    .expect_err("only a panic ends a worker before its last window");
+                std::panic::resume_unwind(payload);
+            };
+            chain(c, &buf);
+            spare = buf;
+        }
+    });
+}
+
 /// One relaxation: `min(cur, src + price)`, written so it compiles to a
 /// branch-free `minsd`/`minpd`. Costs are never NaN, so this is exactly
 /// the compare-and-assign it replaces.
@@ -792,7 +941,7 @@ pub fn solve(
         });
     }
     let dp = Dp::build(trace, bml, split, opts);
-    let (path, states_pruned) = dp.solve_path()?;
+    let (path, states_pruned) = dp.solve_path(rayon::current_num_threads())?;
     Some(OptimalSchedule {
         energy_j: dp.path_energy(&path),
         initial: dp.states[path[0]].clone(),
@@ -988,6 +1137,102 @@ mod tests {
             (169_936, 413),
         ] {
             assert_eq!(window_rows(segments), rows, "{segments} segments");
+        }
+    }
+
+    /// A trace of exactly `n` constant-load runs that reconfigures often.
+    fn steps(n: usize) -> LoadTrace {
+        const LEVELS: [f64; 7] = [40.0, 1400.0, 9.0, 529.0, 2600.0, 0.0, 120.0];
+        const LENS: [usize; 5] = [300, 20, 700, 190, 45];
+        let mut rates = Vec::new();
+        for i in 0..n {
+            rates.extend(std::iter::repeat_n(
+                LEVELS[i % LEVELS.len()],
+                LENS[i % LENS.len()],
+            ));
+        }
+        LoadTrace::new(0, rates)
+    }
+
+    #[test]
+    fn pipelined_backtrack_matches_inline() {
+        // 1 and 2 segments; rows^2 and rows^2 + 1 segments (rows 4 -> 5
+        // and 7 -> 8); and fewer windows than workers (2 segments make 1
+        // window, 5 make 2, 16 and 17 make 4).
+        let bml = bml();
+        let beam = OptOptions {
+            beam_width: Some(3),
+            extra_states: vec![],
+        };
+        for n in [1, 2, 5, 16, 17, 49, 50] {
+            let trace = steps(n);
+            for opts in [&OptOptions::default(), &beam] {
+                let dp = Dp::build(&trace, &bml, greedy(), opts);
+                assert_eq!(dp.segs.len(), n);
+                let inline = dp.solve_path(1);
+                for workers in [2, 3, 8] {
+                    assert_eq!(
+                        dp.solve_path(workers),
+                        inline,
+                        "{n} segments, beam {:?}, {workers} workers",
+                        opts.beam_width
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_chains_every_window_once_in_descending_order() {
+        let caller = std::thread::current().id();
+        for (n_windows, workers) in [(0, 4), (1, 4), (2, 8), (7, 1), (7, 2), (7, 3), (40, 3)] {
+            let mut made = 0;
+            let mut seen = Vec::new();
+            pipeline(
+                n_windows,
+                workers,
+                || {
+                    made += 1;
+                    None
+                },
+                |c, buf| *buf = Some((c, std::thread::current().id())),
+                |c, buf| seen.push((c, *buf)),
+            );
+            let active = workers.min(n_windows);
+            for (i, (c, buf)) in seen.iter().enumerate() {
+                let (filled_for, on) = buf.expect("recomputed before chained");
+                assert_eq!((*c, filled_for), (n_windows - 1 - i, n_windows - 1 - i));
+                // One active worker means the caller recomputes inline.
+                assert_eq!(
+                    on == caller,
+                    active <= 1,
+                    "{n_windows} windows, {workers} workers"
+                );
+            }
+            assert_eq!(seen.len(), n_windows);
+            let buffers = if active <= 1 { 1 } else { active + 1 };
+            assert_eq!(made, buffers, "{n_windows} windows, {workers} workers");
+        }
+    }
+
+    #[test]
+    fn pipeline_resumes_a_worker_panic() {
+        for workers in [1, 2, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                pipeline(
+                    6,
+                    workers,
+                    || (),
+                    |c, ()| assert!(c != 3, "window 3 failed"),
+                    |_, ()| {},
+                );
+            });
+            let payload = caught.expect_err("the panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"window 3 failed"),
+                "{workers} workers"
+            );
         }
     }
 
@@ -1240,12 +1485,12 @@ mod tests {
         let k = dp.k();
         let mut cells = vec![INF; dp.box_size];
         dp.scatter(&vec![7.0; k], &mut cells);
-        dp.prune(&mut cells);
+        let pruned = dp.prune(&mut cells);
         let kept: Vec<usize> = (0..k)
             .filter(|&s| cells[dp.cell_of[s]].is_finite())
             .collect();
         assert_eq!(kept, (0..width).collect::<Vec<_>>());
-        assert_eq!(dp.pruned.get(), (k - width) as u64);
+        assert_eq!(pruned, (k - width) as u64);
         assert_eq!(cells.iter().filter(|v| v.is_finite()).count(), width);
     }
 

@@ -14,6 +14,10 @@
 //! shares the exact DP's forward pass and backtrack, and its prune count
 //! and tie-broken survivors must not move either.
 //!
+//! Both tables are solved under every cap in [`THREADS`]: the backtrack
+//! recomputes its windows on as many threads as the cap allows, and no
+//! cap may move a bit of either table.
+//!
 //! On a mismatch the assertion prints the whole actual table in the
 //! table's own format.
 
@@ -63,6 +67,17 @@ const BEAM_GOLDEN: &[(&str, Option<BeamSolve>)] = &[
     ("tournament/table1/beam3", None),
     ("tournament/table1/beam16", Some((0x4142026abe712bc1, 255651, 0x1179145bf36b7700))),
 ];
+
+/// Thread caps both tables are solved under (1 = the backtrack runs
+/// inline on the caller).
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+}
 
 const SPLITS: [(&str, SplitPolicy); 2] = [
     ("efficiency-greedy", SplitPolicy::EfficiencyGreedy),
@@ -159,8 +174,8 @@ fn pin(case: String, trace: &LoadTrace, bml: &BmlInfrastructure, split: SplitPol
     )
 }
 
-#[test]
-fn optima_match_the_golden_table() {
+/// The golden cases' actual pins, in table order.
+fn optima() -> Vec<Pin> {
     let mut actual: Vec<Pin> = Vec::new();
     let slice = tournament_slice();
     for (name, bml) in catalogs() {
@@ -195,19 +210,32 @@ fn optima_match_the_golden_table() {
             greedy,
         ));
     }
+    actual
+}
+
+#[test]
+fn optima_match_the_golden_table() {
     let want: Vec<Pin> = GOLDEN
         .iter()
         .map(|&(case, e, k, r, d)| (case.to_string(), e, k, r, d))
         .collect();
-    let rendered: String = actual
-        .iter()
-        .map(|(case, e, k, r, d)| format!("    (\"{case}\", {e:#018x}, {k}, {r}, {d:#018x}),\n"))
-        .collect();
-    assert!(actual == want, "optima drifted; actual table:\n{rendered}");
+    for threads in THREADS {
+        let actual = pool(threads).install(optima);
+        let rendered: String = actual
+            .iter()
+            .map(|(case, e, k, r, d)| {
+                format!("    (\"{case}\", {e:#018x}, {k}, {r}, {d:#018x}),\n")
+            })
+            .collect();
+        assert!(
+            actual == want,
+            "optima drifted under {threads} threads; actual table:\n{rendered}"
+        );
+    }
 }
 
-#[test]
-fn beam_optima_match_the_golden_table() {
+/// The beam cases' actual pins, in table order.
+fn beam_optima() -> Vec<BeamPin> {
     let table1 = BmlInfrastructure::build(&catalog::table1()).unwrap();
     let split = SplitPolicy::EfficiencyGreedy;
     let mut actual: Vec<BeamPin> = Vec::new();
@@ -230,19 +258,29 @@ fn beam_optima_match_the_golden_table() {
             actual.push((case, solved));
         }
     }
+    actual
+}
+
+#[test]
+fn beam_optima_match_the_golden_table() {
     let want: Vec<BeamPin> = BEAM_GOLDEN
         .iter()
         .map(|&(case, solved)| (case.to_string(), solved))
         .collect();
-    let rendered: String = actual
-        .iter()
-        .map(|(case, solved)| match solved {
-            Some((e, p, d)) => format!("    (\"{case}\", Some(({e:#018x}, {p}, {d:#018x}))),\n"),
-            None => format!("    (\"{case}\", None),\n"),
-        })
-        .collect();
-    assert!(
-        actual == want,
-        "beam optima drifted; actual table:\n{rendered}"
-    );
+    for threads in THREADS {
+        let actual = pool(threads).install(beam_optima);
+        let rendered: String = actual
+            .iter()
+            .map(|(case, solved)| match solved {
+                Some((e, p, d)) => {
+                    format!("    (\"{case}\", Some(({e:#018x}, {p}, {d:#018x}))),\n")
+                }
+                None => format!("    (\"{case}\", None),\n"),
+            })
+            .collect();
+        assert!(
+            actual == want,
+            "beam optima drifted under {threads} threads; actual table:\n{rendered}"
+        );
+    }
 }

@@ -12,6 +12,8 @@
 //!   achievable with BML... dimensioned every second with the ideal
 //!   combination", no On/Off latency or energy: unreachable floor.
 
+use std::collections::HashMap;
+
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::{config_power, PowerCurve, SplitPolicy};
 use bml_core::profile::ArchProfile;
@@ -112,8 +114,12 @@ pub fn upper_bound_per_day(
 /// BML scenario rather than using the combination's nominal assignment.
 ///
 /// The per-second combination comes from the infrastructure's precomputed
-/// [`bml_core::table::CombinationTable`] into a reused buffer — the 1 Hz
-/// loop allocates nothing per step.
+/// [`bml_core::table::CombinationTable`], and it and its power are priced
+/// once per distinct load (memoized by the load's bits): a worldcup week
+/// has 464 distinct loads over 588,391 constant-load runs. The loop
+/// allocates only when it meets a new load. Every run
+/// still adds its own span to the meter, in trace order, so the daily
+/// energies are the same sums as pricing every run afresh.
 pub fn lower_bound_theoretical(
     trace: &LoadTrace,
     bml: &BmlInfrastructure,
@@ -123,13 +129,16 @@ pub fn lower_bound_theoretical(
     let mut qos = QosReport::default();
     let table = bml.combination_table();
     let mut counts = vec![0u32; bml.n_archs()];
+    let mut power_at: HashMap<u64, f64> = HashMap::new();
     // The ideal combination and its power are pure functions of the load,
-    // so the replay batches over maximal constant-load runs — one table
+    // so the replay batches over maximal constant-load runs — one memo
     // lookup and one meter update per run (the meter splits day
     // boundaries internally).
     for seg in trace.constant_runs() {
-        table.counts_into(seg.value, &mut counts);
-        let (w, _) = config_power(bml.candidates(), &counts, seg.value, split);
+        let w = *power_at.entry(seg.value.to_bits()).or_insert_with(|| {
+            table.counts_into(seg.value, &mut counts);
+            config_power(bml.candidates(), &counts, seg.value, split).0
+        });
         meter.accumulate_span(w, seg.len());
         qos.record_span(seg.value, seg.value, seg.len()); // always covered
     }
