@@ -115,7 +115,7 @@ fn bench_engine_replay(c: &mut Criterion) {
             assert_eq!(
                 r.stepping_effective, stepping,
                 "engine_replay/{flavor}: requested {stepping:?} but ran \
-                 {:?} — a silent fallback would fake the speedup",
+                 {:?} — running another loop would fake the speedup",
                 r.stepping_effective
             );
             walls[i] = best_wall;

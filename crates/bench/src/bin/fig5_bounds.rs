@@ -164,10 +164,6 @@ fn main() {
         let scenarios = json_rows
             .iter()
             .map(|s| {
-                let effective = match s.stepping_effective {
-                    bml_sim::Stepping::PerSecond => "per-second",
-                    bml_sim::Stepping::EventDriven => "event",
-                };
                 json::Object::new()
                     .str("name", &s.name)
                     .num("total_energy_j", s.total_energy_j)
@@ -176,7 +172,10 @@ fn main() {
                     .int("reconfigurations", s.reconfigurations)
                     .int("nodes_switched_on", s.nodes_switched_on)
                     .num("qos_shortfall", s.qos.shortfall_fraction())
-                    .str("stepping_effective", effective)
+                    .str(
+                        "stepping_effective",
+                        bml_grid::spec::stepping_label(s.stepping_effective),
+                    )
             })
             .collect();
         let summary = json::Object::new()
@@ -217,7 +216,6 @@ fn main() {
             rec.count("engine.failure_epochs", s.failures_injected);
             rec.count("engine.segments_batched", s.segments_batched);
             rec.count("engine.events_skipped", s.events_skipped);
-            rec.count("engine.fallback_unsegmented", s.fallback_unsegmented);
             rec.count("engine.violation_seconds", s.qos.violation_seconds);
             rec.count("scenarios.run", 1);
         }

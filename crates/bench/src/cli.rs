@@ -25,8 +25,8 @@ pub const USAGE: &str = "usage: [--seed N] [--days N] [--window S] [--csv] \
 pub struct Args {
     /// RNG seed (default 1998, the shipped experiment seed).
     pub seed: u64,
-    /// Number of trace days to simulate; `None` when `--days` was not
-    /// given, so each binary applies its own default (the paper's 87 for
+    /// Number of trace days to simulate (at least 1); `None` when `--days`
+    /// was not given, so each binary applies its own default (the paper's 87 for
     /// the figure replays, smaller for the repeated sweeps) without
     /// mistaking an explicit request for the default. Read through
     /// [`Args::days_or`].
@@ -119,7 +119,13 @@ impl Args {
             };
             match flag.as_str() {
                 "--seed" => out.seed = parse_num(&value("--seed")?, "--seed")?,
-                "--days" => out.days = Some(parse_num(&value("--days")?, "--days")?),
+                "--days" => {
+                    let d: u32 = parse_num(&value("--days")?, "--days")?;
+                    if d == 0 {
+                        return Err(format!("--days must be at least 1\n{USAGE}"));
+                    }
+                    out.days = Some(d);
+                }
                 "--window" => {
                     let w: u64 = parse_num(&value("--window")?, "--window")?;
                     if w == 0 {
@@ -357,6 +363,9 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         let err = try_parse(&["--window", "0"]).unwrap_err();
         assert!(err.contains("--window must be at least 1 s"), "{err}");
+        let err = try_parse(&["--days", "0"]).unwrap_err();
+        assert!(err.contains("--days must be at least 1"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
         let err = try_parse(&["--stepping", "warp"]).unwrap_err();
         assert!(err.contains("bad value 'warp' for --stepping"), "{err}");
     }

@@ -3,7 +3,7 @@
 //! event-driven loop and the per-second reference loop, and the two must
 //! agree — discrete outcomes exactly, energies within 1e-9 relative
 //! (`ScenarioResult::check_replay_equivalent`). Both loops share the
-//! compiled power curves, the schedulers' steady-decision memos and the
+//! compiled power curves, the scheduler's steady-decision memo and the
 //! run-length look-ahead table, so a divergence in any of them fails
 //! `cargo test` here before CI's 2-day grid comparison sees it.
 

@@ -23,7 +23,9 @@
 //! 4. [`combination`] — Step 5 ideal machine combinations;
 //! 5. [`bml::BmlInfrastructure`] — everything assembled;
 //! 6. [`scheduler::ProActiveScheduler`] + [`reconfig`] — the dynamic
-//!    reconfiguration engine with switch on/off overheads.
+//!    reconfiguration engine with switch on/off overheads, picking its
+//!    targets by [`scheduler::SchedulerKind`]: the paper's ideal
+//!    combination, or the Sec. VI [`transition_aware`] ranking.
 //!
 //! ## Quickstart
 //!
@@ -43,7 +45,7 @@
 //! assert_eq!(combo.counts(3), vec![0, 3, 1]);
 //!
 //! // Drive the pro-active scheduler.
-//! let mut sched = ProActiveScheduler::new(bml.n_archs());
+//! let mut sched = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
 //! match sched.decide(0, 100.0, &bml) {
 //!     Decision::Reconfigure(plan) => assert_eq!(plan.nodes_switched_on(), 4),
 //!     other => panic!("unexpected: {other:?}"),
@@ -75,9 +77,9 @@ pub mod prelude {
     pub use crate::errors::BmlError;
     pub use crate::profile::ArchProfile;
     pub use crate::reconfig::{Configuration, ReconfigPlan};
-    pub use crate::scheduler::{paper_window_length, Decision, ProActiveScheduler};
+    pub use crate::scheduler::{paper_window_length, Decision, ProActiveScheduler, SchedulerKind};
     pub use crate::table::CombinationTable;
-    pub use crate::transition_aware::{TransitionAwareConfig, TransitionAwareScheduler};
+    pub use crate::transition_aware::TransitionAwareConfig;
 }
 
 #[cfg(test)]

@@ -3,16 +3,24 @@
 //! At each time step the scheduler receives a load *prediction* (the paper
 //! emulates prediction with the maximum real load over a sliding look-ahead
 //! window of `2 x` the longest switch-on duration — 378 s for Table I
-//! hardware). It computes the ideal BML combination for that prediction
-//! and, if it differs from the current hardware configuration, launches a
+//! hardware). It picks a target configuration for that prediction and, if
+//! it differs from the current hardware configuration, launches a
 //! reconfiguration. While a reconfiguration is in flight **no other
 //! decision can be made**; the next prediction window starts from the
 //! reconfiguration completion time. Otherwise the window slides one time
 //! step forward.
+//!
+//! [`ProActiveScheduler`] is the one scheduler state machine: the lock-out,
+//! the steady-decision memo, the counters and the commit are shared by
+//! every [`SchedulerKind`], which only decides how the target is picked —
+//! the ideal BML combination (the paper's scheduler), or the cheapest
+//! candidate of [`crate::transition_aware::score_candidates`] (the Sec. VI
+//! transition-aware variant).
 
 use crate::bml::BmlInfrastructure;
 use crate::profile::ArchProfile;
 use crate::reconfig::{plan_reconfiguration, Configuration, ReconfigPlan};
+use crate::transition_aware::{score_candidates, TransitionAwareConfig};
 
 /// The look-ahead window length the paper uses: twice the longest switch-on
 /// duration among the candidate architectures, in whole seconds.
@@ -61,6 +69,18 @@ pub struct SchedulerStats {
     pub reconfig_seconds: f64,
 }
 
+/// Which policy picks the scheduler's reconfiguration target.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchedulerKind {
+    /// The paper's pro-active scheduler: always jump to the ideal
+    /// combination for the prediction.
+    Baseline,
+    /// The future-work transition-aware scheduler: move to the cheapest
+    /// feasible candidate by serving + transition energy over the horizon
+    /// ([`crate::transition_aware::score_candidates`]).
+    TransitionAware(TransitionAwareConfig),
+}
+
 /// The pro-active scheduler state machine.
 ///
 /// Drive it by calling [`ProActiveScheduler::decide`] once per time step
@@ -68,6 +88,7 @@ pub struct SchedulerStats {
 /// substrate (the `bml-sim` crate's cluster, or a real testbed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProActiveScheduler {
+    kind: SchedulerKind,
     current: Configuration,
     busy_until: Option<u64>,
     stats: SchedulerStats,
@@ -78,14 +99,15 @@ pub struct ProActiveScheduler {
 
 impl ProActiveScheduler {
     /// Start with every machine off.
-    pub fn new(n_archs: usize) -> Self {
-        Self::with_initial(Configuration::off(n_archs))
+    pub fn new(n_archs: usize, kind: SchedulerKind) -> Self {
+        Self::with_initial(Configuration::off(n_archs), kind)
     }
 
     /// Start from a given configuration (e.g. the combination for the
     /// first prediction, so the trace does not begin with a cold boot).
-    pub fn with_initial(initial: Configuration) -> Self {
+    pub fn with_initial(initial: Configuration, kind: SchedulerKind) -> Self {
         ProActiveScheduler {
+            kind,
             current: initial,
             busy_until: None,
             stats: SchedulerStats::default(),
@@ -133,7 +155,7 @@ impl ProActiveScheduler {
     /// current configuration (for a fixed `bml`, which callers pass
     /// unchanged on every call). So the scheduler remembers the last
     /// prediction it answered [`Decision::NoChange`] for and answers an
-    /// equal prediction the same way without consulting the table, until
+    /// equal prediction the same way without picking a target again, until
     /// a [`Decision::Reconfigure`] changes the configuration and clears
     /// the memo. A memo hit still counts as a decision.
     pub fn decide(&mut self, now: u64, predicted_load: f64, bml: &BmlInfrastructure) -> Decision {
@@ -149,21 +171,10 @@ impl ProActiveScheduler {
         if self.steady == Some(predicted.to_bits()) {
             return Decision::NoChange;
         }
-        // Allocation-free no-change test against the precomputed table:
-        // a new prediction that keeps the combination costs one binary
-        // search and one counts comparison.
-        if bml
-            .combination_table()
-            .counts_match(predicted, &self.current.0)
-        {
+        let Some(target) = self.target(predicted, bml) else {
             self.steady = Some(predicted.to_bits());
             return Decision::NoChange;
-        }
-        let target = Configuration(bml.ideal_combination(predicted).counts(bml.n_archs()));
-        if target == self.current {
-            self.steady = Some(predicted.to_bits());
-            return Decision::NoChange;
-        }
+        };
         let plan = plan_reconfiguration(bml.candidates(), &self.current, &target)
             .expect("configs differ, so a plan exists");
         let lock = plan.duration.ceil() as u64;
@@ -178,6 +189,33 @@ impl ProActiveScheduler {
         self.current = target;
         self.steady = None;
         Decision::Reconfigure(plan)
+    }
+
+    /// The configuration this scheduler's kind moves to for `predicted`,
+    /// or `None` when that is the current one.
+    fn target(&self, predicted: f64, bml: &BmlInfrastructure) -> Option<Configuration> {
+        let target = match &self.kind {
+            SchedulerKind::Baseline => {
+                // Allocation-free no-change test against the precomputed
+                // table: a new prediction that keeps the combination costs
+                // one binary search and one counts comparison.
+                if bml
+                    .combination_table()
+                    .counts_match(predicted, &self.current.0)
+                {
+                    return None;
+                }
+                Configuration(bml.ideal_combination(predicted).counts(bml.n_archs()))
+            }
+            SchedulerKind::TransitionAware(config) => {
+                score_candidates(&self.current, predicted, bml, config)
+                    .into_iter()
+                    .next()
+                    .expect("the ideal combination is always a candidate")
+                    .config
+            }
+        };
+        (target != self.current).then_some(target)
     }
 }
 
@@ -199,7 +237,7 @@ mod tests {
     #[test]
     fn first_decision_boots_for_prediction() {
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         match s.decide(0, 10.0, &bml) {
             Decision::Reconfigure(plan) => {
                 // 10 req/s = exactly the Medium threshold -> 1 chromebook.
@@ -215,7 +253,7 @@ mod tests {
     #[test]
     fn locked_while_reconfiguring() {
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         s.decide(0, 600.0, &bml); // boots a Big: 189 s
         for t in 1..189 {
             assert_eq!(s.decide(t, 1.0, &bml), Decision::Locked { until: 189 });
@@ -232,7 +270,7 @@ mod tests {
     #[test]
     fn next_wakeup_tracks_the_lock() {
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         assert_eq!(s.next_wakeup(0), None);
         s.decide(0, 600.0, &bml); // boots a Big: locked until 189
         assert_eq!(s.next_wakeup(0), Some(189));
@@ -243,7 +281,7 @@ mod tests {
     #[test]
     fn no_change_when_combination_stable() {
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         s.decide(0, 10.0, &bml);
         assert_eq!(s.decide(12, 10.0, &bml), Decision::NoChange);
         assert_eq!(s.decide(13, 10.0, &bml), Decision::NoChange);
@@ -253,34 +291,49 @@ mod tests {
 
     #[test]
     fn steady_memo_is_cleared_by_a_reconfiguration() {
+        // Lock-out and memo belong to the state machine, not to the kind:
+        // the same walk holds for both ways of picking a target.
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
-        // 1 chromebook, locked until 12.
-        s.decide(0, 10.0, &bml);
-        // NoChange at p = 10 fills the memo; a memo hit still counts as a
-        // decision.
-        assert_eq!(s.decide(12, 10.0, &bml), Decision::NoChange);
-        assert_eq!(s.decide(13, 10.0, &bml), Decision::NoChange);
-        assert_eq!(s.stats().decisions, 3);
-        // q = 600 reconfigures to a Big; once unlocked, p must move the
-        // fleet back instead of hitting a stale NoChange.
-        assert!(matches!(
-            s.decide(14, 600.0, &bml),
-            Decision::Reconfigure(_)
-        ));
-        let unlock = s.busy_until().expect("booting a Big locks");
-        match s.decide(unlock, 10.0, &bml) {
-            Decision::Reconfigure(plan) => assert_eq!(plan.target.0, vec![0, 1, 0]),
-            d => panic!("stale memo answered {d:?}"),
+        for kind in [
+            SchedulerKind::Baseline,
+            SchedulerKind::TransitionAware(TransitionAwareConfig::paper()),
+        ] {
+            let mut s = ProActiveScheduler::new(bml.n_archs(), kind.clone());
+            // 1 chromebook, locked until 12.
+            match s.decide(0, 10.0, &bml) {
+                Decision::Reconfigure(plan) => assert_eq!(plan.target.0, vec![0, 1, 0]),
+                d => panic!("{kind:?}: {d:?}"),
+            }
+            assert_eq!(s.decide(5, 10.0, &bml), Decision::Locked { until: 12 });
+            assert_eq!(s.next_wakeup(5), Some(12));
+            assert_eq!(s.next_wakeup(12), None);
+            // NoChange at p = 10 fills the memo; a memo hit still counts
+            // as a decision.
+            assert_eq!(s.decide(12, 10.0, &bml), Decision::NoChange);
+            assert_eq!(s.decide(13, 10.0, &bml), Decision::NoChange);
+            assert_eq!(s.stats().decisions, 3, "{kind:?}");
+            assert_eq!(s.stats().locked_steps, 1, "{kind:?}");
+            // q = 600 reconfigures to a Big; once unlocked, p must move the
+            // fleet back instead of hitting a stale NoChange.
+            match s.decide(14, 600.0, &bml) {
+                Decision::Reconfigure(plan) => assert_eq!(plan.target.0, vec![1, 0, 0]),
+                d => panic!("{kind:?}: {d:?}"),
+            }
+            let unlock = s.busy_until().expect("booting a Big locks");
+            assert!(s.is_locked(unlock - 1) && !s.is_locked(unlock));
+            match s.decide(unlock, 10.0, &bml) {
+                Decision::Reconfigure(plan) => assert_eq!(plan.target.0, vec![0, 1, 0]),
+                d => panic!("{kind:?}: stale memo answered {d:?}"),
+            }
+            assert_eq!(s.stats().decisions, 5, "{kind:?}");
+            assert_eq!(s.stats().reconfigurations, 3, "{kind:?}");
         }
-        assert_eq!(s.stats().decisions, 5);
-        assert_eq!(s.stats().reconfigurations, 3);
     }
 
     #[test]
     fn stats_accumulate() {
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         s.decide(0, 10.0, &bml); // on: 1 chromebook (49.3 J, 12 s)
         s.decide(12, 1.0, &bml); // off chromebook, on raspberry
         let st = s.stats();
@@ -293,7 +346,8 @@ mod tests {
     #[test]
     fn zero_prediction_powers_everything_off() {
         let bml = bml();
-        let mut s = ProActiveScheduler::with_initial(Configuration(vec![1, 0, 0]));
+        let mut s =
+            ProActiveScheduler::with_initial(Configuration(vec![1, 0, 0]), SchedulerKind::Baseline);
         match s.decide(0, 0.0, &bml) {
             Decision::Reconfigure(plan) => {
                 assert!(plan.target.is_off());
@@ -306,7 +360,7 @@ mod tests {
     #[test]
     fn negative_prediction_treated_as_zero() {
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         assert_eq!(s.decide(0, -5.0, &bml), Decision::NoChange);
     }
 
@@ -317,7 +371,7 @@ mod tests {
             ArchProfile::without_transitions("little", 1.0, 3.0, 10.0).unwrap(),
         ];
         let bml = BmlInfrastructure::from_candidates(profiles).unwrap();
-        let mut s = ProActiveScheduler::new(2);
+        let mut s = ProActiveScheduler::new(2, SchedulerKind::Baseline);
         match s.decide(0, 5.0, &bml) {
             Decision::Reconfigure(_) => {}
             d => panic!("{d:?}"),
@@ -335,7 +389,7 @@ mod tests {
         // Property: between a Reconfigure and its completion, every decide
         // returns Locked.
         let bml = bml();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         let mut in_flight_until: Option<u64> = None;
         let loads = [5.0, 700.0, 20.0, 1400.0, 3.0, 0.0, 2500.0];
         for (i, &l) in loads.iter().cycle().take(2000).enumerate() {

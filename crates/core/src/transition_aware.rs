@@ -4,14 +4,20 @@
 //! and take in account their corresponding overheads when taking
 //! reconfiguration decisions."
 //!
-//! The baseline [`crate::scheduler::ProActiveScheduler`] always jumps to
-//! the *ideal* combination for the prediction, paying whatever On/Off
-//! overhead that implies. This module generates a small set of candidate
-//! configurations around the ideal one (including "stay put" and
+//! The paper's scheduler
+//! ([`SchedulerKind::Baseline`](crate::scheduler::SchedulerKind::Baseline))
+//! always jumps to the
+//! *ideal* combination for the prediction, paying whatever On/Off overhead
+//! that implies. [`score_candidates`] generates a small set of candidate
+//! configurations around the ideal one ("stay put" and the
 //! keep-the-extra-machines variants), scores each candidate by its
 //! expected energy over the decision horizon — serving energy **plus**
-//! transition energy amortized over the window — and picks the cheapest
-//! feasible one.
+//! transition energy amortized over the window — and ranks the feasible
+//! ones cheapest first. Under
+//! [`SchedulerKind::TransitionAware`](crate::scheduler::SchedulerKind::TransitionAware)
+//! the [`crate::scheduler::ProActiveScheduler`] moves to the first entry; the
+//! lock-out, memo and counters are the same state machine as the
+//! baseline's.
 //!
 //! On smooth load this behaves exactly like the baseline; on churn-heavy
 //! load it suppresses reconfigurations whose transition energy exceeds
@@ -19,8 +25,7 @@
 
 use crate::bml::BmlInfrastructure;
 use crate::combination::SplitPolicy;
-use crate::reconfig::{plan_reconfiguration, Configuration, ReconfigPlan};
-use crate::scheduler::{Decision, SchedulerStats};
+use crate::reconfig::{plan_reconfiguration, Configuration};
 
 /// Parameters of the transition-aware scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,19 +36,21 @@ pub struct TransitionAwareConfig {
     pub horizon_s: f64,
     /// Load-split model used to estimate serving power.
     pub split: SplitPolicy,
-    /// Also consider the configurations that keep each architecture's
-    /// current (higher) node count instead of shrinking it.
-    pub consider_keep_variants: bool,
 }
 
 impl TransitionAwareConfig {
+    /// The configuration for a look-ahead window of `window_s` seconds
+    /// under load split `split`: the horizon is the window.
+    pub fn for_window(window_s: u64, split: SplitPolicy) -> Self {
+        TransitionAwareConfig {
+            horizon_s: window_s as f64,
+            split,
+        }
+    }
+
     /// Defaults tied to the paper's window.
     pub fn paper() -> Self {
-        TransitionAwareConfig {
-            horizon_s: 378.0,
-            split: SplitPolicy::EfficiencyGreedy,
-            consider_keep_variants: true,
-        }
+        Self::for_window(378, SplitPolicy::EfficiencyGreedy)
     }
 }
 
@@ -62,171 +69,82 @@ pub struct ScoredCandidate {
     pub feasible: bool,
 }
 
-/// The transition-aware pro-active scheduler. Drop-in alternative to
-/// [`crate::scheduler::ProActiveScheduler`]: same `decide` contract, same
-/// lock-out semantics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransitionAwareScheduler {
-    config: TransitionAwareConfig,
-    current: Configuration,
-    busy_until: Option<u64>,
-    stats: SchedulerStats,
-    /// Bits of the last prediction answered [`Decision::NoChange`]; see
-    /// [`TransitionAwareScheduler::decide`].
-    steady: Option<u64>,
-    /// Candidates evaluated on the last unlocked decision (diagnostics).
-    pub last_candidates: Vec<ScoredCandidate>,
+/// Score the candidate configurations for moving from `current` under a
+/// (non-negative) `predicted` load: feasible candidates first, each group
+/// cheapest first by [`ScoredCandidate::total_energy_j`]. Never empty —
+/// the ideal combination is always a candidate — and the first entry is
+/// the transition-aware scheduler's target.
+pub fn score_candidates(
+    current: &Configuration,
+    predicted: f64,
+    bml: &BmlInfrastructure,
+    config: &TransitionAwareConfig,
+) -> Vec<ScoredCandidate> {
+    let mut scored: Vec<ScoredCandidate> = candidates(current, predicted, bml)
+        .iter()
+        .map(|c| score(current, c, predicted, bml, config))
+        .collect();
+    scored.sort_by(|a, b| {
+        b.feasible.cmp(&a.feasible).then(
+            a.total_energy_j
+                .partial_cmp(&b.total_energy_j)
+                .unwrap_or(std::cmp::Ordering::Equal),
+        )
+    });
+    scored
 }
 
-impl TransitionAwareScheduler {
-    /// Start with every machine off.
-    pub fn new(n_archs: usize, config: TransitionAwareConfig) -> Self {
-        Self::with_initial(Configuration::off(n_archs), config)
+/// The candidate configurations for a prediction: the ideal one, staying
+/// put, and keeping the current count of each architecture where it
+/// exceeds the ideal (avoiding switch-offs we may regret), one
+/// architecture at a time and all at once.
+fn candidates(
+    current: &Configuration,
+    predicted: f64,
+    bml: &BmlInfrastructure,
+) -> Vec<Configuration> {
+    let ideal = Configuration(bml.combination_table().counts_for(predicted));
+    let mut out = vec![ideal.clone()];
+    // Staying put is always a candidate (it may be infeasible).
+    if *current != ideal {
+        out.push(current.clone());
     }
-
-    /// Start from a given configuration.
-    pub fn with_initial(initial: Configuration, config: TransitionAwareConfig) -> Self {
-        TransitionAwareScheduler {
-            config,
-            current: initial,
-            busy_until: None,
-            stats: SchedulerStats::default(),
-            steady: None,
-            last_candidates: Vec::new(),
-        }
-    }
-
-    /// The configuration the scheduler is committed to.
-    pub fn current(&self) -> &Configuration {
-        &self.current
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> &SchedulerStats {
-        &self.stats
-    }
-
-    /// `true` while a reconfiguration is in flight at `now`.
-    pub fn is_locked(&self, now: u64) -> bool {
-        self.busy_until.is_some_and(|u| now < u)
-    }
-
-    /// Completion time of the in-flight reconfiguration, if any.
-    pub fn busy_until(&self) -> Option<u64> {
-        self.busy_until
-    }
-
-    /// Event-driven replay hint; same contract as
-    /// [`crate::scheduler::ProActiveScheduler::next_wakeup`].
-    pub fn next_wakeup(&self, now: u64) -> Option<u64> {
-        self.busy_until.filter(|&u| u > now)
-    }
-
-    /// Generate the candidate configurations for a prediction.
-    fn candidates(&self, predicted: f64, bml: &BmlInfrastructure) -> Vec<Configuration> {
-        let n = bml.n_archs();
-        let ideal = Configuration(bml.combination_table().counts_for(predicted));
-        let mut out = vec![ideal.clone()];
-        // Staying put is always a candidate (it may be infeasible).
-        if self.current != ideal {
-            out.push(self.current.clone());
-        }
-        if self.config.consider_keep_variants {
-            // Keep the current count of each architecture where it exceeds
-            // the ideal (avoid switch-offs we may regret), one arch at a
-            // time and all at once.
-            let mut all = ideal.clone();
-            for k in 0..n {
-                if self.current.0[k] > ideal.0[k] {
-                    let mut v = ideal.clone();
-                    v.0[k] = self.current.0[k];
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                    all.0[k] = self.current.0[k];
-                }
+    let mut all = ideal.clone();
+    for k in 0..bml.n_archs() {
+        if current.0[k] > ideal.0[k] {
+            let mut v = ideal.clone();
+            v.0[k] = current.0[k];
+            if !out.contains(&v) {
+                out.push(v);
             }
-            if !out.contains(&all) {
-                out.push(all);
-            }
-        }
-        out
-    }
-
-    /// Score one candidate against the prediction.
-    fn score(
-        &self,
-        candidate: &Configuration,
-        predicted: f64,
-        bml: &BmlInfrastructure,
-    ) -> ScoredCandidate {
-        let feasible = candidate.capacity(bml.candidates()) + 1e-9 >= predicted;
-        let (power, _) = bml.config_power(&candidate.0, predicted, self.config.split);
-        let serving = power * self.config.horizon_s;
-        let transition = plan_reconfiguration(bml.candidates(), &self.current, candidate)
-            .map_or(0.0, |p| p.energy);
-        ScoredCandidate {
-            config: candidate.clone(),
-            serving_energy_j: serving,
-            transition_energy_j: transition,
-            total_energy_j: serving + transition,
-            feasible,
+            all.0[k] = current.0[k];
         }
     }
+    if !out.contains(&all) {
+        out.push(all);
+    }
+    out
+}
 
-    /// One decision step; same contract as the baseline scheduler,
-    /// including its steady-decision memo: a prediction equal to the last
-    /// one answered [`Decision::NoChange`] gets `NoChange` again without
-    /// re-scoring the candidates (they would score the same, so
-    /// `last_candidates` stays as it is), until a
-    /// [`Decision::Reconfigure`] clears the memo.
-    pub fn decide(&mut self, now: u64, predicted: f64, bml: &BmlInfrastructure) -> Decision {
-        if let Some(until) = self.busy_until {
-            if now < until {
-                self.stats.locked_steps += 1;
-                return Decision::Locked { until };
-            }
-            self.busy_until = None;
-        }
-        self.stats.decisions += 1;
-        let predicted = predicted.max(0.0);
-        if self.steady == Some(predicted.to_bits()) {
-            return Decision::NoChange;
-        }
-
-        let candidates = self.candidates(predicted, bml);
-        let mut scored: Vec<ScoredCandidate> = candidates
-            .iter()
-            .map(|c| self.score(c, predicted, bml))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.feasible.cmp(&a.feasible).then(
-                a.total_energy_j
-                    .partial_cmp(&b.total_energy_j)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-        self.last_candidates = scored.clone();
-        let best = scored.first().expect("at least the ideal candidate");
-        let target = best.config.clone();
-        if target == self.current {
-            self.steady = Some(predicted.to_bits());
-            return Decision::NoChange;
-        }
-        let plan: ReconfigPlan =
-            plan_reconfiguration(bml.candidates(), &self.current, &target).expect("configs differ");
-        let lock = plan.duration.ceil() as u64;
-        if lock > 0 {
-            self.busy_until = Some(now + lock);
-        }
-        self.stats.reconfigurations += 1;
-        self.stats.nodes_switched_on += u64::from(plan.nodes_switched_on());
-        self.stats.nodes_switched_off += u64::from(plan.nodes_switched_off());
-        self.stats.reconfig_energy += plan.energy;
-        self.stats.reconfig_seconds += plan.duration;
-        self.current = target;
-        self.steady = None;
-        Decision::Reconfigure(plan)
+/// Score one candidate against the prediction.
+fn score(
+    current: &Configuration,
+    candidate: &Configuration,
+    predicted: f64,
+    bml: &BmlInfrastructure,
+    config: &TransitionAwareConfig,
+) -> ScoredCandidate {
+    let feasible = candidate.capacity(bml.candidates()) + 1e-9 >= predicted;
+    let (power, _) = bml.config_power(&candidate.0, predicted, config.split);
+    let serving = power * config.horizon_s;
+    let transition =
+        plan_reconfiguration(bml.candidates(), current, candidate).map_or(0.0, |p| p.energy);
+    ScoredCandidate {
+        config: candidate.clone(),
+        serving_energy_j: serving,
+        transition_energy_j: transition,
+        total_energy_j: serving + transition,
+        feasible,
     }
 }
 
@@ -234,20 +152,27 @@ impl TransitionAwareScheduler {
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::scheduler::ProActiveScheduler;
+    use crate::scheduler::{Decision, ProActiveScheduler, SchedulerKind};
 
     fn bml() -> BmlInfrastructure {
         BmlInfrastructure::build(&catalog::table1()).unwrap()
     }
 
-    fn sched() -> TransitionAwareScheduler {
-        TransitionAwareScheduler::new(3, TransitionAwareConfig::paper())
+    fn aware(initial: Vec<u32>) -> ProActiveScheduler {
+        ProActiveScheduler::with_initial(
+            Configuration(initial),
+            SchedulerKind::TransitionAware(TransitionAwareConfig::paper()),
+        )
+    }
+
+    fn baseline(initial: Vec<u32>) -> ProActiveScheduler {
+        ProActiveScheduler::with_initial(Configuration(initial), SchedulerKind::Baseline)
     }
 
     #[test]
     fn follows_ideal_on_first_decision() {
         let bml = bml();
-        let mut s = sched();
+        let mut s = aware(vec![0, 0, 0]);
         match s.decide(0, 100.0, &bml) {
             Decision::Reconfigure(plan) => {
                 assert_eq!(plan.target.0, vec![0, 3, 1]);
@@ -263,16 +188,13 @@ mod tests {
         // 16 x 49.3 + 40.5 + 657 J of transitions to save ~0.1 W x 378 s
         // (~38 J): the transition-aware scheduler stays put.
         let bml = bml();
-        let mut s = TransitionAwareScheduler::with_initial(
-            Configuration(vec![1, 0, 0]),
-            TransitionAwareConfig::paper(),
-        );
+        let mut s = aware(vec![1, 0, 0]);
         match s.decide(0, 520.0, &bml) {
             Decision::NoChange => {}
             d => panic!("expected hold, got {d:?}"),
         }
         // The baseline scheduler, by contrast, churns.
-        let mut base = ProActiveScheduler::with_initial(Configuration(vec![1, 0, 0]));
+        let mut base = baseline(vec![1, 0, 0]);
         assert!(matches!(
             base.decide(0, 520.0, &bml),
             Decision::Reconfigure(_)
@@ -285,10 +207,7 @@ mod tests {
         // ~3.4 W Raspberry wastes ~66 W; over 378 s that's ~25 kJ — more
         // than the ~0.7 kJ of transition energy. Must reconfigure.
         let bml = bml();
-        let mut s = TransitionAwareScheduler::with_initial(
-            Configuration(vec![1, 0, 0]),
-            TransitionAwareConfig::paper(),
-        );
+        let mut s = aware(vec![1, 0, 0]);
         match s.decide(0, 5.0, &bml) {
             Decision::Reconfigure(plan) => {
                 assert_eq!(plan.target.0, vec![0, 0, 1]);
@@ -302,10 +221,7 @@ mod tests {
         // Load explodes beyond current capacity: staying put would be
         // cheapest in energy but infeasible; the scheduler must grow.
         let bml = bml();
-        let mut s = TransitionAwareScheduler::with_initial(
-            Configuration(vec![0, 0, 1]),
-            TransitionAwareConfig::paper(),
-        );
+        let mut s = aware(vec![0, 0, 1]);
         match s.decide(0, 2_000.0, &bml) {
             Decision::Reconfigure(plan) => {
                 assert!(plan.target.capacity(bml.candidates()) >= 2_000.0);
@@ -317,7 +233,7 @@ mod tests {
     #[test]
     fn lock_semantics_match_baseline() {
         let bml = bml();
-        let mut s = sched();
+        let mut s = aware(vec![0, 0, 0]);
         s.decide(0, 600.0, &bml); // boots a Big (189 s)
         assert!(s.is_locked(100));
         assert_eq!(s.decide(100, 1.0, &bml), Decision::Locked { until: 189 });
@@ -329,55 +245,61 @@ mod tests {
     #[test]
     fn candidates_include_keep_variants() {
         let bml = bml();
-        let mut s = TransitionAwareScheduler::with_initial(
-            Configuration(vec![1, 2, 0]),
-            TransitionAwareConfig::paper(),
+        let scored = score_candidates(
+            &Configuration(vec![1, 2, 0]),
+            40.0,
+            &bml,
+            &TransitionAwareConfig::paper(),
         );
-        let _ = s.decide(0, 40.0, &bml);
         // Ideal for 40 is [0, 2, 0]-ish; keep-variants must include a
         // configuration retaining the Big.
-        assert!(
-            s.last_candidates.iter().any(|c| c.config.0[0] == 1),
-            "{:?}",
-            s.last_candidates
-        );
+        assert!(scored.iter().any(|c| c.config.0[0] == 1), "{scored:?}");
+        // Feasible first, each group cheapest first.
+        for pair in scored.windows(2) {
+            assert!(
+                (pair[0].feasible && !pair[1].feasible)
+                    || (pair[0].feasible == pair[1].feasible
+                        && pair[0].total_energy_j <= pair[1].total_energy_j),
+                "{scored:?}"
+            );
+        }
     }
 
     #[test]
     fn steady_memo_is_cleared_by_a_reconfiguration() {
         let bml = bml();
-        let mut s = TransitionAwareScheduler::with_initial(
-            Configuration(vec![1, 0, 0]),
-            TransitionAwareConfig::paper(),
-        );
-        // p = 520 holds the Big (see `suppresses_uneconomical_shrink`).
+        let config = TransitionAwareConfig::paper();
+        let mut s = aware(vec![1, 0, 0]);
+        // p = 520 holds the Big (see `suppresses_uneconomical_shrink`):
+        // staying put heads the ranking.
+        let holding = score_candidates(s.current(), 520.0, &bml, &config);
+        assert_eq!(holding[0].config, Configuration(vec![1, 0, 0]));
         assert_eq!(s.decide(0, 520.0, &bml), Decision::NoChange);
-        let scored = s.last_candidates.clone();
-        assert!(!scored.is_empty());
-        // A memo hit counts as a decision and leaves the diagnostics alone.
+        // A memo hit counts as a decision.
         assert_eq!(s.decide(1, 520.0, &bml), Decision::NoChange);
         assert_eq!(s.stats().decisions, 2);
-        assert_eq!(s.last_candidates, scored);
         // q = 5 shrinks to one Raspberry; once unlocked, p must grow the
-        // fleet back instead of hitting a stale NoChange.
+        // fleet back instead of hitting a stale NoChange, to the head of
+        // the ranking from the new configuration.
         match s.decide(2, 5.0, &bml) {
             Decision::Reconfigure(plan) => assert_eq!(plan.target.0, vec![0, 0, 1]),
             d => panic!("{d:?}"),
         }
+        let regrow = score_candidates(s.current(), 520.0, &bml, &config);
+        assert_ne!(regrow, holding);
         let unlock = s.busy_until().expect("the shrink locks");
-        assert!(matches!(
-            s.decide(unlock, 520.0, &bml),
-            Decision::Reconfigure(_)
-        ));
+        match s.decide(unlock, 520.0, &bml) {
+            Decision::Reconfigure(plan) => assert_eq!(plan.target, regrow[0].config),
+            d => panic!("{d:?}"),
+        }
         assert!(s.current().capacity(bml.candidates()) >= 520.0);
         assert_eq!(s.stats().decisions, 4);
-        assert_ne!(s.last_candidates, scored);
     }
 
     #[test]
     fn never_picks_infeasible_when_feasible_exists() {
         let bml = bml();
-        let mut s = sched();
+        let mut s = aware(vec![0, 0, 0]);
         for (t, load) in [(0u64, 10.0), (400, 3000.0), (800, 1.0), (1200, 5000.0)] {
             let _ = s.decide(t, load, &bml);
             assert!(
@@ -393,11 +315,8 @@ mod tests {
         // Oscillating prediction around the Big threshold: baseline
         // reconfigures every unlock; transition-aware holds.
         let bml = bml();
-        let mut aware = TransitionAwareScheduler::with_initial(
-            Configuration(vec![1, 0, 0]),
-            TransitionAwareConfig::paper(),
-        );
-        let mut base = ProActiveScheduler::with_initial(Configuration(vec![1, 0, 0]));
+        let mut aware = aware(vec![1, 0, 0]);
+        let mut base = baseline(vec![1, 0, 0]);
         for t in 0..200u64 {
             let load = if t % 2 == 0 { 520.0 } else { 540.0 };
             let _ = aware.decide(t, load, &bml);

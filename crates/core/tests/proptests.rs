@@ -226,7 +226,7 @@ proptest! {
     #[test]
     fn scheduler_lock_invariant(loads in proptest::collection::vec(0.0f64..6000.0, 1..200)) {
         let bml = BmlInfrastructure::build(&bml_core::catalog::table1()).unwrap();
-        let mut s = ProActiveScheduler::new(bml.n_archs());
+        let mut s = ProActiveScheduler::new(bml.n_archs(), SchedulerKind::Baseline);
         let mut locked_until: Option<u64> = None;
         for (t, &l) in loads.iter().enumerate() {
             let t = t as u64;

@@ -140,7 +140,6 @@ mod tests {
                         instance_migrations: 0,
                         segments_batched: 0,
                         events_skipped: 0,
-                        fallback_unsegmented: 0,
                         stepping_effective: Stepping::EventDriven,
                         optimal_energy_j: None,
                         optimality_gap: None,

@@ -414,7 +414,7 @@ mod tests {
             assert_eq!(
                 row.split(',').nth(col),
                 Some("event"),
-                "unexpected fallback row: {row}"
+                "row reports another loop: {row}"
             );
         }
     }

@@ -53,10 +53,13 @@ use bml_trace::LoadTrace;
 /// entry format or field set; old entries then simply miss.
 ///
 /// v2: cell entries carry the engine's telemetry counters
-/// (`segments_batched`, `events_skipped`, `fallback_unsegmented`) and
-/// optimum entries carry the solver's work counters — both so warm runs
-/// merge byte-identical counter planes without re-executing anything.
-pub const CACHE_FORMAT: &str = "bml-cell-cache/v2";
+/// (`segments_batched`, `events_skipped`) and optimum entries carry the
+/// solver's work counters — both so warm runs merge byte-identical
+/// counter planes without re-executing anything.
+///
+/// v3: cell entries drop the per-second fallback flag, which no run can
+/// set any more (every predictor runs on the requested loop).
+pub const CACHE_FORMAT: &str = "bml-cell-cache/v3";
 
 /// The 64-bit FNV-1a offset basis: the state of an empty [`fnv1a`] hash.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -358,7 +361,6 @@ pub(crate) fn encode_summary(s: &CellSummary) -> String {
          instance_migrations={}\n\
          segments_batched={}\n\
          events_skipped={}\n\
-         fallback_unsegmented={}\n\
          stepping_effective={}\n",
         s.total_energy_j.to_bits(),
         s.mean_power_w.to_bits(),
@@ -372,7 +374,6 @@ pub(crate) fn encode_summary(s: &CellSummary) -> String {
         s.instance_migrations,
         s.segments_batched,
         s.events_skipped,
-        s.fallback_unsegmented,
         crate::spec::stepping_label(s.stepping_effective),
     )
 }
@@ -403,7 +404,6 @@ pub(crate) fn decode_summary(text: &str) -> Option<CellSummary> {
         instance_migrations: parse_dec_field(lines.next()?, "instance_migrations")?,
         segments_batched: parse_dec_field(lines.next()?, "segments_batched")?,
         events_skipped: parse_dec_field(lines.next()?, "events_skipped")?,
-        fallback_unsegmented: parse_dec_field(lines.next()?, "fallback_unsegmented")?,
         stepping_effective: match lines
             .next()?
             .strip_prefix("stepping_effective")?
@@ -442,7 +442,6 @@ mod tests {
             instance_migrations: 2,
             segments_batched: 88,
             events_skipped: 1_234,
-            fallback_unsegmented: 0,
             stepping_effective: Stepping::EventDriven,
             optimal_energy_j: Some(12000.0),
             optimality_gap: Some(0.0288),
@@ -513,7 +512,7 @@ mod tests {
             good[..good.len() / 2].to_string(),              // truncated
             good.replace("total_energy_j", "totel"),         // renamed field
             format!("{good}extra=1\n"),                      // trailing garbage
-            good.replace(CACHE_FORMAT, "bml-cell-cache/v0"), // stale format
+            good.replace(CACHE_FORMAT, "bml-cell-cache/v2"), // stale format
         ] {
             std::fs::write(&path, bad).unwrap();
             assert_eq!(cache.load_cell("k"), None);

@@ -667,8 +667,6 @@ impl<'a> GridRunner<'a> {
                         telemetry.count("engine.violation_seconds", summary.violation_seconds);
                         telemetry.count("engine.segments_batched", summary.segments_batched);
                         telemetry.count("engine.events_skipped", summary.events_skipped);
-                        telemetry
-                            .count("engine.fallback_unsegmented", summary.fallback_unsegmented);
                         summary.attach_optimal(optima[&(c.trace, c.catalog, c.split)]);
                         let record = CellRecord {
                             labels: spec.cell_labels(c),

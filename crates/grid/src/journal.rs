@@ -61,9 +61,12 @@ pub const JOURNAL_NAME: &str = "BENCH_grid.journal";
 /// change; old journals then fingerprint-mismatch and are ignored.
 ///
 /// v2: success payloads carry the engine batching counters
-/// (`segments_batched`, `events_skipped`, `fallback_unsegmented`) via
-/// the cell cache's v2 summary encoding.
-pub const JOURNAL_FORMAT: &str = "bml-grid-journal/v2";
+/// (`segments_batched`, `events_skipped`) via the cell cache's v2
+/// summary encoding.
+///
+/// v3: success payloads are the cell cache's v3 summary encoding, without
+/// the per-second fallback flag.
+pub const JOURNAL_FORMAT: &str = "bml-grid-journal/v3";
 
 /// One journaled per-cell decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -295,7 +298,6 @@ mod tests {
             instance_migrations: 0,
             segments_batched: 88,
             events_skipped: 1_234,
-            fallback_unsegmented: 0,
             stepping_effective: Stepping::EventDriven,
             optimal_energy_j: None,
             optimality_gap: None,

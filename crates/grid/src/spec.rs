@@ -49,18 +49,15 @@ impl SchedulerDim {
     }
 
     /// Concrete scheduler for a cell with look-ahead `window_s` and load
-    /// split `split` — the same construction `sweep_scheduler` has always
-    /// used.
+    /// split `split` — built by
+    /// [`TransitionAwareConfig::for_window`](bml_core::transition_aware::TransitionAwareConfig::for_window),
+    /// like `sweep_scheduler`'s.
     pub fn resolve(self, window_s: u64, split: SplitPolicy) -> SchedulerKind {
         match self {
             SchedulerDim::Baseline => SchedulerKind::Baseline,
-            SchedulerDim::TransitionAware => {
-                SchedulerKind::TransitionAware(bml_core::transition_aware::TransitionAwareConfig {
-                    horizon_s: window_s as f64,
-                    split,
-                    consider_keep_variants: true,
-                })
-            }
+            SchedulerDim::TransitionAware => SchedulerKind::TransitionAware(
+                bml_core::transition_aware::TransitionAwareConfig::for_window(window_s, split),
+            ),
         }
     }
 }

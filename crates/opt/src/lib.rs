@@ -882,6 +882,10 @@ fn pipeline<B: Send>(
             chain(c, &buf);
             spare = buf;
         }
+        // Join the worker threads, not just their closures, as `rayon`'s parallel map does.
+        for w in lanes.into_iter().filter_map(|(_, _, worker)| worker) {
+            w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        }
     });
 }
 

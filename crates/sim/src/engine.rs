@@ -27,7 +27,7 @@
 //! * a **transition maturity epoch** — boot completion, handover,
 //!   shutdown completion, repair expiry
 //!   ([`Cluster::next_transition_event`]),
-//! * the **reconfiguration unlock** instant (the schedulers'
+//! * the **reconfiguration unlock** instant (the scheduler's
 //!   `next_wakeup` hint),
 //! * the next **failure epoch** of any online machine slot
 //!   ([`FailureModel`] — counter-based, so the epoch is known without
@@ -42,22 +42,26 @@
 //! reconfiguration log (energies agree to float-accumulation rounding,
 //! everything discrete exactly) — including noisy and failure-injected
 //! runs, whose samples are pure functions of `(seed, counter)`
-//! ([`bml_core::rng`]) and therefore identical no matter how time is
-//! stepped.
+//! ([`bml_core::rng`]: noise keyed on `(seed, resample_window)`, failure
+//! gaps on `(seed, arch, slot, failure_index)`) and therefore identical no
+//! matter how time is stepped.
 //!
-//! # When per-second mode is still required
+//! Every predictor bounds its constant runs, so the event loop runs every
+//! predictor: the look-ahead maximum and last-value skip to their exact
+//! change-points, while EWMA, which may move every second, reports the
+//! next second and so ticks exactly like the per-second loop. The loop
+//! that ran is the one requested, and
+//! [`ScenarioResult::stepping_effective`] names it.
 //!
-//! The event-driven engine silently falls back to the per-second loop
-//! only when the predictor itself cannot be segmented:
-//! `Predictor::is_segmented() == false` — EWMA and last-value, which
-//! genuinely depend on observing every second. Prediction noise and
-//! failure injection no longer force a fallback: both sample from the
-//! counter-based PRF streams of [`bml_core::rng`] (noise keyed on
-//! `(seed, resample_window)`, failure gaps keyed on
-//! `(seed, arch, slot, failure_index)`), so skipping seconds cannot
-//! change any draw. The chosen loop is reported in
-//! [`ScenarioResult::stepping_effective`], which benches, grid artifacts
-//! and the CI gates assert on — no silent fallback can creep back in.
+//! # One apply-and-account step
+//!
+//! Both loops, and the schedule replay of [`crate::replay`], apply a
+//! reconfiguration and account the seconds after it through one private
+//! ledger: it charges zero-duration transitions as an instantaneous lump,
+//! counts and logs the plan, and meters a stretch of constant cluster
+//! state one constant-load run at a time. Only the engine prices the
+//! web-server instance migrations a reconfiguration causes; neither the
+//! replay nor `bml-opt`'s DP models them.
 //!
 //! # What a second or a span costs
 //!
@@ -82,26 +86,16 @@
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
-use bml_core::reconfig::Configuration;
-use bml_core::scheduler::{Decision, ProActiveScheduler, SchedulerStats};
-use bml_core::transition_aware::{TransitionAwareConfig, TransitionAwareScheduler};
+use bml_core::profile::ArchProfile;
+use bml_core::reconfig::{Configuration, ReconfigPlan};
+pub use bml_core::scheduler::SchedulerKind;
+use bml_core::scheduler::{Decision, ProActiveScheduler};
 use bml_metrics::EnergyMeter;
 use bml_trace::{LoadTrace, Predictor};
 
 use crate::cluster::Cluster;
 use crate::migration::migration_cost;
 use crate::qos::QosReport;
-
-/// Which reconfiguration scheduler drives the simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedulerKind {
-    /// The paper's pro-active scheduler: always jump to the ideal
-    /// combination for the prediction.
-    Baseline,
-    /// The future-work transition-aware scheduler: weigh candidate
-    /// configurations by serving + transition energy over the horizon.
-    TransitionAware(TransitionAwareConfig),
-}
 
 /// How the engine advances simulated time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,44 +106,10 @@ pub enum Stepping {
     /// noise-resample points, transition maturities, reconfiguration
     /// unlocks, failure epochs) and batch the accounting of the constant
     /// stretches in between. Result-identical to [`Stepping::PerSecond`]
-    /// up to float-accumulation rounding; falls back to it automatically
-    /// for non-segmented predictors (EWMA, last-value — see the module
-    /// docs).
+    /// up to float-accumulation rounding, for every predictor (see the
+    /// module docs).
     #[default]
     EventDriven,
-}
-
-/// Internal dispatch over the two scheduler implementations.
-enum AnyScheduler {
-    Baseline(ProActiveScheduler),
-    Aware(TransitionAwareScheduler),
-}
-
-impl AnyScheduler {
-    fn decide(&mut self, now: u64, predicted: f64, bml: &BmlInfrastructure) -> Decision {
-        match self {
-            AnyScheduler::Baseline(s) => s.decide(now, predicted, bml),
-            AnyScheduler::Aware(s) => s.decide(now, predicted, bml),
-        }
-    }
-    fn is_locked(&self, now: u64) -> bool {
-        match self {
-            AnyScheduler::Baseline(s) => s.is_locked(now),
-            AnyScheduler::Aware(s) => s.is_locked(now),
-        }
-    }
-    fn next_wakeup(&self, now: u64) -> Option<u64> {
-        match self {
-            AnyScheduler::Baseline(s) => s.next_wakeup(now),
-            AnyScheduler::Aware(s) => s.next_wakeup(now),
-        }
-    }
-    fn stats(&self) -> &SchedulerStats {
-        match self {
-            AnyScheduler::Baseline(s) => s.stats(),
-            AnyScheduler::Aware(s) => s.stats(),
-        }
-    }
 }
 
 /// Simulation parameters.
@@ -163,7 +123,7 @@ pub struct SimConfig {
     /// Start with every machine off (cold start) instead of pre-warming
     /// the combination for the first prediction.
     pub cold_start: bool,
-    /// Scheduler implementation.
+    /// How the scheduler picks its reconfiguration targets.
     pub scheduler: SchedulerKind,
     /// Optional machine-crash injection (counter-based, event-drivable).
     pub failures: Option<FailureModel>,
@@ -404,16 +364,10 @@ pub struct ScenarioResult {
     /// length minus decision epochs) — the skip-ahead win. 0 in
     /// per-second mode; mode-dependent like `segments_batched`.
     pub events_skipped: u64,
-    /// 1 when an [`Stepping::EventDriven`] request fell back to the
-    /// per-second loop because the predictor is not segmented (EWMA,
-    /// last-value), 0 otherwise — the machine-readable fallback reason
-    /// behind `stepping_effective`.
-    pub fallback_unsegmented: u64,
-    /// The stepping loop that actually ran: [`Stepping::EventDriven`]
-    /// requests fall back to [`Stepping::PerSecond`] for non-segmented
-    /// predictors (see the module docs), and this field records the
-    /// outcome so benches, grid artifacts and CI can assert no silent
-    /// fallback remains.
+    /// The stepping loop that ran: always the requested one for the
+    /// engine, [`Stepping::EventDriven`] for the analytic scenarios and
+    /// the schedule replay, which batch over constant-load runs. Kept
+    /// because the grid artifact and the Fig. 5 JSON carry it.
     pub stepping_effective: Stepping,
     /// Every reconfiguration launched, in decision order — the replay's
     /// audit trail, and what the stepping-equivalence property pins.
@@ -450,11 +404,8 @@ pub struct CellSummary {
     pub segments_batched: u64,
     /// Seconds skipped; see [`ScenarioResult::events_skipped`].
     pub events_skipped: u64,
-    /// Per-second fallback flag; see
-    /// [`ScenarioResult::fallback_unsegmented`].
-    pub fallback_unsegmented: u64,
-    /// The stepping loop that actually ran (fallback audit; see
-    /// [`ScenarioResult::stepping_effective`]).
+    /// The stepping loop that ran; see
+    /// [`ScenarioResult::stepping_effective`].
     pub stepping_effective: Stepping,
     /// The offline-optimal energy (J) for the same trace/catalog/split,
     /// from the `bml-opt` segment DP. `None` until
@@ -484,6 +435,30 @@ impl CellSummary {
 }
 
 impl ScenarioResult {
+    /// A result holding `meter` and `qos` and nothing else: no
+    /// reconfigurations, no engine counters, an empty log, batched
+    /// stepping. The analytic Fig. 5 bounds are exactly this; the ledger
+    /// behind the engine and the replay adds its counters on top.
+    pub(crate) fn from_meters(name: &str, meter: EnergyMeter, qos: QosReport) -> Self {
+        ScenarioResult {
+            name: name.into(),
+            total_energy_j: meter.total_joules(),
+            mean_power_w: meter.mean_power(),
+            qos,
+            reconfigurations: 0,
+            nodes_switched_on: 0,
+            nodes_switched_off: 0,
+            reconfig_energy_j: 0.0,
+            instance_migrations: 0,
+            failures_injected: 0,
+            segments_batched: 0,
+            events_skipped: 0,
+            stepping_effective: Stepping::EventDriven,
+            reconfig_log: Vec::new(),
+            daily_energy_j: meter.into_daily_joules(),
+        }
+    }
+
     /// The per-cell summary grid aggregation consumes (see [`CellSummary`]).
     pub fn summary(&self) -> CellSummary {
         CellSummary {
@@ -499,7 +474,6 @@ impl ScenarioResult {
             instance_migrations: self.instance_migrations,
             segments_batched: self.segments_batched,
             events_skipped: self.events_skipped,
-            fallback_unsegmented: self.fallback_unsegmented,
             stepping_effective: self.stepping_effective,
             optimal_energy_j: None,
             optimality_gap: None,
@@ -630,41 +604,129 @@ impl ScenarioResult {
 /// [`bml_trace::LookaheadMaxPredictor`] over a 378 s window; noisy or
 /// reactive predictors plug in for the future-work experiments.
 ///
-/// `config.stepping` selects the time-stepping mode; the event-driven
-/// mode transparently falls back to the per-second reference loop when
-/// the run cannot be segmented (see the module docs).
+/// `config.stepping` selects the time-stepping loop, which runs for every
+/// predictor (see the module docs).
 pub fn simulate_bml(
     trace: &LoadTrace,
     bml: &BmlInfrastructure,
     predictor: &mut dyn Predictor,
     config: &SimConfig,
 ) -> ScenarioResult {
-    let use_events = config.stepping == Stepping::EventDriven && predictor.is_segmented();
-    if use_events {
-        simulate_event_driven(trace, bml, predictor, config)
-    } else {
-        let fallback = config.stepping == Stepping::EventDriven;
-        simulate_per_second(trace, bml, predictor, config, fallback)
+    match config.stepping {
+        Stepping::PerSecond => simulate_per_second(trace, bml, predictor, config),
+        Stepping::EventDriven => simulate_event_driven(trace, bml, predictor, config),
     }
 }
 
-/// Mutable state shared by the two stepping loops: cluster, scheduler,
-/// meters, and the bookkeeping around a reconfiguration decision.
-struct EngineState<'a> {
-    cluster: Cluster<'a>,
-    sched: AnyScheduler,
+/// The apply-and-account step shared by both stepping loops and the
+/// schedule replay ([`crate::replay`]): the cluster, the meters, and the
+/// reconfiguration counters and log.
+pub(crate) struct Ledger<'a> {
+    pub(crate) cluster: Cluster<'a>,
     meter: EnergyMeter,
     qos: QosReport,
+    reconfigurations: u64,
+    nodes_switched_on: u64,
+    nodes_switched_off: u64,
+    reconfig_energy_j: f64,
+    reconfig_log: Vec<ReconfigRecord>,
+}
+
+impl<'a> Ledger<'a> {
+    /// A ledger over a cluster with `initial` machines per architecture
+    /// online.
+    pub(crate) fn new(profiles: &'a [ArchProfile], initial: &[u32], split: SplitPolicy) -> Self {
+        Ledger {
+            cluster: Cluster::with_online(profiles, initial, split),
+            meter: EnergyMeter::new(),
+            qos: QosReport::default(),
+            reconfigurations: 0,
+            nodes_switched_on: 0,
+            nodes_switched_off: 0,
+            reconfig_energy_j: 0.0,
+            reconfig_log: Vec::new(),
+        }
+    }
+
+    /// Apply `plan`, decided at `now`: charge its zero-duration
+    /// transitions, which no ramp can spread over time, as an
+    /// instantaneous lump, count and log it, and start its transitions on
+    /// the cluster.
+    pub(crate) fn apply(&mut self, plan: &ReconfigPlan, now: u64) {
+        let profiles = self.cluster.profiles();
+        let mut lump = 0.0;
+        for &(k, c) in &plan.switch_on {
+            if profiles[k].on_duration == 0.0 {
+                lump += f64::from(c) * profiles[k].on_energy;
+            }
+        }
+        for &(k, c) in &plan.switch_off {
+            if profiles[k].off_duration == 0.0 {
+                lump += f64::from(c) * profiles[k].off_energy;
+            }
+        }
+        if lump > 0.0 {
+            self.meter.add_energy(lump);
+        }
+        self.reconfigurations += 1;
+        self.nodes_switched_on += u64::from(plan.nodes_switched_on());
+        self.nodes_switched_off += u64::from(plan.nodes_switched_off());
+        self.reconfig_energy_j += plan.energy;
+        self.reconfig_log.push(ReconfigRecord {
+            at: now,
+            target: plan.target.0.clone(),
+        });
+        self.cluster.apply(plan, now);
+    }
+
+    /// Account `secs` seconds of raw `load` on the current cluster.
+    fn account(&mut self, load: f64, secs: u64) {
+        let (power, served) = self.cluster.power(load);
+        self.meter.accumulate_span(power, secs);
+        self.qos.record_span(load, served, secs);
+    }
+
+    /// Account `[from, to)`, over which the cluster does not change: its
+    /// power then only changes with the raw load, so one meter and QoS
+    /// update per maximal constant-load run. Returns the number of runs.
+    pub(crate) fn account_runs(&mut self, trace: &LoadTrace, from: u64, to: u64) -> u64 {
+        let mut runs = 0;
+        let mut t = from;
+        while t < to {
+            let end = trace.run_end(t).min(to);
+            self.account(trace.get(t), end - t);
+            runs += 1;
+            t = end;
+        }
+        runs
+    }
+
+    /// The accounted run as a result named `name`; the engine-only
+    /// counters (migrations, failures, stepping telemetry) are zero.
+    pub(crate) fn into_result(self, name: &str) -> ScenarioResult {
+        ScenarioResult {
+            reconfigurations: self.reconfigurations,
+            nodes_switched_on: self.nodes_switched_on,
+            nodes_switched_off: self.nodes_switched_off,
+            reconfig_energy_j: self.reconfig_energy_j,
+            reconfig_log: self.reconfig_log,
+            ..ScenarioResult::from_meters(name, self.meter, self.qos)
+        }
+    }
+}
+
+/// Mutable state shared by the two stepping loops: the ledger, the
+/// scheduler, and the engine-only counters.
+struct EngineState<'a> {
+    ledger: Ledger<'a>,
+    sched: ProActiveScheduler,
     migrations: u64,
     failures: Option<FailureSampler>,
     failures_injected: u64,
     /// Telemetry counters; see [`ScenarioResult::segments_batched`] /
-    /// `events_skipped` / `fallback_unsegmented`. The running loop fills
-    /// in whichever apply before `finish`.
+    /// `events_skipped`. Only the event loop fills them in.
     segments_batched: u64,
     events_skipped: u64,
-    fallback_unsegmented: u64,
-    reconfig_log: Vec<ReconfigRecord>,
 }
 
 impl<'a> EngineState<'a> {
@@ -675,20 +737,9 @@ impl<'a> EngineState<'a> {
         } else {
             Configuration(bml.combination_table().counts_for(predictor.predict(0)))
         };
-        let cluster = Cluster::with_online(bml.candidates(), &initial.0, config.split);
-        let sched = match &config.scheduler {
-            SchedulerKind::Baseline => {
-                AnyScheduler::Baseline(ProActiveScheduler::with_initial(initial))
-            }
-            SchedulerKind::TransitionAware(cfg) => {
-                AnyScheduler::Aware(TransitionAwareScheduler::with_initial(initial, cfg.clone()))
-            }
-        };
         EngineState {
-            cluster,
-            sched,
-            meter: EnergyMeter::new(),
-            qos: QosReport::default(),
+            ledger: Ledger::new(bml.candidates(), &initial.0, config.split),
+            sched: ProActiveScheduler::with_initial(initial, config.scheduler.clone()),
             migrations: 0,
             failures: config
                 .failures
@@ -697,53 +748,32 @@ impl<'a> EngineState<'a> {
             failures_injected: 0,
             segments_batched: 0,
             events_skipped: 0,
-            fallback_unsegmented: 0,
-            reconfig_log: Vec::new(),
         }
     }
 
-    /// One scheduler consultation at `now`: decide, and on a
-    /// reconfiguration account migrations + zero-duration transition
-    /// lumps and apply the plan to the cluster. Identical in both
-    /// stepping modes — the event loop only calls it at event instants,
-    /// where the per-second loop's intermediate calls are provably
-    /// `NoChange` or `Locked`.
-    fn decide_at(&mut self, now: u64, predicted: f64, bml: &BmlInfrastructure) {
-        if let Decision::Reconfigure(plan) = self.sched.decide(now, predicted, bml) {
+    /// One decision epoch at `now`, the same in both stepping loops:
+    /// promote matured transitions, crash the machines whose candidate
+    /// time is `now`, and consult the scheduler — on a reconfiguration,
+    /// charge the instance migrations and hand the plan to the ledger.
+    /// The event loop only runs epochs at event instants, where the
+    /// per-second loop's intermediate ones are provably `NoChange` or
+    /// `Locked`; and since every failure sample is a pure function of its
+    /// key, both loops see the same failure trajectory.
+    fn epoch(&mut self, now: u64, predictor: &mut dyn Predictor, bml: &BmlInfrastructure) {
+        self.ledger.cluster.tick(now);
+        if let Some(f) = self.failures.as_mut() {
+            self.failures_injected += f.sync(&mut self.ledger.cluster, now);
+        }
+        let prediction = if self.sched.is_locked(now) {
+            0.0 // ignored; decide() returns Locked without reading it
+        } else {
+            predictor.predict(now)
+        };
+        if let Decision::Reconfigure(plan) = self.sched.decide(now, prediction, bml) {
             let (migrations, energy_j) = migration_cost(&plan.from.0, &plan.target.0);
             self.migrations += u64::from(migrations);
-            self.meter.add_energy(energy_j);
-            // Zero-duration transitions cannot be spread over time; charge
-            // them as an instantaneous lump.
-            let mut lump = 0.0;
-            for &(k, c) in &plan.switch_on {
-                if bml.candidates()[k].on_duration == 0.0 {
-                    lump += f64::from(c) * bml.candidates()[k].on_energy;
-                }
-            }
-            for &(k, c) in &plan.switch_off {
-                if bml.candidates()[k].off_duration == 0.0 {
-                    lump += f64::from(c) * bml.candidates()[k].off_energy;
-                }
-            }
-            if lump > 0.0 {
-                self.meter.add_energy(lump);
-            }
-            self.reconfig_log.push(ReconfigRecord {
-                at: now,
-                target: plan.target.0.clone(),
-            });
-            self.cluster.apply(&plan, now);
-        }
-    }
-
-    /// Crash the machines whose candidate time is `now` (no-op without a
-    /// failure model). Called right after `Cluster::tick` in **both**
-    /// stepping loops; since every sample is a pure function of its key,
-    /// both loops see the same failure trajectory.
-    fn sync_failures(&mut self, now: u64) {
-        if let Some(f) = self.failures.as_mut() {
-            self.failures_injected += f.sync(&mut self.cluster, now);
+            self.ledger.meter.add_energy(energy_j);
+            self.ledger.apply(&plan, now);
         }
     }
 
@@ -751,28 +781,17 @@ impl<'a> EngineState<'a> {
     fn next_failure_event(&self) -> Option<u64> {
         self.failures
             .as_ref()
-            .and_then(|f| f.next_event(&self.cluster))
+            .and_then(|f| f.next_event(&self.ledger.cluster))
     }
 
     fn finish(self, stepping_effective: Stepping) -> ScenarioResult {
-        let stats = self.sched.stats();
         ScenarioResult {
-            name: "Big-Medium-Little".into(),
-            total_energy_j: self.meter.total_joules(),
-            mean_power_w: self.meter.mean_power(),
-            qos: self.qos,
-            reconfigurations: stats.reconfigurations,
-            nodes_switched_on: stats.nodes_switched_on,
-            nodes_switched_off: stats.nodes_switched_off,
-            reconfig_energy_j: stats.reconfig_energy,
             instance_migrations: self.migrations,
             failures_injected: self.failures_injected,
             segments_batched: self.segments_batched,
             events_skipped: self.events_skipped,
-            fallback_unsegmented: self.fallback_unsegmented,
             stepping_effective,
-            reconfig_log: self.reconfig_log,
-            daily_energy_j: self.meter.into_daily_joules(),
+            ..self.ledger.into_result("Big-Medium-Little")
         }
     }
 }
@@ -783,24 +802,11 @@ fn simulate_per_second(
     bml: &BmlInfrastructure,
     predictor: &mut dyn Predictor,
     config: &SimConfig,
-    fallback_unsegmented: bool,
 ) -> ScenarioResult {
     let mut st = EngineState::new(bml, predictor, config);
-    st.fallback_unsegmented = u64::from(fallback_unsegmented);
-
     for t in 0..trace.len() {
-        st.cluster.tick(t);
-        st.sync_failures(t);
-        let prediction = if st.sched.is_locked(t) {
-            0.0 // ignored; decide() returns Locked without reading it
-        } else {
-            predictor.predict(t)
-        };
-        st.decide_at(t, prediction, bml);
-        let load = trace.get(t);
-        let (power, served) = st.cluster.power(load);
-        st.meter.record(power);
-        st.qos.record(load, served);
+        st.epoch(t, predictor, bml);
+        st.ledger.account(trace.get(t), 1);
     }
     st.finish(Stepping::PerSecond)
 }
@@ -814,21 +820,13 @@ fn simulate_event_driven(
     predictor: &mut dyn Predictor,
     config: &SimConfig,
 ) -> ScenarioResult {
-    debug_assert!(predictor.is_segmented());
     let mut st = EngineState::new(bml, predictor, config);
     let n = trace.len();
     let mut now = 0u64;
     let mut decision_epochs = 0u64;
     while now < n {
         decision_epochs += 1;
-        st.cluster.tick(now);
-        st.sync_failures(now);
-        let prediction = if st.sched.is_locked(now) {
-            0.0 // ignored; decide() returns Locked without reading it
-        } else {
-            predictor.predict(now)
-        };
-        st.decide_at(now, prediction, bml);
+        st.epoch(now, predictor, bml);
 
         // Next decision-relevant event: between `now` and `next` the
         // prediction, the scheduler's lock state, and the cluster's pool
@@ -838,7 +836,7 @@ fn simulate_event_driven(
         if let Some(t) = predictor.next_change(now) {
             next = next.min(t);
         }
-        if let Some(t) = st.cluster.next_transition_event() {
+        if let Some(t) = st.ledger.cluster.next_transition_event() {
             next = next.min(t);
         }
         if let Some(t) = st.sched.next_wakeup(now) {
@@ -848,20 +846,7 @@ fn simulate_event_driven(
             next = next.min(t);
         }
         let next = next.clamp(now + 1, n);
-
-        // Batched accounting over [now, next): the cluster state is
-        // constant, so power only changes with the raw load — one meter
-        // and QoS update per maximal constant-load run.
-        let mut t = now;
-        while t < next {
-            let span_end = trace.run_end(t).min(next);
-            let load = trace.get(t);
-            let (power, served) = st.cluster.power(load);
-            st.meter.accumulate_span(power, span_end - t);
-            st.qos.record_span(load, served, span_end - t);
-            st.segments_batched += 1;
-            t = span_end;
-        }
+        st.segments_batched += st.ledger.account_runs(trace, now, next);
         now = next;
     }
     // Each loop iteration is one decision epoch; the per-second loop
@@ -874,6 +859,7 @@ fn simulate_event_driven(
 mod tests {
     use super::*;
     use bml_core::catalog;
+    use bml_core::transition_aware::TransitionAwareConfig;
     use bml_trace::synthetic;
     use bml_trace::LookaheadMaxPredictor;
 
@@ -887,26 +873,37 @@ mod tests {
         simulate_bml(trace, &bml, &mut p, config)
     }
 
-    /// Assert the two stepping modes agree: discrete outcomes exactly,
-    /// energies to float-accumulation rounding.
-    fn assert_steppings_agree(trace: &LoadTrace, config: &SimConfig) {
-        let per_second = run(
-            trace,
-            &SimConfig {
-                stepping: Stepping::PerSecond,
+    /// Run `trace` under both steppings, each with a fresh predictor from
+    /// `predictor`, and assert that each result names its loop and that
+    /// they agree: discrete outcomes exactly, energies to
+    /// float-accumulation rounding. Returns `(per_second, event)`.
+    fn steppings_agree_with<P: Predictor>(
+        trace: &LoadTrace,
+        config: &SimConfig,
+        predictor: impl Fn() -> P,
+    ) -> (ScenarioResult, ScenarioResult) {
+        let bml = bml();
+        let [per_second, event] = [Stepping::PerSecond, Stepping::EventDriven].map(|stepping| {
+            let config = SimConfig {
+                stepping,
                 ..config.clone()
-            },
-        );
-        let event = run(
-            trace,
-            &SimConfig {
-                stepping: Stepping::EventDriven,
-                ..config.clone()
-            },
-        );
+            };
+            let r = simulate_bml(trace, &bml, &mut predictor(), &config);
+            assert_eq!(r.stepping_effective, stepping);
+            r
+        });
         per_second
             .check_replay_equivalent(&event, 1e-9)
             .unwrap_or_else(|e| panic!("stepping modes diverged: {e}"));
+        (per_second, event)
+    }
+
+    /// [`steppings_agree_with`] the paper's 378 s look-ahead maximum.
+    fn assert_steppings_agree(
+        trace: &LoadTrace,
+        config: &SimConfig,
+    ) -> (ScenarioResult, ScenarioResult) {
+        steppings_agree_with(trace, config, || LookaheadMaxPredictor::new(trace, 378))
     }
 
     #[test]
@@ -1076,59 +1073,24 @@ mod tests {
 
     #[test]
     fn failure_model_takes_event_path() {
-        // Failure injection used to force the per-second fallback; with
-        // counter-based gap sampling the event loop handles it and must
-        // reproduce the reference trajectory.
+        // With counter-based gap sampling the event loop handles failure
+        // injection and must reproduce the reference trajectory.
         let trace = synthetic::constant(150.0, 1_500);
         let cfg = SimConfig {
             failures: Some(FailureModel::new(400.0, 20, 5)),
             ..Default::default()
         };
-        let event = run(
-            &trace,
-            &SimConfig {
-                stepping: Stepping::EventDriven,
-                ..cfg.clone()
-            },
-        );
-        assert_eq!(event.stepping_effective, Stepping::EventDriven);
+        let (_, event) = assert_steppings_agree(&trace, &cfg);
         assert!(event.failures_injected > 0, "model must actually fire");
-        let per_second = run(
-            &trace,
-            &SimConfig {
-                stepping: Stepping::PerSecond,
-                ..cfg
-            },
-        );
-        assert_eq!(per_second.stepping_effective, Stepping::PerSecond);
-        per_second
-            .check_replay_equivalent(&event, 1e-9)
-            .unwrap_or_else(|e| panic!("failure-injected steppings diverged: {e}"));
     }
 
     #[test]
     fn noisy_predictor_takes_event_path() {
         use bml_trace::NoisyPredictor;
         let trace = synthetic::diurnal(5.0, 900.0, 4.0, 1);
-        let bml = bml();
-        let run_mode = |stepping| {
-            let mut p = NoisyPredictor::new(LookaheadMaxPredictor::new(&trace, 378), 0.2, 99);
-            simulate_bml(
-                &trace,
-                &bml,
-                &mut p,
-                &SimConfig {
-                    stepping,
-                    ..Default::default()
-                },
-            )
-        };
-        let event = run_mode(Stepping::EventDriven);
-        assert_eq!(event.stepping_effective, Stepping::EventDriven);
-        let per_second = run_mode(Stepping::PerSecond);
-        per_second
-            .check_replay_equivalent(&event, 1e-9)
-            .unwrap_or_else(|e| panic!("noisy steppings diverged: {e}"));
+        steppings_agree_with(&trace, &SimConfig::default(), || {
+            NoisyPredictor::new(LookaheadMaxPredictor::new(&trace, 378), 0.2, 99)
+        });
     }
 
     #[test]
@@ -1140,37 +1102,38 @@ mod tests {
         rates.extend(vec![1_100.0; 900]);
         rates.extend(vec![10.0; 900]);
         let trace = LoadTrace::new(0, rates);
-        let bml = bml();
-        let run_mode = |stepping| {
-            let mut p = NoisyPredictor::new(LookaheadMaxPredictor::new(&trace, 378), 0.15, 13);
-            simulate_bml(
-                &trace,
-                &bml,
-                &mut p,
-                &SimConfig {
-                    failures: Some(FailureModel::new(600.0, 25, 3)),
-                    stepping,
-                    ..Default::default()
-                },
-            )
+        let cfg = SimConfig {
+            failures: Some(FailureModel::new(600.0, 25, 3)),
+            ..Default::default()
         };
-        let event = run_mode(Stepping::EventDriven);
-        assert_eq!(event.stepping_effective, Stepping::EventDriven);
-        let per_second = run_mode(Stepping::PerSecond);
-        per_second
-            .check_replay_equivalent(&event, 1e-9)
-            .unwrap_or_else(|e| panic!("noisy+failure steppings diverged: {e}"));
+        steppings_agree_with(&trace, &cfg, || {
+            NoisyPredictor::new(LookaheadMaxPredictor::new(&trace, 378), 0.15, 13)
+        });
     }
 
     #[test]
-    fn unsegmented_predictor_still_falls_back() {
-        // EWMA genuinely depends on observing every second: the recorded
-        // effective stepping must expose the fallback.
-        let trace = synthetic::constant(100.0, 500);
-        let bml = bml();
-        let mut p = bml_trace::EwmaPredictor::new(&trace, 0.5);
-        let r = simulate_bml(&trace, &bml, &mut p, &SimConfig::default());
-        assert_eq!(r.stepping_effective, Stepping::PerSecond);
+    fn ewma_event_run_equals_per_second_bit_for_bit() {
+        // EWMA may move every second, so it reports the next second as its
+        // change-point and the event loop ticks like the per-second one:
+        // every field agrees exactly, apart from the stepping telemetry.
+        let mut rates = vec![50.0; 300];
+        rates.extend(vec![1_200.0; 300]);
+        rates.extend(vec![5.0; 300]);
+        let trace = LoadTrace::new(0, rates);
+        let (per_second, event) = steppings_agree_with(&trace, &SimConfig::default(), || {
+            bml_trace::EwmaPredictor::new(&trace, 0.05)
+        });
+        assert_eq!(event.events_skipped, 0);
+        assert_eq!(event.segments_batched, trace.len());
+        assert!(event.reconfigurations > 0);
+        assert_eq!(
+            ScenarioResult {
+                segments_batched: 0,
+                stepping_effective: Stepping::PerSecond,
+                ..event
+            },
+            per_second
+        );
     }
 
     #[test]
@@ -1188,9 +1151,7 @@ mod tests {
         let aware = run(
             &trace,
             &SimConfig {
-                scheduler: SchedulerKind::TransitionAware(
-                    bml_core::transition_aware::TransitionAwareConfig::paper(),
-                ),
+                scheduler: SchedulerKind::TransitionAware(TransitionAwareConfig::paper()),
                 ..Default::default()
             },
         );
@@ -1249,47 +1210,33 @@ mod tests {
             failures: Some(FailureModel::new(2_000.0, 30, 11)),
             ..Default::default()
         };
-        let event = run(
-            &trace,
-            &SimConfig {
-                stepping: Stepping::EventDriven,
-                ..cfg.clone()
-            },
-        );
-        let per_second = run(
-            &trace,
-            &SimConfig {
-                stepping: Stepping::PerSecond,
-                ..cfg
-            },
-        );
-        assert_eq!(event.reconfigurations, per_second.reconfigurations);
-        assert_eq!(event.failures_injected, per_second.failures_injected);
+        let (per_second, event) = assert_steppings_agree(&trace, &cfg);
         // The fast path actually batched and skipped.
         assert!(event.segments_batched > 0, "no spans batched");
         assert!(event.events_skipped > 0, "no seconds skipped");
         assert!(event.events_skipped < trace.len(), "skip count overran");
-        assert_eq!(event.fallback_unsegmented, 0);
-        // The reference loop batches and skips nothing, and an honored
-        // PerSecond request is not a fallback.
+        // The reference loop batches and skips nothing.
         assert_eq!(per_second.segments_batched, 0);
         assert_eq!(per_second.events_skipped, 0);
-        assert_eq!(per_second.fallback_unsegmented, 0);
         // Summaries carry the counters through to grid aggregation.
         assert_eq!(event.summary().segments_batched, event.segments_batched);
         assert_eq!(event.summary().events_skipped, event.events_skipped);
     }
 
     #[test]
-    fn fallback_reason_counter_marks_unsegmented_predictors() {
-        let trace = synthetic::constant(100.0, 500);
-        let bml = bml();
-        let mut p = bml_trace::EwmaPredictor::new(&trace, 0.5);
-        let r = simulate_bml(&trace, &bml, &mut p, &SimConfig::default());
-        assert_eq!(r.stepping_effective, Stepping::PerSecond);
-        assert_eq!(r.fallback_unsegmented, 1, "fallback must be recorded");
-        assert_eq!(r.segments_batched, 0);
-        assert_eq!(r.summary().fallback_unsegmented, 1);
+    fn last_value_event_run_skips_plateaus_and_matches_per_second() {
+        // Last-value changes one second after the load does, so on a
+        // plateau trace its event run skips the plateaus' seconds.
+        let mut rates = vec![40.0; 600];
+        rates.extend(vec![700.0; 600]);
+        rates.extend(vec![3.0; 600]);
+        rates.extend(vec![1_500.0; 600]);
+        let trace = LoadTrace::new(0, rates);
+        let (_, event) = steppings_agree_with(&trace, &SimConfig::default(), || {
+            bml_trace::LastValuePredictor::new(&trace)
+        });
+        assert!(event.events_skipped > 0, "no seconds skipped");
+        assert!(event.reconfigurations > 0);
     }
 
     #[test]

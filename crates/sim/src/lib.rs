@@ -16,8 +16,8 @@
 //!   migration accounting, charged on every reconfiguration;
 //! * [`qos`] — demand-vs-served accounting;
 //! * [`replay`] — schedule replay (records in, energies out): how
-//!   `bml-opt` verifies its offline-optimal schedules against the same
-//!   cluster model the engine uses;
+//!   `bml-opt` verifies its offline-optimal schedules, through the
+//!   engine's own apply-and-account step;
 //! * [`scenarios`] — the four Fig. 5 scenarios (two homogeneous upper
 //!   bounds, BML, the theoretical lower bound);
 //! * [`exec`] — the shared experiment-cell executor: one knob setting =

@@ -3,13 +3,15 @@
 //!
 //! This is how `bml-opt` *proves* its claimed optimum: the DP prices
 //! transitions analytically, then hands its schedule to this replay,
-//! which runs the very same cluster lifecycle, power split, ramp
-//! integration, zero-duration lump accounting and QoS bookkeeping as the
-//! event-driven engine ([`crate::engine`]) — minus the scheduler and
-//! predictor, with the record list as the only decision source. If the
-//! two energies agree to 1e-9 relative, the DP's cost model matches the
-//! simulator; if they ever drift apart, the optimality numbers are wrong
-//! and the caller must fail loudly.
+//! which applies and accounts every record through the engine's own
+//! ledger ([`crate::engine`]) — the same cluster lifecycle, power split,
+//! ramp integration, zero-duration lump and constant-load span accounting
+//! — minus the scheduler and predictor, with the record list as the only
+//! decision source. If the two energies agree to 1e-9 relative, the DP's
+//! cost model matches the simulator; if they ever drift apart, the
+//! optimality numbers are wrong and the caller must fail loudly. Like the
+//! DP, the replay does not price instance migrations; only the engine
+//! does.
 //!
 //! Records are applied *sequentially at their timestamps*: each record's
 //! `target` is interpreted against the configuration the previous record
@@ -21,12 +23,9 @@
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::reconfig::{plan_reconfiguration, Configuration};
-use bml_metrics::EnergyMeter;
 use bml_trace::LoadTrace;
 
-use crate::cluster::Cluster;
-use crate::engine::{ReconfigRecord, ScenarioResult, Stepping};
-use crate::qos::QosReport;
+use crate::engine::{Ledger, ReconfigRecord, ScenarioResult};
 
 /// Replay `schedule` against `trace` on a cluster warm-started with
 /// `initial` machines per architecture, and account energy + QoS exactly
@@ -53,103 +52,44 @@ pub fn replay_schedule(
         schedule.windows(2).all(|w| w[0].at <= w[1].at),
         "schedule must be sorted by time"
     );
-    let profiles = bml.candidates();
-    let mut cluster = Cluster::with_online(profiles, initial, split);
+    let mut ledger = Ledger::new(bml.candidates(), initial, split);
     let mut believed = Configuration(initial.to_vec());
-    let mut meter = EnergyMeter::new();
-    let mut qos = QosReport::default();
-    let mut log = Vec::new();
-    let mut reconfigurations = 0u64;
-    let mut nodes_on = 0u64;
-    let mut nodes_off = 0u64;
-    let mut reconfig_energy = 0.0;
-
     let n = trace.len();
     let mut next_rec = 0usize;
     let mut now = 0u64;
     while now < n {
-        cluster.tick(now);
+        ledger.cluster.tick(now);
         while next_rec < schedule.len() && schedule[next_rec].at == now {
-            let record = &schedule[next_rec];
+            let target = Configuration(schedule[next_rec].target.clone());
             next_rec += 1;
-            let target = Configuration(record.target.clone());
-            let Some(plan) = plan_reconfiguration(profiles, &believed, &target) else {
-                continue; // no-op record
-            };
-            // Zero-duration transitions cannot be spread over time; charge
-            // them as an instantaneous lump (mirrors the engine's
-            // `decide_at`).
-            let mut lump = 0.0;
-            for &(k, c) in &plan.switch_on {
-                if profiles[k].on_duration == 0.0 {
-                    lump += f64::from(c) * profiles[k].on_energy;
-                }
+            // A record naming the believed configuration is a no-op.
+            if let Some(plan) = plan_reconfiguration(bml.candidates(), &believed, &target) {
+                ledger.apply(&plan, now);
+                believed = target;
             }
-            for &(k, c) in &plan.switch_off {
-                if profiles[k].off_duration == 0.0 {
-                    lump += f64::from(c) * profiles[k].off_energy;
-                }
-            }
-            if lump > 0.0 {
-                meter.add_energy(lump);
-            }
-            reconfigurations += 1;
-            nodes_on += u64::from(plan.nodes_switched_on());
-            nodes_off += u64::from(plan.nodes_switched_off());
-            reconfig_energy += plan.energy;
-            log.push(record.clone());
-            cluster.apply(&plan, now);
-            believed = target;
         }
 
         // Next replay event: a record application or a cluster lifecycle
-        // epoch; between them pool states are constant, so accounting
-        // batches over maximal constant-load runs.
+        // epoch; between them pool states are constant.
         let mut next = n;
         if next_rec < schedule.len() {
             next = next.min(schedule[next_rec].at);
         }
-        if let Some(t) = cluster.next_transition_event() {
+        if let Some(t) = ledger.cluster.next_transition_event() {
             next = next.min(t);
         }
         let next = next.clamp(now + 1, n);
-
-        let mut t = now;
-        while t < next {
-            let span_end = trace.run_end(t).min(next);
-            let load = trace.get(t);
-            let (power, served) = cluster.power(load);
-            meter.accumulate_span(power, span_end - t);
-            qos.record_span(load, served, span_end - t);
-            t = span_end;
-        }
+        ledger.account_runs(trace, now, next);
         now = next;
     }
-
-    ScenarioResult {
-        name: "Offline Optimal".into(),
-        total_energy_j: meter.total_joules(),
-        mean_power_w: meter.mean_power(),
-        qos,
-        reconfigurations,
-        nodes_switched_on: nodes_on,
-        nodes_switched_off: nodes_off,
-        reconfig_energy_j: reconfig_energy,
-        instance_migrations: 0,
-        failures_injected: 0,
-        segments_batched: 0,
-        events_skipped: 0,
-        fallback_unsegmented: 0,
-        stepping_effective: Stepping::EventDriven,
-        reconfig_log: log,
-        daily_energy_j: meter.into_daily_joules(),
-    }
+    ledger.into_result("Offline Optimal")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bml_core::catalog;
+    use bml_core::profile::ArchProfile;
 
     fn bml() -> BmlInfrastructure {
         BmlInfrastructure::build(&catalog::table1()).unwrap()
@@ -218,6 +158,38 @@ mod tests {
             r.total_energy_j
         );
         assert_eq!(r.nodes_switched_off, 1);
+    }
+
+    #[test]
+    fn zero_duration_transitions_charge_one_lump() {
+        // No ramp can spread a zero-duration transition, so its energy is
+        // charged once, as a lump at the decision instant.
+        let profiles = vec![
+            ArchProfile::new("big", 10.0, 50.0, 100.0, 0.0, 30.0, 0.0, 20.0).unwrap(),
+            ArchProfile::new("little", 1.0, 3.0, 10.0, 0.0, 4.0, 0.0, 2.0).unwrap(),
+        ];
+        let bml = BmlInfrastructure::from_candidates(profiles).unwrap();
+        let trace = LoadTrace::new(0, vec![0.0; 100]);
+        let schedule =
+            [(10, vec![1, 0]), (50, vec![0, 1])].map(|(at, target)| ReconfigRecord { at, target });
+        let r = replay_schedule(
+            &trace,
+            &bml,
+            &[0, 0],
+            &schedule,
+            SplitPolicy::EfficiencyGreedy,
+        );
+        // Boot the big (30 J) at 10; it is online from the next tick, so
+        // it idles over [11, 50) at 10 W. Swap it for the little (20 J
+        // off, at once, + 4 J on), which idles over [51, 100) at 1 W.
+        let expected = 30.0 + 10.0 * 39.0 + 24.0 + 1.0 * 49.0;
+        assert!(
+            (r.total_energy_j - expected).abs() < 1e-9,
+            "{} vs {expected}",
+            r.total_energy_j
+        );
+        assert_eq!(r.reconfig_energy_j, 54.0);
+        assert_eq!(r.reconfigurations, 2);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! but the mapping from their knob to a [`CellConfig`].
 
 use bml_core::bml::BmlInfrastructure;
+use bml_core::scheduler::SchedulerKind;
+use bml_core::transition_aware::TransitionAwareConfig;
 use bml_metrics::{overhead_stats, OverheadStats};
 use bml_trace::LoadTrace;
 
@@ -167,27 +169,19 @@ pub fn sweep_scheduler(
     bml: &BmlInfrastructure,
     base: &SimConfig,
 ) -> Vec<(String, ScenarioResult)> {
-    let horizon = base
+    let window = base
         .window
-        .unwrap_or_else(|| bml_core::scheduler::paper_window_length(bml.candidates()))
-        as f64;
-    let aware_cfg = bml_core::transition_aware::TransitionAwareConfig {
-        horizon_s: horizon,
-        split: base.split,
-        consider_keep_variants: true,
-    };
+        .unwrap_or_else(|| bml_core::scheduler::paper_window_length(bml.candidates()));
+    let aware_cfg = TransitionAwareConfig::for_window(window, base.split);
     let base_cell = CellConfig::from_sim(base);
     sweep(
         trace,
         bml,
         [
-            (
-                "baseline".to_string(),
-                crate::engine::SchedulerKind::Baseline,
-            ),
+            ("baseline".to_string(), SchedulerKind::Baseline),
             (
                 "transition-aware".to_string(),
-                crate::engine::SchedulerKind::TransitionAware(aware_cfg),
+                SchedulerKind::TransitionAware(aware_cfg),
             ),
         ]
         .into_iter()

@@ -20,7 +20,7 @@ use bml_core::profile::ArchProfile;
 use bml_metrics::EnergyMeter;
 use bml_trace::{LoadTrace, LookaheadMaxPredictor};
 
-use crate::engine::{simulate_bml, ScenarioResult, SimConfig, Stepping};
+use crate::engine::{simulate_bml, ScenarioResult, SimConfig};
 use crate::qos::QosReport;
 
 /// Machines needed to cover `rate` with nodes of capacity `max_perf`.
@@ -55,25 +55,7 @@ fn homogeneous_scenario(
             qos.record_span(seg.value, served, seg.len());
         }
     }
-    ScenarioResult {
-        name: name.into(),
-        total_energy_j: meter.total_joules(),
-        mean_power_w: meter.mean_power(),
-        qos,
-        reconfigurations: 0,
-        nodes_switched_on: 0,
-        nodes_switched_off: 0,
-        reconfig_energy_j: 0.0,
-        instance_migrations: 0,
-        failures_injected: 0,
-        segments_batched: 0,
-        events_skipped: 0,
-        fallback_unsegmented: 0,
-        // Analytic replays batch over constant-load runs by construction.
-        stepping_effective: Stepping::EventDriven,
-        reconfig_log: Vec::new(),
-        daily_energy_j: meter.into_daily_joules(),
-    }
+    ScenarioResult::from_meters(name, meter, qos)
 }
 
 /// `UpperBound Global`: a constant homogeneous fleet sized for the global
@@ -142,25 +124,7 @@ pub fn lower_bound_theoretical(
         meter.accumulate_span(w, seg.len());
         qos.record_span(seg.value, seg.value, seg.len()); // always covered
     }
-    ScenarioResult {
-        name: "LowerBound Theoretical".into(),
-        total_energy_j: meter.total_joules(),
-        mean_power_w: meter.mean_power(),
-        qos,
-        reconfigurations: 0,
-        nodes_switched_on: 0,
-        nodes_switched_off: 0,
-        reconfig_energy_j: 0.0,
-        instance_migrations: 0,
-        failures_injected: 0,
-        segments_batched: 0,
-        events_skipped: 0,
-        fallback_unsegmented: 0,
-        // Analytic replays batch over constant-load runs by construction.
-        stepping_effective: Stepping::EventDriven,
-        reconfig_log: Vec::new(),
-        daily_energy_j: meter.into_daily_joules(),
-    }
+    ScenarioResult::from_meters("LowerBound Theoretical", meter, qos)
 }
 
 /// `Big-Medium-Little`: the paper's scenario — pro-active scheduler with

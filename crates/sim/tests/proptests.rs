@@ -141,9 +141,8 @@ proptest! {
     /// reconfiguration log — over arbitrary catalogs, traces, look-ahead
     /// horizons, both scheduler kinds, arbitrary prediction-noise sigmas
     /// (counter-based, resampled per window), and arbitrary failure
-    /// injection (counter-based geometric gaps). Noisy and
-    /// failure-injected runs must also actually *take* the event path:
-    /// the recorded effective stepping pins the fallback decision.
+    /// injection (counter-based geometric gaps). Each result must also
+    /// name the loop that was requested.
     #[test]
     fn event_driven_replay_matches_per_second_engine(
         trace in arb_trace(),
@@ -188,8 +187,6 @@ proptest! {
         let per_second = run_mode(Stepping::PerSecond);
         let event = run_mode(Stepping::EventDriven);
 
-        // Counter-based sampling means noise and failures never force a
-        // fallback: the event path must have been taken.
         prop_assert_eq!(event.stepping_effective, Stepping::EventDriven);
         prop_assert_eq!(per_second.stepping_effective, Stepping::PerSecond);
 

@@ -22,8 +22,7 @@ pub mod window;
 pub mod worldcup;
 
 pub use predictor::{
-    EwmaPredictor, LastValuePredictor, LookaheadMaxPredictor, NoisyPredictor, OraclePredictor,
-    Predictor,
+    EwmaPredictor, LastValuePredictor, LookaheadMaxPredictor, NoisyPredictor, Predictor,
 };
 pub use segments::{constant_runs, Segment};
 pub use trace::{LoadTrace, SECONDS_PER_DAY};

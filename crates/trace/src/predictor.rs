@@ -4,20 +4,23 @@
 //! The paper emulates a *perfect* windowed prediction: "the maximum load
 //! value over a window of 378 seconds" of the real future trace
 //! ([`LookaheadMaxPredictor`]). The other predictors model the paper's
-//! load-knowledge classes: [`OraclePredictor`] (perfect instantaneous
-//! knowledge, used by the theoretical lower bound), [`LastValuePredictor`]
-//! (a purely reactive system with unknown load), [`EwmaPredictor`]
-//! (partial knowledge, smoothed), and [`NoisyPredictor`] which injects
-//! controlled error into any base predictor — the paper's announced
-//! future work on "the impact of load prediction errors".
+//! load-knowledge classes: [`LastValuePredictor`] (a purely reactive
+//! system with unknown load), [`EwmaPredictor`] (partial knowledge,
+//! smoothed), and [`NoisyPredictor`] which injects controlled error into
+//! any base predictor — the paper's announced future work on "the impact
+//! of load prediction errors".
+//!
+//! Every predictor bounds its constant runs through
+//! [`Predictor::next_change`], which is what lets the engine's
+//! event-driven loop run them all: the look-ahead maximum and last-value
+//! report their exact change-points, EWMA reports every second.
 //!
 //! Noise injection is **counter-based**: the error factor of second `t`
 //! is a pure function of `(seed, t / resample_s)` through the
 //! [`bml_core::rng`] PRF, resampled once per `resample_s`-second window
-//! rather than once per consulted second. A noisy wrapper around a
-//! segmented base predictor is therefore itself piecewise-constant with
-//! known change-points, and noisy runs stay on the event-driven replay
-//! engine.
+//! rather than once per consulted second. A noisy wrapper is therefore
+//! piecewise-constant with known change-points — its base's and the
+//! resample points — and noisy runs skip seconds like clean ones.
 
 use std::sync::Arc;
 
@@ -28,32 +31,17 @@ use crate::window::LookaheadMaxTable;
 pub trait Predictor {
     /// Predicted load the infrastructure must be able to serve from `now`.
     fn predict(&mut self, now: u64) -> f64;
-    /// Short identifier for reports.
-    fn name(&self) -> &'static str;
 
-    /// `true` when the prediction is a pure piecewise-constant function of
-    /// time and [`Predictor::next_change`] bounds its constant runs. Only
-    /// such predictors can drive the event-driven replay engine; stateful
-    /// predictors whose value depends on the query history (EWMA,
-    /// last-value) must be polled every second and return `false` (the
-    /// default).
-    fn is_segmented(&self) -> bool {
-        false
-    }
-
-    /// For segmented predictors: a `t' > now` such that `predict` is
-    /// constant over `[now, t')`, or `None` when the prediction holds for
-    /// the rest of the trace. Exact predictors report their change-points
-    /// tightly (`predict(t') != predict(now)`); wrappers may be
-    /// conservative and report a boundary where the value happens not to
-    /// change (e.g. a noise-resample point) — callers may only rely on
-    /// constancy *before* `t'`. The default (for non-segmented
-    /// predictors) is `None`, which callers must not interpret without
-    /// checking [`Predictor::is_segmented`].
-    fn next_change(&self, now: u64) -> Option<u64> {
-        let _ = now;
-        None
-    }
+    /// A `t' > now` such that `predict` is constant over `[now, t')`, or
+    /// `None` when the prediction holds for the rest of the trace. The
+    /// event-driven engine next consults the predictor at `t'` (or at an
+    /// earlier event), so a tight bound skips more seconds. Exact
+    /// predictors report their change-points (`predict(t') !=
+    /// predict(now)`); others may be conservative and report a boundary
+    /// where the value happens not to change (e.g. a noise-resample point,
+    /// or EWMA's next second) — callers may only rely on constancy
+    /// *before* `t'`.
+    fn next_change(&self, now: u64) -> Option<u64>;
 }
 
 /// The paper's emulated prediction: maximum of the *actual future* load
@@ -103,57 +91,8 @@ impl Predictor for LookaheadMaxPredictor {
         self.cursor = self.table.locate(now, self.cursor);
         self.table.run_value(self.cursor)
     }
-    fn name(&self) -> &'static str {
-        "lookahead-max"
-    }
-    fn is_segmented(&self) -> bool {
-        true
-    }
     fn next_change(&self, now: u64) -> Option<u64> {
         self.table.next_change_near(now, self.cursor)
-    }
-}
-
-/// Perfect instantaneous knowledge: predicts exactly the current load.
-/// Dimensioning every second with this oracle and zero switching costs is
-/// the paper's `LowerBound Theoretical`.
-#[derive(Debug, Clone)]
-pub struct OraclePredictor {
-    rates: Vec<f64>,
-}
-
-impl OraclePredictor {
-    /// Wrap a trace.
-    pub fn new(trace: &LoadTrace) -> Self {
-        OraclePredictor {
-            rates: trace.rates.clone(),
-        }
-    }
-}
-
-impl Predictor for OraclePredictor {
-    fn predict(&mut self, now: u64) -> f64 {
-        self.rates.get(now as usize).copied().unwrap_or(0.0)
-    }
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-    fn is_segmented(&self) -> bool {
-        true
-    }
-    fn next_change(&self, now: u64) -> Option<u64> {
-        let n = self.rates.len() as u64;
-        if now >= n {
-            return None; // 0 forever past the trace
-        }
-        let end = crate::segments::run_end(&self.rates, now);
-        if end < n {
-            Some(end)
-        } else if self.rates[now as usize] != 0.0 {
-            Some(n) // drops to 0 when the trace runs out
-        } else {
-            None
-        }
     }
 }
 
@@ -171,17 +110,38 @@ impl LastValuePredictor {
             rates: trace.rates.clone(),
         }
     }
+
+    /// The load of second `now - 1` (0 before and past the trace).
+    fn last(&self, now: u64) -> f64 {
+        match now.checked_sub(1) {
+            Some(s) => self.rates.get(s as usize).copied().unwrap_or(0.0),
+            None => 0.0,
+        }
+    }
 }
 
 impl Predictor for LastValuePredictor {
     fn predict(&mut self, now: u64) -> f64 {
-        if now == 0 {
-            return 0.0;
-        }
-        self.rates.get(now as usize - 1).copied().unwrap_or(0.0)
+        self.last(now)
     }
-    fn name(&self) -> &'static str {
-        "last-value"
+    /// Exact: the trace's constant-load runs, shifted one second later.
+    fn next_change(&self, now: u64) -> Option<u64> {
+        let value = self.last(now);
+        let n = self.rates.len() as u64;
+        if now < n {
+            // The first second from `now` on whose load differs from the
+            // current prediction; the prediction follows one second later.
+            let differs = if self.rates[now as usize] != value {
+                now
+            } else {
+                crate::segments::run_end(&self.rates, now)
+            };
+            if differs < n {
+                return Some(differs + 1);
+            }
+        }
+        // The trace holds `value` to its end; past it the prediction is 0.
+        (value != 0.0).then_some(now.max(n) + 1)
     }
 }
 
@@ -223,8 +183,11 @@ impl Predictor for EwmaPredictor {
         }
         self.state
     }
-    fn name(&self) -> &'static str {
-        "ewma"
+    /// Every observed second moves the average, so the prediction may
+    /// change at the next second: the event-driven loop ticks every second
+    /// for EWMA, exactly like the per-second loop.
+    fn next_change(&self, now: u64) -> Option<u64> {
+        Some(now + 1)
     }
 }
 
@@ -238,11 +201,10 @@ impl Predictor for EwmaPredictor {
 /// function of the seed and the window index, never of how often the
 /// predictor was consulted. This keeps the paper's once-per-window
 /// resampling semantics (the prediction mechanism re-estimates once per
-/// look-ahead window, not per second) while making noisy runs
-/// segmentable: [`Predictor::next_change`] reports the union of the inner
-/// predictor's change-points and the noise-resample points, so the
-/// event-driven replay engine skips noisy stretches exactly like clean
-/// ones. Deterministic given the seed, identical across stepping modes
+/// look-ahead window, not per second): [`Predictor::next_change`] reports
+/// the union of the inner predictor's change-points and the
+/// noise-resample points, so the event-driven replay engine skips noisy
+/// stretches exactly like clean ones. Deterministic given the seed, identical across stepping modes
 /// and thread counts.
 pub struct NoisyPredictor<P: Predictor> {
     inner: P,
@@ -304,18 +266,7 @@ impl<P: Predictor> Predictor for NoisyPredictor<P> {
         let base = self.inner.predict(now);
         (base * self.factor(now)).max(0.0)
     }
-    fn name(&self) -> &'static str {
-        "noisy"
-    }
-    fn is_segmented(&self) -> bool {
-        // The noise factor is piecewise-constant by construction; the
-        // wrapper is segmented iff the base prediction is.
-        self.inner.is_segmented()
-    }
     fn next_change(&self, now: u64) -> Option<u64> {
-        if !self.inner.is_segmented() {
-            return None;
-        }
         let inner = self.inner.next_change(now);
         if self.sigma == 0.0 {
             return inner; // transparent wrapper
@@ -348,14 +299,12 @@ mod tests {
         assert_eq!(p.predict(4), 5.0);
         assert_eq!(p.predict(100), 0.0);
         assert_eq!(p.horizon(), 3);
-        assert_eq!(p.name(), "lookahead-max");
     }
 
     #[test]
     fn lookahead_max_change_points_are_exact() {
         let t = trace();
         let mut p = LookaheadMaxPredictor::new(&t, 3);
-        assert!(p.is_segmented());
         // Walk the change-points; between them the prediction is constant.
         let mut now = 0;
         while let Some(next) = p.next_change(now) {
@@ -370,38 +319,53 @@ mod tests {
     }
 
     #[test]
-    fn oracle_change_points_follow_raw_runs() {
+    fn last_value_change_points_are_exact() {
+        // Zero and non-zero heads and tails, unit runs and plateaus.
+        for rates in [
+            vec![5.0, 5.0, 2.0, 2.0, 2.0],
+            vec![0.0, 0.0, 3.0, 3.0, 0.0],
+            vec![1.0, 2.0, 3.0],
+            vec![0.0, 0.0],
+            vec![],
+        ] {
+            let t = LoadTrace::new(0, rates.clone());
+            let mut p = LastValuePredictor::new(&t);
+            let end = t.len() + 3;
+            for now in 0..end {
+                let v = p.predict(now);
+                let next = p.next_change(now);
+                for s in now..next.unwrap_or(end).min(end) {
+                    assert_eq!(p.predict(s), v, "{rates:?}: changed inside [{now}, {s}]");
+                }
+                if let Some(next) = next {
+                    assert!(next > now);
+                    assert_ne!(p.predict(next), v, "{rates:?}: no change at {next}");
+                }
+            }
+        }
         let t = LoadTrace::new(0, vec![5.0, 5.0, 2.0, 2.0, 2.0]);
-        let mut p = OraclePredictor::new(&t);
-        assert!(p.is_segmented());
-        assert_eq!(p.next_change(0), Some(2));
-        assert_eq!(p.next_change(2), Some(5)); // non-zero tail drops to 0
-        assert_eq!(p.next_change(5), None);
-        assert_eq!(p.predict(5), 0.0);
-        // A zero tail never changes again.
-        let z = LoadTrace::new(0, vec![1.0, 0.0]);
-        let pz = OraclePredictor::new(&z);
-        assert_eq!(pz.next_change(1), None);
+        let p = LastValuePredictor::new(&t);
+        assert_eq!(p.next_change(0), Some(1)); // 0, then 5 from second 1
+        assert_eq!(p.next_change(1), Some(3)); // 5 until the 2s arrive
+        assert_eq!(p.next_change(3), Some(6)); // 2 until past the trace
+        assert_eq!(p.next_change(6), None); // 0 forever
     }
 
     #[test]
-    fn default_predictors_are_not_segmented() {
+    fn ewma_next_change_is_the_next_second() {
         let t = trace();
-        assert!(!EwmaPredictor::new(&t, 0.5).is_segmented());
-        assert!(!LastValuePredictor::new(&t).is_segmented());
-        assert_eq!(EwmaPredictor::new(&t, 0.5).next_change(0), None);
-        // A noisy wrapper inherits segmentation from its base: stateful
-        // bases stay per-second, segmented bases stay event-drivable.
-        let noisy_ewma = NoisyPredictor::new(EwmaPredictor::new(&t, 0.5), 0.1, 1);
-        assert!(!noisy_ewma.is_segmented());
-        assert_eq!(noisy_ewma.next_change(0), None);
-        assert!(NoisyPredictor::new(OraclePredictor::new(&t), 0.1, 1).is_segmented());
+        let p = EwmaPredictor::new(&t, 0.5);
+        assert_eq!(p.next_change(0), Some(1));
+        assert_eq!(p.next_change(7), Some(8));
+        // A noisy wrapper keeps the inner's every-second ticks.
+        let noisy = NoisyPredictor::new(EwmaPredictor::new(&t, 0.5), 0.1, 1);
+        assert_eq!(noisy.next_change(3), Some(4));
     }
 
     #[test]
-    fn oracle_is_identity() {
+    fn one_second_lookahead_is_the_current_load() {
         let t = trace();
-        let mut p = OraclePredictor::new(&t);
+        let mut p = LookaheadMaxPredictor::new(&t, 1);
         for (i, &r) in t.rates.iter().enumerate() {
             assert_eq!(p.predict(i as u64), r);
         }
@@ -447,15 +411,15 @@ mod tests {
     #[test]
     fn noisy_zero_sigma_is_transparent() {
         let t = trace();
-        let mut p = NoisyPredictor::new(OraclePredictor::new(&t), 0.0, 1);
+        let mut p = NoisyPredictor::new(LookaheadMaxPredictor::new(&t, 1), 0.0, 1);
         assert_eq!(p.predict(3), 80.0);
     }
 
     #[test]
     fn noisy_is_deterministic_per_seed() {
         let t = trace();
-        let mut p1 = NoisyPredictor::new(OraclePredictor::new(&t), 0.2, 42);
-        let mut p2 = NoisyPredictor::new(OraclePredictor::new(&t), 0.2, 42);
+        let mut p1 = NoisyPredictor::new(LookaheadMaxPredictor::new(&t, 1), 0.2, 42);
+        let mut p2 = NoisyPredictor::new(LookaheadMaxPredictor::new(&t, 1), 0.2, 42);
         for i in 0..6 {
             assert_eq!(p1.predict(i), p2.predict(i));
         }
@@ -464,7 +428,7 @@ mod tests {
     #[test]
     fn noisy_stays_nonnegative_and_bounded() {
         let t = LoadTrace::new(0, vec![100.0; 1000]);
-        let mut p = NoisyPredictor::new(OraclePredictor::new(&t), 0.3, 7);
+        let mut p = NoisyPredictor::new(LookaheadMaxPredictor::new(&t, 1), 0.3, 7);
         for i in 0..1000 {
             let v = p.predict(i);
             assert!(v >= 0.0);
@@ -478,7 +442,7 @@ mod tests {
         let t = LoadTrace::new(0, vec![100.0; 5000]);
         // resample_s = 1 draws an i.i.d. error every second, so 5000
         // consultations are 5000 independent samples.
-        let mut p = NoisyPredictor::with_resample(OraclePredictor::new(&t), 0.1, 9, 1);
+        let mut p = NoisyPredictor::with_resample(LookaheadMaxPredictor::new(&t, 1), 0.1, 9, 1);
         let preds: Vec<f64> = (0..5000).map(|i| p.predict(i)).collect();
         let mean = preds.iter().sum::<f64>() / preds.len() as f64;
         assert!((mean - 100.0).abs() < 2.0, "mean {mean}");
@@ -490,7 +454,7 @@ mod tests {
     #[test]
     fn noisy_factor_is_constant_within_a_resample_window() {
         let t = LoadTrace::new(0, vec![100.0; 2000]);
-        let mut p = NoisyPredictor::with_resample(OraclePredictor::new(&t), 0.2, 11, 378);
+        let mut p = NoisyPredictor::with_resample(LookaheadMaxPredictor::new(&t, 1), 0.2, 11, 378);
         let mut distinct = 0u32;
         let mut prev = f64::NAN;
         for w in 0..5u64 {
@@ -515,8 +479,8 @@ mod tests {
         // never changes any sample — the property the event-driven engine
         // relies on to skip seconds.
         let t = LoadTrace::new(0, vec![100.0; 2000]);
-        let mut fwd = NoisyPredictor::with_resample(OraclePredictor::new(&t), 0.2, 3, 10);
-        let mut rev = NoisyPredictor::with_resample(OraclePredictor::new(&t), 0.2, 3, 10);
+        let mut fwd = NoisyPredictor::with_resample(LookaheadMaxPredictor::new(&t, 1), 0.2, 3, 10);
+        let mut rev = NoisyPredictor::with_resample(LookaheadMaxPredictor::new(&t, 1), 0.2, 3, 10);
         let forward: Vec<f64> = (0..2000).map(|i| fwd.predict(i)).collect();
         for i in (0..2000u64).rev() {
             assert_eq!(rev.predict(i), forward[i as usize]);
@@ -526,17 +490,18 @@ mod tests {
     #[test]
     fn noisy_next_change_unions_inner_and_resample_points() {
         let t = trace(); // raw runs change at every second up to 4, then constant
-        let inner = OraclePredictor::new(&t);
+        let inner = LookaheadMaxPredictor::new(&t, 1);
         let p = NoisyPredictor::with_resample(inner, 0.2, 1, 4);
         // Inner change at 1 beats the resample boundary at 4.
         assert_eq!(p.next_change(0), Some(1));
-        // Inner drop-to-zero at the trace end (6) beats the boundary at 8.
-        assert_eq!(p.next_change(4), Some(6));
+        // The inner prediction holds to the end of the trace: the
+        // resample boundary at 8 is next.
+        assert_eq!(p.next_change(4), Some(8));
         // Past the trace the inner is exhausted (None) but the resample
         // boundaries keep coming.
         assert_eq!(p.next_change(9), Some(12));
         // sigma = 0 is transparent: inner change-points only.
-        let clean = NoisyPredictor::with_resample(OraclePredictor::new(&t), 0.0, 1, 4);
+        let clean = NoisyPredictor::with_resample(LookaheadMaxPredictor::new(&t, 1), 0.0, 1, 4);
         assert_eq!(clean.next_change(9), None);
     }
 }

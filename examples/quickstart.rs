@@ -56,7 +56,7 @@ fn main() {
 
     // The scheduler: feed it predictions, apply its plans.
     println!("\nScheduler walk-through:");
-    let mut sched = ProActiveScheduler::new(infra.n_archs());
+    let mut sched = ProActiveScheduler::new(infra.n_archs(), SchedulerKind::Baseline);
     let timeline = [
         (0u64, 40.0),
         (1, 40.0),

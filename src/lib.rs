@@ -45,5 +45,5 @@ pub mod prelude {
     pub use bml_opt::{solve_verified, OptOptions, OptimalSchedule};
     pub use bml_profiler::{paper_machines, profile_park, ProfilerConfig};
     pub use bml_sim::{run_comparison, ScenarioResult, SimConfig};
-    pub use bml_trace::{LoadTrace, LookaheadMaxPredictor, OraclePredictor, Predictor};
+    pub use bml_trace::{LoadTrace, LookaheadMaxPredictor, Predictor};
 }

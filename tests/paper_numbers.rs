@@ -6,6 +6,7 @@
 use bml::core::candidates::RemovalReason;
 use bml::core::crossing::ThresholdKind;
 use bml::prelude::*;
+use bml::sim::Stepping;
 use bml::trace::worldcup::{generate, WorldCupParams};
 
 fn infra() -> BmlInfrastructure {
@@ -128,7 +129,7 @@ fn fig5_bounds_bracket_the_offline_optimum() {
     // Fig. 5 on one worldcup day: the lower bound reconfigures for free,
     // the optimum pays Table I's transitions with hindsight, BML pays them
     // online, and the upper bounds never reconfigure (per day, then over
-    // the whole trace).
+    // the whole trace). The comparison is the same under both steppings.
     let trace = generate(&WorldCupParams {
         seed: 1998,
         n_days: 1,
@@ -159,4 +160,28 @@ fn fig5_bounds_bracket_the_offline_optimum() {
         0.0,
         "the optimum serves in full"
     );
+
+    let per_second = run_comparison(
+        &trace,
+        &infra,
+        &SimConfig {
+            stepping: Stepping::PerSecond,
+            ..config.clone()
+        },
+    );
+    for (event, reference) in c.scenarios().into_iter().zip(per_second.scenarios()) {
+        reference
+            .check_replay_equivalent(event, 1e-9)
+            .unwrap_or_else(|e| panic!("{}: steppings diverged: {e}", event.name));
+    }
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) + 1e-9;
+    for (field, a, b) in [
+        ("mean", c.bml_vs_lower.mean, per_second.bml_vs_lower.mean),
+        ("min", c.bml_vs_lower.min, per_second.bml_vs_lower.min),
+        ("max", c.bml_vs_lower.max, per_second.bml_vs_lower.max),
+    ] {
+        assert!(close(a, b), "bml_vs_lower.{field} diverged: {a} vs {b}");
+    }
+    assert_eq!(c.bml.stepping_effective, config.stepping);
+    assert_eq!(per_second.bml.stepping_effective, Stepping::PerSecond);
 }
