@@ -1,5 +1,5 @@
-//! Offline-optimal DP throughput: the exact segment DP (plus a
-//! beam-pruned variant and the replay verification pass) on three traces.
+//! Offline-optimal DP throughput: the exact segment DP (plus the replay
+//! verification pass) on three traces.
 //!
 //! * `tournament` — worldcup-tournament, 2 days, seed 1998, on table1:
 //!   the smoke grid's largest solve (120 states x 169,936 segments on a
@@ -120,13 +120,6 @@ fn bench_opt_dp(c: &mut Criterion) {
                 &OptOptions::default(),
             )
         })
-    });
-    let beam = OptOptions {
-        beam_width: Some(4),
-        extra_states: vec![],
-    };
-    g.bench_function("beam4_2day", |b| {
-        b.iter(|| solve(black_box(&plateau), black_box(&bml), split, &beam))
     });
     g.bench_function("exact_verified_2day", |b| {
         b.iter(|| {

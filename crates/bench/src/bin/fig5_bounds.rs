@@ -223,7 +223,6 @@ fn main() {
         rec.count("opt.states", opt_sched.n_states as u64);
         rec.count("opt.segments", opt_sched.n_segments as u64);
         rec.count("opt.boundaries", opt_sched.n_boundaries as u64);
-        rec.count("opt.states_pruned", opt_sched.states_pruned);
         // Host plane: where the wall clock went.
         rec.span(
             "phase.comparison",

@@ -99,11 +99,15 @@ fn main() {
     let started = std::time::Instant::now();
     let out_dir = Path::new(&args.out_dir);
     let mut runner = GridRunner::new(&spec)
-        .threads_opt(args.threads)
-        .cache_dir_opt(args.cache_dir.as_deref())
         .max_retries(args.max_retries_or(1))
         .heartbeat(Duration::from_secs(1))
         .sink(&mut sink);
+    if let Some(n) = args.threads {
+        runner = runner.threads(n);
+    }
+    if let Some(dir) = &args.cache_dir {
+        runner = runner.cache_dir(dir);
+    }
     runner = if args.resume {
         runner.resume(out_dir)
     } else {

@@ -157,7 +157,15 @@ impl Args {
                 }
                 "--resume" => out.resume = true,
                 "--max-retries" => {
-                    out.max_retries = Some(parse_num(&value("--max-retries")?, "--max-retries")?)
+                    let n: u32 = parse_num(&value("--max-retries")?, "--max-retries")?;
+                    if n == u32::MAX {
+                        // The runner counts `n + 1` attempts in a u32.
+                        return Err(format!(
+                            "--max-retries must be below {}\n{USAGE}",
+                            u32::MAX
+                        ));
+                    }
+                    out.max_retries = Some(n);
                 }
                 "--chaos" => out.chaos = Some(parse_num(&value("--chaos")?, "--chaos")?),
                 "--kill-after" => {
@@ -366,6 +374,11 @@ mod tests {
         let err = try_parse(&["--days", "0"]).unwrap_err();
         assert!(err.contains("--days must be at least 1"), "{err}");
         assert!(err.contains("usage:"), "{err}");
+        let err = try_parse(&["--max-retries", "4294967295"]).unwrap_err();
+        assert!(err.contains("--max-retries must be below"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+        let most = parse(&["--max-retries", "4294967294"]);
+        assert_eq!(most.max_retries, Some(u32::MAX - 1));
         let err = try_parse(&["--stepping", "warp"]).unwrap_err();
         assert!(err.contains("bad value 'warp' for --stepping"), "{err}");
     }

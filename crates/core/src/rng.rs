@@ -60,14 +60,20 @@ pub fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The Box-Muller transform: one standard-normal sample from two
+/// uniforms, `u1` in `(0, 1]` and `u2` in `[0, 1)`. The workspace's one
+/// copy; each sampler draws its own uniforms and applies its own clamp.
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
 /// One standard-normal sample from stream `key`, truncated to
 /// `[-3, 3]` — the same Box-Muller + 3-sigma truncation the sequential
 /// `NoisyPredictor` used, now a pure function of its key.
 pub fn truncated_gaussian(key: u64) -> f64 {
     let u1 = unit_f64(mix(key, 0)).max(f64::EPSILON); // ln(0) guard
     let u2 = unit_f64(mix(key, 1));
-    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    z.clamp(-3.0, 3.0)
+    box_muller(u1, u2).clamp(-3.0, 3.0)
 }
 
 /// One geometric inter-event gap (in whole trials, `>= 1`) for a

@@ -59,7 +59,10 @@ use bml_trace::LoadTrace;
 ///
 /// v3: cell entries drop the per-second fallback flag, which no run can
 /// set any more (every predictor runs on the requested loop).
-pub const CACHE_FORMAT: &str = "bml-cell-cache/v3";
+///
+/// v4: optimum entries drop their fifth field, a solver count that the
+/// exact DP always left at 0.
+pub const CACHE_FORMAT: &str = "bml-cell-cache/v4";
 
 /// The 64-bit FNV-1a offset basis: the state of an empty [`fnv1a`] hash.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -276,7 +279,6 @@ impl CellCache {
             n_states: parse_dec_field(lines.next()?, "n_states")?,
             n_segments: parse_dec_field(lines.next()?, "n_segments")?,
             n_boundaries: parse_dec_field(lines.next()?, "n_boundaries")?,
-            states_pruned: parse_dec_field(lines.next()?, "states_pruned")?,
         };
         if lines.next().is_some() || !entry.energy_j.is_finite() {
             return None;
@@ -291,13 +293,11 @@ impl CellCache {
              optimal_energy_j={:016x}\n\
              n_states={}\n\
              n_segments={}\n\
-             n_boundaries={}\n\
-             states_pruned={}\n",
+             n_boundaries={}\n",
             entry.energy_j.to_bits(),
             entry.n_states,
             entry.n_segments,
             entry.n_boundaries,
-            entry.states_pruned,
         );
         write_atomic(&self.opts, key, &body)
     }
@@ -317,8 +317,6 @@ pub struct OptEntry {
     pub n_segments: u64,
     /// Segment boundaries crossed.
     pub n_boundaries: u64,
-    /// States beam-pruned in the forward pass (0 for the exact DP).
-    pub states_pruned: u64,
 }
 
 impl OptEntry {
@@ -329,7 +327,6 @@ impl OptEntry {
             n_states: s.n_states as u64,
             n_segments: s.n_segments as u64,
             n_boundaries: s.n_boundaries as u64,
-            states_pruned: s.states_pruned,
         }
     }
 }
@@ -479,7 +476,6 @@ mod tests {
             n_states: 12,
             n_segments: 345,
             n_boundaries: 344,
-            states_pruned: 7,
         };
         cache.store_opt("o1", &entry).unwrap();
         let loaded = cache.load_opt("o1").unwrap();
@@ -512,7 +508,7 @@ mod tests {
             good[..good.len() / 2].to_string(),              // truncated
             good.replace("total_energy_j", "totel"),         // renamed field
             format!("{good}extra=1\n"),                      // trailing garbage
-            good.replace(CACHE_FORMAT, "bml-cell-cache/v2"), // stale format
+            good.replace(CACHE_FORMAT, "bml-cell-cache/v3"), // stale format
         ] {
             std::fs::write(&path, bad).unwrap();
             assert_eq!(cache.load_cell("k"), None);

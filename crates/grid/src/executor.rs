@@ -195,25 +195,10 @@ impl<'a> GridRunner<'a> {
         self
     }
 
-    /// Cap the worker-thread count from an optional CLI flag (`None` =
-    /// rayon's default).
-    #[must_use]
-    pub fn threads_opt(mut self, n: Option<usize>) -> Self {
-        self.threads = n;
-        self
-    }
-
     /// Enable the content-addressed cell cache rooted at `dir`.
     #[must_use]
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Enable the cache from an optional CLI flag.
-    #[must_use]
-    pub fn cache_dir_opt(mut self, dir: Option<impl Into<PathBuf>>) -> Self {
-        self.cache_dir = dir.map(Into::into);
         self
     }
 
@@ -284,7 +269,8 @@ impl<'a> GridRunner<'a> {
     /// Execute every cell of the spec.
     ///
     /// Fails fast on an invalid spec (unknown trace source, unbuildable
-    /// catalog mix, empty dimension) without running anything. Cell
+    /// catalog mix, empty dimension), or on a retry budget whose attempt
+    /// count overflows `u32`, without running anything. Cell
     /// panics are retried and quarantined, I/O faults degrade with
     /// warnings (see the module docs); the only mid-run `Err` left is
     /// the deliberate [`GridRunner::kill_after_cells`] crash.
@@ -301,6 +287,9 @@ impl<'a> GridRunner<'a> {
             kill_after,
             heartbeat,
         } = self;
+        let max_attempts = max_retries.checked_add(1).ok_or_else(|| {
+            format!("a retry budget of {max_retries} overflows the u32 attempt count")
+        })?;
         spec.validate()?;
         let traces: Vec<_> = spec
             .traces
@@ -428,7 +417,6 @@ impl<'a> GridRunner<'a> {
             telemetry.count("opt.states", entry.n_states);
             telemetry.count("opt.segments", entry.n_segments);
             telemetry.count("opt.boundaries", entry.n_boundaries);
-            telemetry.count("opt.states_pruned", entry.states_pruned);
             optima.insert(triple, entry.energy_j);
         }
         telemetry.span("phase.opt_solve", opt_t0.elapsed());
@@ -481,7 +469,6 @@ impl<'a> GridRunner<'a> {
             }
         }
 
-        let max_attempts = max_retries + 1;
         let mut cells: Vec<CellRecord> = Vec::with_capacity(coords.len());
         let mut failed_cells: Vec<FailedCell> = Vec::new();
         let mut emitted = 0usize;
@@ -838,6 +825,19 @@ mod tests {
         spec.traces[0].source = "bogus".into();
         assert!(GridRunner::new(&spec).threads(2).run().is_err());
         assert!(GridRunner::new(&spec).run().is_err());
+    }
+
+    #[test]
+    fn overflowing_retry_budget_fails_before_running() {
+        let dir = std::env::temp_dir().join("bml_grid_executor_retry_overflow");
+        std::fs::remove_dir_all(&dir).ok();
+        let err = GridRunner::new(&small_spec())
+            .max_retries(u32::MAX)
+            .journal_dir(&dir)
+            .run()
+            .unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        assert!(!dir.exists(), "nothing ran, so no journal was opened");
     }
 
     #[test]

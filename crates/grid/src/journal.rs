@@ -66,7 +66,10 @@ pub const JOURNAL_NAME: &str = "BENCH_grid.journal";
 ///
 /// v3: success payloads are the cell cache's v3 summary encoding, without
 /// the per-second fallback flag.
-pub const JOURNAL_FORMAT: &str = "bml-grid-journal/v3";
+///
+/// v4: success payloads carry the cell cache's v4 tag. Their fields are
+/// v3's; the tag moved with the optimum entries' encoding.
+pub const JOURNAL_FORMAT: &str = "bml-grid-journal/v4";
 
 /// One journaled per-cell decision.
 #[derive(Debug, Clone, PartialEq)]

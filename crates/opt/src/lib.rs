@@ -57,12 +57,6 @@
 //! per-cell reference sweep, and the optimum is the same to the bit
 //! whatever the layout.
 //!
-//! With [`OptOptions::beam_width`] set, only the `w` cheapest states
-//! survive each boundary — a lower-effort upper bound (never below the
-//! exact optimum) for catalogs where the exact lattice blows up. The beam
-//! prunes the state cells of the same lattice vector, so the exact and
-//! beam DPs share one path.
-//!
 //! ## Memory
 //!
 //! The backtrack needs every segment's cost vector, and an 87-day worldcup
@@ -94,9 +88,8 @@
 //!
 //! No bit moves with `T`. A row is the same float computation from the
 //! same checkpoint whichever thread runs it, and the chain reads the rows
-//! in the same order on one thread. The beam's prune count comes from the
-//! forward pass alone. The forward pass and the chain stay sequential,
-//! and they now bound the solve.
+//! in the same order on one thread. The forward pass and the chain stay
+//! sequential, and they now bound the solve.
 //!
 //! ## Trust, but verify
 //!
@@ -141,13 +134,6 @@ fn window_rows(segments: usize) -> usize {
 /// Knobs for [`solve`].
 #[derive(Debug, Clone, Default)]
 pub struct OptOptions {
-    /// Keep only the `w` cheapest states across each segment boundary.
-    /// `None` (the default) runs the exact DP. A beam can dead-end on
-    /// adversarial traces (every kept state unable to reach a feasible
-    /// next state), in which case [`solve`] returns `None`; the exact DP
-    /// always succeeds on a non-empty trace. Beam energies are upper
-    /// bounds: never below the exact optimum (property-tested).
-    pub beam_width: Option<usize>,
     /// Additional candidate states (machine counts per architecture,
     /// candidate order) to consider beyond the combination table's — e.g.
     /// the knapsack packing of [`bml_core::combination::optimal_dp`].
@@ -176,9 +162,8 @@ pub struct OptimalSchedule {
     /// (`n_segments - 1`, 0 for empty traces) — the unit of transition
     /// work, reported to telemetry.
     pub n_boundaries: usize,
-    /// States the beam INF'd out during the forward pass (0 for the
-    /// exact DP). Deterministic for a fixed trace/options, so it lives
-    /// on the counters plane of run telemetry.
+    /// Always 0: the exact DP prunes no state. It stays only because
+    /// the `perfbench` harness reads it, and goes when that harness does.
     pub states_pruned: u64,
 }
 
@@ -293,7 +278,6 @@ struct Dp<'a> {
     /// The state cells as maximal runs, in lattice order; every other
     /// cell of a cost vector is `INF` between boundaries.
     runs: Vec<StateRun>,
-    beam: Option<usize>,
 }
 
 /// Memory strides of a count lattice with `lens[a]` positions on axis
@@ -444,7 +428,6 @@ impl<'a> Dp<'a> {
             cell_of,
             rank_of,
             runs,
-            beam: opts.beam_width,
         }
     }
 
@@ -476,23 +459,6 @@ impl<'a> Dp<'a> {
             }
         }
         c
-    }
-
-    /// Beam pruning of a lattice cost vector: keep the `w` cheapest
-    /// finite states (ties broken by state index for determinism), INF
-    /// out the rest. Returns how many states it INF'd out.
-    fn prune(&self, cells: &mut [f64]) -> u64 {
-        let Some(w) = self.beam else { return 0 };
-        let cost = |s: usize| cells[self.cell_of[s]];
-        let mut order: Vec<usize> = (0..self.k()).filter(|&s| cost(s).is_finite()).collect();
-        if order.len() <= w {
-            return 0;
-        }
-        order.sort_by(|&x, &y| cost(x).partial_cmp(&cost(y)).unwrap().then(x.cmp(&y)));
-        for &s in &order[w..] {
-            cells[self.cell_of[s]] = INF;
-        }
-        (order.len() - w) as u64
     }
 
     /// Min-plus transition across boundary `tau`, in place on a lattice
@@ -591,9 +557,8 @@ impl<'a> Dp<'a> {
 
     /// Forward pass + windowed backtrack, with up to `workers` threads
     /// recomputing the backtrack's windows (see [`pipeline`]). Returns the
-    /// optimal state per segment plus the forward pass's beam-prune count,
-    /// or `None` when the (beam-pruned) DP dead-ends.
-    fn solve_path(&self, workers: usize) -> Option<(Vec<usize>, u64)> {
+    /// optimal state per segment.
+    fn solve_path(&self, workers: usize) -> Vec<usize> {
         let k = self.k();
         let s_count = self.segs.len();
         let rows = window_rows(s_count);
@@ -605,12 +570,9 @@ impl<'a> Dp<'a> {
             .map(|&w| w * f64::from(seg.len))
             .collect();
         self.scatter(&first, &mut cells);
-        // Forward pass, checkpointing the (pruned) cost vector at every
-        // window start.
-        let mut pruned = 0;
+        // Forward pass, checkpointing the cost vector at every window start.
         let mut checkpoints = vec![INF; s_count.div_ceil(rows) * k];
         for i in 0..s_count - 1 {
-            pruned += self.prune(&mut cells);
             if i % rows == 0 {
                 self.gather(&cells, &mut checkpoints[i / rows * k..][..k]);
             }
@@ -623,9 +585,7 @@ impl<'a> Dp<'a> {
                 best_s = s;
             }
         }
-        if !best_v.is_finite() {
-            return None;
-        }
+        debug_assert!(best_v.is_finite(), "the exact DP cannot dead-end");
 
         let mut path = vec![0usize; s_count];
         path[s_count - 1] = best_s;
@@ -636,7 +596,7 @@ impl<'a> Dp<'a> {
             |c, window| self.recompute(c, rows, &checkpoints, window),
             |c, window| self.chain(c, rows, &window.rows, &mut path),
         );
-        Some((path, pruned))
+        path
     }
 
     /// The segments backtrack window `c` covers: from its checkpoint to
@@ -648,7 +608,7 @@ impl<'a> Dp<'a> {
     }
 
     /// The backtrack's first step for window `c`: row `r` of
-    /// `window.rows` becomes the pruned cost vector through segment
+    /// `window.rows` becomes the cost vector through segment
     /// `c * rows + r`, re-run from checkpoint `c` alone, in lattice order.
     fn recompute(&self, c: usize, rows: usize, checkpoints: &[f64], window: &mut Window) {
         let k = self.k();
@@ -659,7 +619,6 @@ impl<'a> Dp<'a> {
         self.scatter(checkpoint, cells);
         for r in 1..span.len() {
             self.cross(cells, self.segs[span.start + r]);
-            self.prune(cells); // the same beam the forward pass saw
             self.gather(cells, &mut window_rows[r * k..][..k]);
         }
     }
@@ -912,11 +871,11 @@ fn relax(to: &mut [f64], from: &[f64], price: f64) {
 /// Compute the offline-optimal reconfiguration schedule for `trace` on
 /// `bml`'s candidate infrastructure under `split`.
 ///
-/// Returns `None` only when a [`OptOptions::beam_width`] prunes the DP
-/// into a dead end; the exact DP (`beam_width: None`) always succeeds on
-/// any trace (the combination for the trace maximum is feasible
-/// everywhere, and the warm start makes it reachable). An empty trace
-/// yields a zero-energy schedule.
+/// Always returns `Some`: the DP cannot dead-end (the combination for the
+/// trace maximum is feasible everywhere, and the warm start makes it
+/// reachable). The `Option` stays only because the `perfbench` harness
+/// unwraps it, and goes when that harness does. An empty trace yields a
+/// zero-energy schedule.
 ///
 /// The optimum is exact *within its state space*: machine combinations
 /// produced by the infrastructure's combination table for the trace's
@@ -945,7 +904,7 @@ pub fn solve(
         });
     }
     let dp = Dp::build(trace, bml, split, opts);
-    let (path, states_pruned) = dp.solve_path(rayon::current_num_threads())?;
+    let path = dp.solve_path(rayon::current_num_threads());
     Some(OptimalSchedule {
         energy_j: dp.path_energy(&path),
         initial: dp.states[path[0]].clone(),
@@ -953,7 +912,7 @@ pub fn solve(
         n_states: dp.k(),
         n_segments: dp.segs.len(),
         n_boundaries: dp.segs.len() - 1,
-        states_pruned,
+        states_pruned: 0,
     })
 }
 
@@ -961,7 +920,7 @@ pub fn solve(
 /// ([`bml_sim::replay_schedule`]) and demand the claimed energy back to
 /// 1e-9 relative. Returns the schedule and the full replay
 /// [`ScenarioResult`] (named `"Offline Optimal"`, genuine QoS and daily
-/// energies).
+/// energies). Always `Some`, for the reason [`solve`] gives.
 ///
 /// # Panics
 ///
@@ -1001,10 +960,9 @@ pub fn optimal_instant(bml: &BmlInfrastructure, rate: u64, split: SplitPolicy) -
     let (_, knapsack) = bml_core::combination::optimal_dp(bml.candidates(), rate);
     let trace = LoadTrace::new(0, vec![rate as f64]);
     let opts = OptOptions {
-        beam_width: None,
         extra_states: vec![knapsack],
     };
-    let sched = solve(&trace, bml, split, &opts).expect("exact one-segment DP cannot dead-end");
+    let sched = solve(&trace, bml, split, &opts).expect("the exact DP cannot dead-end");
     (sched.energy_j, sched.initial)
 }
 
@@ -1089,7 +1047,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_stats_count_boundaries_and_prunes() {
+    fn solver_stats_count_segments_and_boundaries() {
         let bml = bml();
         let mut rates = vec![100.0; 60];
         rates.extend(vec![900.0; 60]);
@@ -1098,35 +1056,7 @@ mod tests {
         let exact = solve(&trace, &bml, greedy(), &OptOptions::default()).unwrap();
         assert_eq!(exact.n_segments, 3);
         assert_eq!(exact.n_boundaries, 2);
-        assert_eq!(exact.states_pruned, 0, "exact DP never prunes");
-        let beam = solve(
-            &trace,
-            &bml,
-            greedy(),
-            &OptOptions {
-                beam_width: Some(1),
-                extra_states: vec![],
-            },
-        );
-        if let Some(beam) = beam {
-            assert!(
-                beam.states_pruned > 0,
-                "width-1 beam over {} states must prune",
-                beam.n_states
-            );
-            // Counting is deterministic: same inputs, same count.
-            let again = solve(
-                &trace,
-                &bml,
-                greedy(),
-                &OptOptions {
-                    beam_width: Some(1),
-                    extra_states: vec![],
-                },
-            )
-            .unwrap();
-            assert_eq!(again.states_pruned, beam.states_pruned);
-        }
+        assert_eq!(exact.states_pruned, 0, "the exact DP prunes nothing");
     }
 
     #[test]
@@ -1164,24 +1094,16 @@ mod tests {
         // and 7 -> 8); and fewer windows than workers (2 segments make 1
         // window, 5 make 2, 16 and 17 make 4).
         let bml = bml();
-        let beam = OptOptions {
-            beam_width: Some(3),
-            extra_states: vec![],
-        };
         for n in [1, 2, 5, 16, 17, 49, 50] {
-            let trace = steps(n);
-            for opts in [&OptOptions::default(), &beam] {
-                let dp = Dp::build(&trace, &bml, greedy(), opts);
-                assert_eq!(dp.segs.len(), n);
-                let inline = dp.solve_path(1);
-                for workers in [2, 3, 8] {
-                    assert_eq!(
-                        dp.solve_path(workers),
-                        inline,
-                        "{n} segments, beam {:?}, {workers} workers",
-                        opts.beam_width
-                    );
-                }
+            let dp = Dp::build(&steps(n), &bml, greedy(), &OptOptions::default());
+            assert_eq!(dp.segs.len(), n);
+            let inline = dp.solve_path(1);
+            for workers in [2, 3, 8] {
+                assert_eq!(
+                    dp.solve_path(workers),
+                    inline,
+                    "{n} segments, {workers} workers"
+                );
             }
         }
     }
@@ -1332,7 +1254,6 @@ mod tests {
             (plain.runs.len(), extra)
         };
         let split_opts = OptOptions {
-            beam_width: None,
             extra_states: vec![split_run],
         };
         let cases = [
@@ -1466,39 +1387,6 @@ mod tests {
     }
 
     #[test]
-    fn beam_ties_keep_the_lowest_state_indices() {
-        // The lattice stores states in cell order, not state order; a beam
-        // tie must still go to the lowest state indices.
-        let rates: Vec<f64> = (0..8u32)
-            .flat_map(|i| vec![f64::from(i * 350); 10])
-            .collect();
-        let trace = LoadTrace::new(0, rates);
-        let bml = bml();
-        // The narrowest beam whose survivors differ between the two orders.
-        let width = {
-            let plain = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
-            (1..plain.k())
-                .find(|&w| (0..w).any(|s| plain.rank_of[s] >= w))
-                .expect("state and lattice order differ")
-        };
-        let opts = OptOptions {
-            beam_width: Some(width),
-            extra_states: vec![],
-        };
-        let dp = Dp::build(&trace, &bml, greedy(), &opts);
-        let k = dp.k();
-        let mut cells = vec![INF; dp.box_size];
-        dp.scatter(&vec![7.0; k], &mut cells);
-        let pruned = dp.prune(&mut cells);
-        let kept: Vec<usize> = (0..k)
-            .filter(|&s| cells[dp.cell_of[s]].is_finite())
-            .collect();
-        assert_eq!(kept, (0..width).collect::<Vec<_>>());
-        assert_eq!(pruned, (k - width) as u64);
-        assert_eq!(cells.iter().filter(|v| v.is_finite()).count(), width);
-    }
-
-    #[test]
     fn verified_replay_agrees_on_a_bursty_trace() {
         let bml = bml();
         let trace = bml_trace::synthetic::flash_crowd(100.0, 5000.0, 1000, 60, 300.0, 5000);
@@ -1535,31 +1423,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zero_beam_dead_ends() {
-        let bml = bml();
-        // Two segments, so the (empty) beam is actually crossed once.
-        let mut rates = vec![100.0; 10];
-        rates.extend(vec![900.0; 10]);
-        let trace = LoadTrace::new(0, rates);
-        let opts = OptOptions {
-            beam_width: Some(0),
-            extra_states: vec![],
-        };
-        assert!(solve(&trace, &bml, greedy(), &opts).is_none());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Beam energies are upper bounds on the exact optimum, and both
-        /// survive the simulator replay cross-check, over random step
-        /// traces.
+        /// Exact optima survive the simulator replay cross-check, serve
+        /// in full, and never cost more than holding the trace maximum's
+        /// combination throughout (a feasible schedule the DP considers),
+        /// over random step traces.
         #[test]
-        fn beam_is_an_upper_bound_and_replays_clean(
+        fn exact_optima_replay_clean(
             levels in proptest::collection::vec(0usize..5, 1..8),
             durs in proptest::collection::vec(1u64..40, 1..8),
-            width in 1usize..4,
         ) {
             let palette = [0.0, 9.0, 40.0, 529.0, 1400.0];
             let mut rates = Vec::new();
@@ -1568,15 +1442,17 @@ mod tests {
             }
             let trace = LoadTrace::new(0, rates);
             let bml = bml();
-            let (exact, _) =
+            let (exact, replay) =
                 solve_verified(&trace, &bml, greedy(), &OptOptions::default()).unwrap();
-            let beam_opts = OptOptions { beam_width: Some(width), extra_states: vec![] };
-            if let Some((beam, _)) = solve_verified(&trace, &bml, greedy(), &beam_opts) {
-                prop_assert!(
-                    beam.energy_j >= exact.energy_j - 1e-9 * exact.energy_j.abs() - 1e-6,
-                    "beam {} below exact {}", beam.energy_j, exact.energy_j
-                );
-            }
+            prop_assert_eq!(replay.qos.violation_seconds, 0);
+            let peak = trace.rates.iter().copied().fold(0.0, f64::max);
+            let hold = bml.combination_table().counts_for(peak);
+            let hold_j: f64 =
+                trace.rates.iter().map(|&r| bml.config_power(&hold, r, greedy()).0).sum();
+            prop_assert!(
+                exact.energy_j <= hold_j + 1e-9 * hold_j.abs() + 1e-6,
+                "exact {} above holding the peak fleet {}", exact.energy_j, hold_j
+            );
         }
     }
 }

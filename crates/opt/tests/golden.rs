@@ -10,13 +10,9 @@
 //! `ceil(sqrt(S))`-row window (1, 2, 3, 16 and 17 segments), and every
 //! case must replay clean through the simulator.
 //!
-//! Beam-pruned solves are pinned separately (`BEAM_GOLDEN`): the beam
-//! shares the exact DP's forward pass and backtrack, and its prune count
-//! and tie-broken survivors must not move either.
-//!
-//! Both tables are solved under every cap in [`THREADS`]: the backtrack
+//! The table is solved under every cap in [`THREADS`]: the backtrack
 //! recomputes its windows on as many threads as the cap allows, and no
-//! cap may move a bit of either table.
+//! cap may move a bit of it.
 //!
 //! On a mismatch the assertion prints the whole actual table in the
 //! table's own format.
@@ -53,23 +49,8 @@ const GOLDEN: &[(&str, u64, usize, usize, u64)] = &[
     ("ties/near", 0x409a400000000000, 2, 0, 0xe6bd86443df8ce07),
 ];
 
-/// `(energy_j bits, states_pruned, schedule digest)` of a beam solve.
-type BeamSolve = (u64, u64, u64);
-
-/// `(case, solve)`, with `None` where the beam dead-ends.
-type BeamPin = (String, Option<BeamSolve>);
-
-#[rustfmt::skip]
-const BEAM_GOLDEN: &[(&str, Option<BeamSolve>)] = &[
-    ("steps16/table1/beam1", Some((0x4116b706af909940, 46, 0x158f4e86fe69c259))),
-    ("steps16/table1/beam3", Some((0x411691158bd425b2, 22, 0xd63e7c0ed3b98851))),
-    ("tournament/table1/beam1", None),
-    ("tournament/table1/beam3", None),
-    ("tournament/table1/beam16", Some((0x4142026abe712bc1, 255651, 0x1179145bf36b7700))),
-];
-
-/// Thread caps both tables are solved under (1 = the backtrack runs
-/// inline on the caller).
+/// Thread caps the table is solved under (1 = the backtrack runs inline
+/// on the caller).
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -230,57 +211,6 @@ fn optima_match_the_golden_table() {
         assert!(
             actual == want,
             "optima drifted under {threads} threads; actual table:\n{rendered}"
-        );
-    }
-}
-
-/// The beam cases' actual pins, in table order.
-fn beam_optima() -> Vec<BeamPin> {
-    let table1 = BmlInfrastructure::build(&catalog::table1()).unwrap();
-    let split = SplitPolicy::EfficiencyGreedy;
-    let mut actual: Vec<BeamPin> = Vec::new();
-    // Widths 1 and 3 dead-end on the tournament slice (so does 12);
-    // 16 crosses it.
-    for (name, trace, widths) in [
-        ("steps16", steps(16), &[1, 3][..]),
-        ("tournament", tournament_slice(), &[1, 3, 16][..]),
-    ] {
-        for &width in widths {
-            let case = format!("{name}/table1/beam{width}");
-            let opts = OptOptions {
-                beam_width: Some(width),
-                extra_states: vec![],
-            };
-            let solved = solve_verified(&trace, &table1, split, &opts).map(|(s, replay)| {
-                assert_eq!(replay.qos.violation_seconds, 0, "{case}: full service");
-                (s.energy_j.to_bits(), s.states_pruned, schedule_digest(&s))
-            });
-            actual.push((case, solved));
-        }
-    }
-    actual
-}
-
-#[test]
-fn beam_optima_match_the_golden_table() {
-    let want: Vec<BeamPin> = BEAM_GOLDEN
-        .iter()
-        .map(|&(case, solved)| (case.to_string(), solved))
-        .collect();
-    for threads in THREADS {
-        let actual = pool(threads).install(beam_optima);
-        let rendered: String = actual
-            .iter()
-            .map(|(case, solved)| match solved {
-                Some((e, p, d)) => {
-                    format!("    (\"{case}\", Some(({e:#018x}, {p}, {d:#018x}))),\n")
-                }
-                None => format!("    (\"{case}\", None),\n"),
-            })
-            .collect();
-        assert!(
-            actual == want,
-            "beam optima drifted under {threads} threads; actual table:\n{rendered}"
         );
     }
 }

@@ -79,7 +79,7 @@ fn one_run(
     let jitter: f64 = {
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
-        ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()).clamp(-3.0, 3.0)
+        bml_core::rng::box_muller(u1, u2).clamp(-3.0, 3.0)
     };
     let tp = (true_tp * (1.0 + jitter * cfg.throughput_noise)).max(0.0);
     let true_power = machine.power_at_rate(true_tp);

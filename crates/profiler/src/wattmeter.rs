@@ -42,7 +42,7 @@ impl Wattmeter {
     fn gaussian(&mut self) -> f64 {
         let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = self.rng.gen_range(0.0..1.0);
-        ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()).clamp(-3.0, 3.0)
+        bml_core::rng::box_muller(u1, u2).clamp(-3.0, 3.0)
     }
 
     /// Sample a single instantaneous power value (W).

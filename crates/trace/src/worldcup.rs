@@ -128,7 +128,7 @@ fn bump(dist_s: f64, sigma_s: f64) -> f64 {
 fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()).clamp(-4.0, 4.0)
+    bml_core::rng::box_muller(u1, u2).clamp(-4.0, 4.0)
 }
 
 /// A minute-scale burst event: gaussian-shaped multiplicative surge.
