@@ -27,8 +27,8 @@
 //! `BENCH_grid.telemetry.json` under `--out-dir`, overridable with
 //! `--telemetry-out`): deterministic counters in the `counters` section
 //! (byte-identical across thread counts and cache temperature — CI gates
-//! on them), host timings and host-variant counts (cache hits, steals,
-//! retries) in the `timings` section (never gated). Progress goes to
+//! on them), host timings and host-variant counts (cache hits, pool
+//! tasks, retries) in the `timings` section (never gated). Progress goes to
 //! stderr as single-line JSON events — a throttled `heartbeat` with the
 //! cells-per-second rate while running, then `cache`/`phases`/`done`
 //! summaries; every event keeps a human-readable `message` field.
@@ -48,7 +48,6 @@
 //! resumes it, and diffs the artifacts against a clean run.
 
 use std::path::Path;
-use std::time::Duration;
 
 use bml_bench::{json, smoke_spec, Args};
 use bml_grid::{
@@ -100,7 +99,7 @@ fn main() {
     let out_dir = Path::new(&args.out_dir);
     let mut runner = GridRunner::new(&spec)
         .max_retries(args.max_retries_or(1))
-        .heartbeat(Duration::from_secs(1))
+        .heartbeat()
         .sink(&mut sink);
     if let Some(n) = args.threads {
         runner = runner.threads(n);

@@ -81,6 +81,9 @@ use crate::stream::StreamingArtifactWriter;
 /// cadence on 10k+-cell grids.
 const STREAM_BATCH: usize = 1024;
 
+/// Least time between two progress heartbeats on stderr.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
+
 /// One executed cell: its coordinates, resolved dimension labels (in
 /// [`crate::spec::DIMENSIONS`] order), and result summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,8 +153,8 @@ pub struct GridRun {
     pub warnings: Vec<RunWarning>,
     /// Run telemetry (see [`bml_obs`]): the `counters` plane is merged in
     /// enumeration order and byte-identical across thread counts and
-    /// cache temperature; everything host-dependent (cache hits, steals,
-    /// retries, wall clock) lives on the `timings` plane.
+    /// cache temperature; everything host-dependent (cache hits, pool
+    /// tasks, retries, wall clock) lives on the `timings` plane.
     pub telemetry: Recorder,
 }
 
@@ -166,7 +169,7 @@ pub struct GridRunner<'a> {
     resume: bool,
     chaos: Option<ChaosPolicy>,
     kill_after: Option<usize>,
-    heartbeat: Option<Duration>,
+    heartbeat: bool,
 }
 
 impl<'a> GridRunner<'a> {
@@ -183,7 +186,7 @@ impl<'a> GridRunner<'a> {
             resume: false,
             chaos: None,
             kill_after: None,
-            heartbeat: None,
+            heartbeat: false,
         }
     }
 
@@ -257,12 +260,12 @@ impl<'a> GridRunner<'a> {
     }
 
     /// Emit a throttled progress heartbeat — one single-line JSON event
-    /// on stderr at most every `interval`, carrying cells done / total
-    /// and the cells-per-second rate. Off by default (tests and library
+    /// on stderr at most once a second, carrying cells done / total and
+    /// the cells-per-second rate. Off by default (tests and library
     /// callers stay silent); the `grid` binary turns it on.
     #[must_use]
-    pub fn heartbeat(mut self, interval: Duration) -> Self {
-        self.heartbeat = Some(interval);
+    pub fn heartbeat(mut self) -> Self {
+        self.heartbeat = true;
         self
     }
 
@@ -472,12 +475,12 @@ impl<'a> GridRunner<'a> {
         let mut cells: Vec<CellRecord> = Vec::with_capacity(coords.len());
         let mut failed_cells: Vec<FailedCell> = Vec::new();
         let mut emitted = 0usize;
-        // Work-steal accounting is process-global in the vendored pool, so
+        // Task accounting is process-global in the vendored pool, so
         // snapshot around the fan-out and report the delta (host plane: the
-        // numbers move with thread count and machine load by design).
+        // count moves with cache temperature by design).
         let pool_before = rayon::pool_stats();
         let cells_t0 = Instant::now();
-        let mut heartbeat = heartbeat.map(Heartbeat::new);
+        let mut heartbeat = heartbeat.then(|| Heartbeat::new(HEARTBEAT_INTERVAL));
         for batch in coords.chunks(STREAM_BATCH) {
             let batch_t0 = Instant::now();
             // Journal and cache lookups first; the parallel fan-out then only
@@ -726,10 +729,6 @@ impl<'a> GridRunner<'a> {
         telemetry.host_count(
             "pool.tasks",
             pool_after.tasks.saturating_sub(pool_before.tasks),
-        );
-        telemetry.host_count(
-            "pool.steals",
-            pool_after.steals.saturating_sub(pool_before.steals),
         );
         telemetry.host_count("cache.cell_lookups", stats.lookups);
         telemetry.host_count("cache.cell_hits", stats.hits);

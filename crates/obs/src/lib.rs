@@ -10,7 +10,7 @@
 //!   temperature — safe to gate in CI (`render_counters` emits canonical
 //!   bytes exactly for that purpose).
 //! * **Timings** ([`Timings`], the `timings` section): wall-clock spans,
-//!   log₂-bucketed histograms, and *host counts* (cache hits, steals,
+//!   log₂-bucketed histograms, and *host counts* (cache hits, pool tasks,
 //!   retries — anything that legitimately varies run-to-run). Explicitly
 //!   excluded from determinism gates; CI may apply one-sided floors (e.g.
 //!   a warm-cache hit-rate minimum) but never byte equality.
@@ -209,7 +209,7 @@ impl Timings {
     }
 
     /// Add `n` to host count `key` — a count that legitimately varies by
-    /// host, thread count, or cache temperature (hits, steals, retries).
+    /// host, thread count, or cache temperature (hits, pool tasks, retries).
     pub fn host_add(&mut self, key: &str, n: u64) {
         *self.host.entry(key.to_owned()).or_insert(0) += n;
     }

@@ -14,8 +14,8 @@
 //! its own cursor.
 //!
 //! Determinism contract: [`run_cells_checked`] preserves input order (the
-//! rayon parallel map deposits each result in its input's slot — the
-//! vendored shim schedules workers by range stealing, so *which* worker
+//! rayon parallel map returns results in input order — the vendored
+//! shim's workers take cells from one shared queue, so *which* worker
 //! runs a cell varies, but *where* its result lands never does), and each
 //! cell's randomness is confined to its own [`CellConfig::noise_seed`], so
 //! the result vector is **bit-identical regardless of the worker-thread
