@@ -9,10 +9,19 @@
 //! window), yet none comes near: a negative gap here means a broken
 //! solver, a broken replay, or a scheduler that under-serves far more
 //! than it does today. CI runs the same checks on its 2-day grid.
+//!
+//! The same run also pins the rendered artifact's digest, so a change
+//! that moves any bit of the smoke grid's output fails `cargo test`, not
+//! only CI's `cmp` against the committed 2-day `BENCH_grid.json`.
 
 use bml_bench::smoke_spec;
-use bml_grid::GridRunner;
+use bml_grid::cache::KeyHasher;
+use bml_grid::{render_json, GridRunner};
 use bml_sim::Stepping;
+
+/// `KeyHasher` digest of `render_json` of the run below. A deliberate
+/// change to the smoke grid's output re-pins it, and says so.
+const ARTIFACT_DIGEST: &str = "4ee82e841da29f47e433890484fe91ec";
 
 #[test]
 fn every_smoke_cell_sits_at_or_above_its_optimum() {
@@ -39,4 +48,11 @@ fn every_smoke_cell_sits_at_or_above_its_optimum() {
             s.total_energy_j
         );
     }
+    let mut digest = KeyHasher::new();
+    digest.write(render_json(out).as_bytes());
+    assert_eq!(
+        digest.finish(),
+        ARTIFACT_DIGEST,
+        "the smoke artifact's bits moved"
+    );
 }

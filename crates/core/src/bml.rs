@@ -7,7 +7,6 @@ use crate::combination::{config_power, ideal_fill, Combination, SplitPolicy};
 use crate::crossing::{compute_thresholds, pairwise_thresholds, Threshold};
 use crate::errors::BmlError;
 use crate::profile::{stack_power, ArchProfile};
-use crate::table::CombinationTable;
 
 /// A fully built Big-Medium-Little infrastructure.
 ///
@@ -22,9 +21,9 @@ pub struct BmlInfrastructure {
     thresholds: Vec<Threshold>,
     pairwise: Vec<Threshold>,
     removed: Vec<(ArchProfile, RemovalReason)>,
-    /// Piecewise Step-5 output, materialized once so the per-second
-    /// scheduler/simulator hot path answers in O(log segments).
-    table: CombinationTable,
+    /// The Step-4 threshold rates, Big first: the greedy fill's input on
+    /// every Step-5 query.
+    rates: Vec<f64>,
 }
 
 impl BmlInfrastructure {
@@ -34,14 +33,13 @@ impl BmlInfrastructure {
         let CandidateSet { kept, removed } = bml_candidates(profiles)?;
         let thresholds = compute_thresholds(&kept);
         let pairwise = pairwise_thresholds(&kept);
-        let rates: Vec<f64> = thresholds.iter().map(|t| t.rate).collect();
-        let table = CombinationTable::build(&kept, &rates);
+        let rates = thresholds.iter().map(|t| t.rate).collect();
         Ok(BmlInfrastructure {
             candidates: kept,
             thresholds,
             pairwise,
             removed,
-            table,
+            rates,
         })
     }
 
@@ -56,14 +54,13 @@ impl BmlInfrastructure {
         }
         let thresholds = compute_thresholds(&candidates);
         let pairwise = pairwise_thresholds(&candidates);
-        let rates: Vec<f64> = thresholds.iter().map(|t| t.rate).collect();
-        let table = CombinationTable::build(&candidates, &rates);
+        let rates = thresholds.iter().map(|t| t.rate).collect();
         Ok(BmlInfrastructure {
             candidates,
             thresholds,
             pairwise,
             removed: Vec::new(),
-            table,
+            rates,
         })
     }
 
@@ -107,39 +104,21 @@ impl BmlInfrastructure {
         self.candidates.last().expect("non-empty by construction")
     }
 
-    /// Threshold rates as a plain `f64` slice-compatible vector.
-    pub fn threshold_rates(&self) -> Vec<f64> {
-        self.thresholds.iter().map(|t| t.rate).collect()
+    /// The Step-4 threshold rates (req/s), Big first.
+    pub fn threshold_rates(&self) -> &[f64] {
+        &self.rates
     }
 
-    /// Step 5: the ideal machine combination for `rate`.
-    ///
-    /// Served from the precomputed [`CombinationTable`] in O(log
-    /// segments); branch-equivalent to the direct greedy fill
-    /// ([`Self::ideal_combination_direct`]).
+    /// Step 5: the ideal machine combination for `rate` — the paper's
+    /// greedy fill ([`ideal_fill`]) over the candidates, O(#archs).
     pub fn ideal_combination(&self, rate: f64) -> Combination {
-        self.table.lookup(rate)
-    }
-
-    /// Step 5 computed directly with the paper's greedy fill, bypassing
-    /// the precomputed table. The reference implementation the table is
-    /// property-tested against; prefer [`Self::ideal_combination`] on hot
-    /// paths.
-    pub fn ideal_combination_direct(&self, rate: f64) -> Combination {
-        let rates = self.threshold_rates();
-        ideal_fill(&self.candidates, &rates, rate)
-    }
-
-    /// The precomputed piecewise Step-5 table backing
-    /// [`Self::ideal_combination`].
-    pub fn combination_table(&self) -> &CombinationTable {
-        &self.table
+        ideal_fill(&self.candidates, &self.rates, rate)
     }
 
     /// Power (W) of the ideal combination at `rate` — the BML curve of
-    /// Fig. 4. Allocation-free via the precomputed table.
+    /// Fig. 4; `+0.0` where no machine is on (`rate <= 0`).
     pub fn power_at(&self, rate: f64) -> f64 {
-        self.table.power_for(rate)
+        self.ideal_combination(rate).power(&self.candidates)
     }
 
     /// Power of a homogeneous stack of Big machines serving `rate` — the
@@ -198,7 +177,7 @@ impl BmlInfrastructure {
         // Greedy fill with caps: biggest first, capped full nodes; the
         // remainder cascades down. A final upward pass absorbs anything a
         // capped Little tier could not take.
-        let rates = self.threshold_rates();
+        let rates = &self.rates;
         let mut combo = Combination {
             target_rate: rate,
             allocs: Vec::new(),
@@ -404,6 +383,107 @@ mod tests {
         let counts = combo.counts(3);
         assert_eq!(counts[2], 0);
         assert!(counts[0] + counts[1] >= 1);
+    }
+
+    #[test]
+    fn zero_and_negative_rates_power_nothing() {
+        let bml = paper_bml();
+        for rate in [0.0, -5.0] {
+            assert!(bml.ideal_combination(rate).is_empty(), "rate {rate}");
+            assert_eq!(bml.ideal_combination(rate).counts(3), vec![0, 0, 0]);
+            // +0.0, not -0.0: Fig. 4 prints its rate-0 row as `0.00`.
+            assert_eq!(bml.power_at(rate).to_bits(), 0, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn very_large_rates_fill_whole_bigs_first() {
+        let bml = paper_bml();
+        // 7 x 1331 + 683 (>= the Big threshold of 529: one partial Big);
+        // 751 x 1331 + 419 (12 full Chromebooks + 23 on a partial one);
+        // 9275 x 1331 + 653.9 (a partial Big).
+        for (rate, counts) in [
+            (10_000.0, vec![8, 0, 0]),
+            (1_000_000.0, vec![751, 13, 0]),
+            (12_345_678.9, vec![9276, 0, 0]),
+        ] {
+            let combo = bml.ideal_combination(rate);
+            assert_eq!(combo.counts(3), counts, "rate {rate}");
+            let assigned = combo.assigned_rate(bml.candidates());
+            assert!(
+                (assigned - rate).abs() <= 1e-9 * rate,
+                "rate {rate}: {assigned}"
+            );
+        }
+    }
+
+    #[test]
+    fn single_architecture_catalog() {
+        // One 10 req/s architecture: threshold 1, so every rate gets
+        // floor(rate / 10) full nodes plus one partial node for the rest.
+        let solo = vec![ArchProfile::without_transitions("only", 2.0, 10.0, 10.0).unwrap()];
+        let bml = BmlInfrastructure::from_candidates(solo).unwrap();
+        assert_eq!(bml.threshold_rates(), [1.0]);
+        for (rate, nodes) in [
+            (0.0, 0),
+            (0.5, 1),
+            (1.0, 1),
+            (9.0, 1),
+            (10.0, 1),
+            (25.0, 3),
+            (100.0, 10),
+        ] {
+            let combo = bml.ideal_combination(rate);
+            assert_eq!(combo.counts(1), vec![nodes], "rate {rate}");
+            assert!((combo.assigned_rate(bml.candidates()) - rate).abs() < 1e-9);
+        }
+        // 2 full nodes (10 W each) + one serving 5 req/s (2 + 8 x 0.5 W).
+        assert!((bml.power_at(25.0) - 26.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sub_unit_capacity_alone_serves_below_its_threshold_on_one_node() {
+        // A lone architecture with max_perf < 1 gets the base threshold of
+        // 1, above its own capacity: below it the fill takes no full node,
+        // so 0.7 req/s is one partial node serving 0.7, not a full node
+        // plus a 0.2 partial.
+        let tiny = vec![ArchProfile::without_transitions("tiny", 1.0, 2.0, 0.5).unwrap()];
+        let bml = BmlInfrastructure::from_candidates(tiny).unwrap();
+        let combo = bml.ideal_combination(0.7);
+        assert_eq!(combo.total_nodes(), 1);
+        assert_eq!(combo.allocs[0].full_nodes, 0);
+        assert_eq!(combo.allocs[0].partial_rate, Some(0.7));
+        // At and above the threshold, full nodes first and the remainder
+        // on one more: 2 full + 0.2, and 15 full + 0.25.
+        assert_eq!(bml.ideal_combination(1.2).counts(1), vec![3]);
+        assert_eq!(bml.ideal_combination(7.75).counts(1), vec![16]);
+        for rate in [0.2, 0.5, 0.7, 0.9, 1.0, 1.2, 2.0, 2.3, 7.75] {
+            let assigned = bml.ideal_combination(rate).assigned_rate(bml.candidates());
+            assert!((assigned - rate).abs() < 1e-9, "rate {rate}: {assigned}");
+        }
+    }
+
+    #[test]
+    fn sub_unit_little_beside_a_normal_big_covers_every_rate() {
+        // A Little below 1 req/s of capacity next to a normal Big: the base
+        // threshold (1) exceeds the Little's capacity, which exercises the
+        // full-take-then-fallback path inside the cascade.
+        let pair = vec![
+            ArchProfile::without_transitions("big", 10.0, 50.0, 100.0).unwrap(),
+            ArchProfile::without_transitions("nano", 0.1, 0.5, 0.5).unwrap(),
+        ];
+        let bml = BmlInfrastructure::from_candidates(pair).unwrap();
+        for rate in [0.2, 0.5, 0.7, 1.0, 3.3, 50.0, 99.9, 100.0, 250.6] {
+            let combo = bml.ideal_combination(rate);
+            assert!(!combo.is_empty(), "rate {rate}");
+            let assigned = combo.assigned_rate(bml.candidates());
+            assert!((assigned - rate).abs() < 1e-9, "rate {rate}: {assigned}");
+        }
+        // Below the Little threshold one partial Little; whole Bigs first
+        // far above the Big threshold.
+        assert_eq!(bml.ideal_combination(0.2).counts(2), vec![0, 1]);
+        assert_eq!(bml.ideal_combination(100.0).counts(2), vec![1, 0]);
+        assert_eq!(bml.ideal_combination(250.6).counts(2), vec![3, 0]);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 use crate::profile::ArchProfile;
 
 /// Floating-point slack for "remainder is zero" and threshold comparisons.
-/// Shared with `crate::table`, which must reproduce these tolerance
-/// semantics exactly to stay branch-equivalent.
-pub(crate) const EPS: f64 = 1e-9;
+const EPS: f64 = 1e-9;
 
 /// Nodes of one architecture inside a [`Combination`].
 #[derive(Debug, Clone, PartialEq)]
@@ -62,6 +60,10 @@ impl Combination {
 
     /// Total power (W) drawn by this combination under the linear model:
     /// full nodes at `max_power`, the partial node at `power_at(rate)`.
+    ///
+    /// Summed from `+0.0`, so the empty combination draws `+0.0` W (an
+    /// `f64` `sum()` starts at `-0.0`, which prints as `-0.00`); no term is
+    /// ever `-0.0`, so every other total has the same bits either way.
     pub fn power(&self, profiles: &[ArchProfile]) -> f64 {
         self.allocs
             .iter()
@@ -71,7 +73,7 @@ impl Combination {
                 let part = a.partial_rate.map_or(0.0, |r| p.power_at(r));
                 full + part
             })
-            .sum()
+            .fold(0.0, |total, w| total + w)
     }
 
     /// Maximum rate this combination can serve (sum of `max_perf` of every
@@ -402,7 +404,7 @@ mod tests {
         let (p, t) = trio();
         let c = ideal_fill(&p, &t, 0.0);
         assert!(c.is_empty());
-        assert_eq!(c.power(&p), 0.0);
+        assert_eq!(c.power(&p).to_bits(), 0, "+0.0 W, not -0.0");
     }
 
     #[test]
@@ -692,7 +694,7 @@ mod tests {
                             .map(|(p, &c)| f64::from(c) * p.max_perf)
                             .sum();
                         let mut loads = vec![0.0, 0.5, 1.0];
-                        loads.extend(&thresholds);
+                        loads.extend(thresholds);
                         loads.extend([capacity - 1e-9, capacity, 2.0 * capacity]);
                         for load in loads {
                             let (w, served) = curve.eval(load);

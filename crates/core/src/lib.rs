@@ -20,7 +20,8 @@
 //!    "never optimal" removal);
 //! 3. [`crossing`] — Steps 3-4 crossing points / minimum utilization
 //!    thresholds;
-//! 4. [`combination`] — Step 5 ideal machine combinations;
+//! 4. [`combination`] — Step 5 ideal machine combinations, the paper's
+//!    greedy fill ([`combination::ideal_fill`]);
 //! 5. [`bml::BmlInfrastructure`] — everything assembled;
 //! 6. [`scheduler::ProActiveScheduler`] + [`reconfig`] — the dynamic
 //!    reconfiguration engine with switch on/off overheads, picking its
@@ -65,7 +66,6 @@ pub mod profile;
 pub mod reconfig;
 pub mod rng;
 pub mod scheduler;
-pub mod table;
 pub mod transition_aware;
 
 /// Convenient glob-import of the main types.
@@ -78,7 +78,6 @@ pub mod prelude {
     pub use crate::profile::ArchProfile;
     pub use crate::reconfig::{Configuration, ReconfigPlan};
     pub use crate::scheduler::{paper_window_length, Decision, ProActiveScheduler, SchedulerKind};
-    pub use crate::table::CombinationTable;
     pub use crate::transition_aware::TransitionAwareConfig;
 }
 

@@ -196,15 +196,6 @@ impl ProActiveScheduler {
     fn target(&self, predicted: f64, bml: &BmlInfrastructure) -> Option<Configuration> {
         let target = match &self.kind {
             SchedulerKind::Baseline => {
-                // Allocation-free no-change test against the precomputed
-                // table: a new prediction that keeps the combination costs
-                // one binary search and one counts comparison.
-                if bml
-                    .combination_table()
-                    .counts_match(predicted, &self.current.0)
-                {
-                    return None;
-                }
                 Configuration(bml.ideal_combination(predicted).counts(bml.n_archs()))
             }
             SchedulerKind::TransitionAware(config) => {

@@ -103,7 +103,7 @@ fn candidates(
     predicted: f64,
     bml: &BmlInfrastructure,
 ) -> Vec<Configuration> {
-    let ideal = Configuration(bml.combination_table().counts_for(predicted));
+    let ideal = Configuration(bml.ideal_combination(predicted).counts(bml.n_archs()));
     let mut out = vec![ideal.clone()];
     // Staying put is always a candidate (it may be infeasible).
     if *current != ideal {

@@ -62,6 +62,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bml_obs::{Heartbeat, Recorder};
@@ -83,6 +84,39 @@ const STREAM_BATCH: usize = 1024;
 
 /// Least time between two progress heartbeats on stderr.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
+
+/// The cell phase's progress: how many cells are decided, behind the
+/// heartbeat throttle. A cell is decided once the journal or the cache
+/// served it, once it computed, or once its last attempt panicked —
+/// counted as it happens, on the worker that finished it, not when its
+/// batch is emitted.
+struct Progress {
+    state: Mutex<(Heartbeat, u64)>,
+    total: u64,
+}
+
+impl Progress {
+    /// Count `cells` more decided cells; emit a heartbeat if one is due.
+    fn advance(&self, cells: u64) {
+        // Only a failed stderr write can panic under the lock, and it
+        // leaves the count and the throttle valid.
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (heartbeat, done) = &mut *state;
+        *done += cells;
+        if heartbeat.ready() {
+            let ms = u64::try_from(heartbeat.elapsed().as_millis())
+                .unwrap_or(u64::MAX)
+                .max(1);
+            let line = Object::new()
+                .str("event", "heartbeat")
+                .int("cells_done", *done)
+                .int("cells_total", self.total)
+                .int("elapsed_ms", ms)
+                .int("cells_per_s", done.saturating_mul(1000) / ms);
+            eprintln!("{}", line.render());
+        }
+    }
+}
 
 /// One executed cell: its coordinates, resolved dimension labels (in
 /// [`crate::spec::DIMENSIONS`] order), and result summary.
@@ -480,7 +514,10 @@ impl<'a> GridRunner<'a> {
         // count moves with cache temperature by design).
         let pool_before = rayon::pool_stats();
         let cells_t0 = Instant::now();
-        let mut heartbeat = heartbeat.then(|| Heartbeat::new(HEARTBEAT_INTERVAL));
+        let progress = heartbeat.then(|| Progress {
+            state: Mutex::new((Heartbeat::new(HEARTBEAT_INTERVAL), 0)),
+            total: coords.len() as u64,
+        });
         for batch in coords.chunks(STREAM_BATCH) {
             let batch_t0 = Instant::now();
             // Journal and cache lookups first; the parallel fan-out then only
@@ -532,6 +569,9 @@ impl<'a> GridRunner<'a> {
             let mut pending: Vec<usize> = (0..batch.len())
                 .filter(|&i| summaries[i].is_none() && failures[i].is_none())
                 .collect();
+            if let Some(p) = &progress {
+                p.advance((batch.len() - pending.len()) as u64);
+            }
             let mut computed: Vec<bool> = vec![false; batch.len()];
             let mut last_panic: Vec<Option<String>> = vec![None; batch.len()];
             for attempt in 1..=max_attempts {
@@ -565,12 +605,21 @@ impl<'a> GridRunner<'a> {
                 let inject = chaos
                     .as_ref()
                     .map(|chaos| move |pos: usize| chaos.should_panic(global[pos], attempt));
+                // A panic decides its cell only on the last attempt.
+                let done = progress.as_ref().map(|p| {
+                    move |_: usize, ok: bool| {
+                        if ok || attempt == max_attempts {
+                            p.advance(1);
+                        }
+                    }
+                });
                 let results = run_cells_checked(
                     &jobs,
                     threads,
                     inject
                         .as_ref()
                         .map(|f| f as &(dyn Fn(usize) -> Option<String> + Sync)),
+                    done.as_ref().map(|f| f as &(dyn Fn(usize, bool) + Sync)),
                 );
                 let mut still: Vec<usize> = Vec::new();
                 for (pos, result) in results.into_iter().enumerate() {
@@ -693,21 +742,6 @@ impl<'a> GridRunner<'a> {
                     (None, None) => unreachable!("every cell is decided by now"),
                 }
                 emitted += 1;
-                if let Some(hb) = heartbeat.as_mut() {
-                    if hb.ready() {
-                        let ms = u64::try_from(hb.elapsed().as_millis())
-                            .unwrap_or(u64::MAX)
-                            .max(1);
-                        let rate = (emitted as u64).saturating_mul(1000) / ms;
-                        let line = Object::new()
-                            .str("event", "heartbeat")
-                            .int("cells_done", emitted as u64)
-                            .int("cells_total", coords.len() as u64)
-                            .int("elapsed_ms", ms)
-                            .int("cells_per_s", rate);
-                        eprintln!("{}", line.render());
-                    }
-                }
                 if kill_after == Some(emitted) {
                     return Err(format!(
                     "simulated crash: killed after {emitted} of {} cells (journal durable at {})",

@@ -18,10 +18,10 @@
 //! the continuous scheduling problem into a shortest path over
 //! `(segment, machine combination)`:
 //!
-//! * **States** are the candidate machine combinations the
-//!   [`bml_core::table::CombinationTable`] produces for the trace's
-//!   distinct load levels (plus all-off, plus any
-//!   [`OptOptions::extra_states`]). A state is feasible for a segment
+//! * **States** are the ideal machine combinations (the paper's Step-5
+//!   greedy fill, [`BmlInfrastructure::ideal_combination`]) of the
+//!   trace's distinct load levels, plus all-off, plus any
+//!   [`OptOptions::extra_states`]. A state is feasible for a segment
 //!   when its capacity covers the load — the QoS target is full service,
 //!   the same constraint the ideal combination satisfies.
 //! * **Serving cost** of a segment in state `s` is
@@ -135,7 +135,7 @@ fn window_rows(segments: usize) -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct OptOptions {
     /// Additional candidate states (machine counts per architecture,
-    /// candidate order) to consider beyond the combination table's — e.g.
+    /// candidate order) to consider beyond the ideal combinations — e.g.
     /// the knapsack packing of [`bml_core::combination::optimal_dp`].
     pub extra_states: Vec<Vec<u32>>,
 }
@@ -333,13 +333,12 @@ impl<'a> Dp<'a> {
             });
         }
 
-        // Candidate states: the combination table's answer for every
-        // distinct load, all-off, and the caller's extras.
-        let table = bml.combination_table();
+        // Candidate states: the ideal combination for every distinct load,
+        // all-off, and the caller's extras.
         let mut state_set: BTreeSet<Vec<u32>> = BTreeSet::new();
         state_set.insert(vec![0; n_archs]);
         for &v in &loads {
-            state_set.insert(table.counts_for(v));
+            state_set.insert(bml.ideal_combination(v).counts(n_archs));
         }
         for extra in &opts.extra_states {
             assert_eq!(
@@ -877,9 +876,9 @@ fn relax(to: &mut [f64], from: &[f64], price: f64) {
 /// unwraps it, and goes when that harness does. An empty trace yields a
 /// zero-energy schedule.
 ///
-/// The optimum is exact *within its state space*: machine combinations
-/// produced by the infrastructure's combination table for the trace's
-/// load levels (plus [`OptOptions::extra_states`]), reconfigured only at
+/// The optimum is exact *within its state space*: the infrastructure's
+/// ideal combinations for the trace's load levels (plus all-off and
+/// [`OptOptions::extra_states`]), reconfigured only at
 /// constant-load segment boundaries — see the crate docs for why
 /// boundary-restricted schedules dominate.
 ///
@@ -1168,7 +1167,7 @@ mod tests {
         let trace = LoadTrace::new(0, vec![500.0; 600]);
         let s = solve(&trace, &bml, greedy(), &OptOptions::default()).unwrap();
         assert!(s.schedule.is_empty(), "no reason to reconfigure");
-        let counts = bml.combination_table().counts_for(500.0);
+        let counts = bml.ideal_combination(500.0).counts(bml.n_archs());
         assert_eq!(s.initial, counts);
         let (w, _) = bml.config_power(&counts, 500.0, greedy());
         assert!((s.energy_j - w * 600.0).abs() < 1e-9);
@@ -1185,7 +1184,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.n_segments, 1);
-        let counts = bml.combination_table().counts_for(42.0);
+        let counts = bml.ideal_combination(42.0).counts(bml.n_archs());
         let (w, _) = bml.config_power(&counts, 42.0, greedy());
         assert!(s.energy_j <= w + 1e-9, "optimum can only improve on greedy");
     }
@@ -1200,7 +1199,7 @@ mod tests {
         rates.extend(vec![5000.0; 300]);
         let trace = LoadTrace::new(0, rates);
         let (s, replay) = solve_verified(&trace, &bml, greedy(), &OptOptions::default()).unwrap();
-        let high = bml.combination_table().counts_for(5000.0);
+        let high = bml.ideal_combination(5000.0).counts(bml.n_archs());
         assert_eq!(s.initial, high);
         assert!(s.schedule.is_empty());
         let (w_idle, _) = bml.config_power(&high, 0.0, greedy());
@@ -1228,7 +1227,7 @@ mod tests {
         }
         assert_eq!(replay.qos.violation_seconds, 0, "just-in-time, not late");
         // And it beats the naive hold-forever policy.
-        let counts = bml.combination_table().counts_for(500.0);
+        let counts = bml.ideal_combination(500.0).counts(bml.n_archs());
         let (w_idle, _) = bml.config_power(&counts, 0.0, greedy());
         let (w_serve, _) = bml.config_power(&counts, 500.0, greedy());
         assert!(s.energy_j < w_idle * 1000.0 + w_serve * 1000.0);
@@ -1446,7 +1445,7 @@ mod tests {
                 solve_verified(&trace, &bml, greedy(), &OptOptions::default()).unwrap();
             prop_assert_eq!(replay.qos.violation_seconds, 0);
             let peak = trace.rates.iter().copied().fold(0.0, f64::max);
-            let hold = bml.combination_table().counts_for(peak);
+            let hold = bml.ideal_combination(peak).counts(bml.n_archs());
             let hold_j: f64 =
                 trace.rates.iter().map(|&r| bml.config_power(&hold, r, greedy()).0).sum();
             prop_assert!(

@@ -75,9 +75,9 @@
 //!   or span;
 //! * the schedulers remember the last prediction they answered
 //!   `NoChange` for, so a steady prediction costs one comparison; a new
-//!   one is served by the infrastructure's precomputed
-//!   [`bml_core::table::CombinationTable`] in O(log segments), never by
-//!   the full combination search;
+//!   one runs the paper's Step-5 greedy fill
+//!   ([`BmlInfrastructure::ideal_combination`]), O(#archs): the 2-day
+//!   smoke grid asks it about once per 90 simulated cell-seconds;
 //! * the look-ahead prediction and its next change-point come from the
 //!   run-length [`bml_trace::LookaheadMaxTable`] through the predictor's
 //!   forward cursor, in O(1) per query (one binary search after a locked
@@ -735,7 +735,7 @@ impl<'a> EngineState<'a> {
         let initial = if config.cold_start {
             Configuration::off(n)
         } else {
-            Configuration(bml.combination_table().counts_for(predictor.predict(0)))
+            Configuration(bml.ideal_combination(predictor.predict(0)).counts(n))
         };
         EngineState {
             ledger: Ledger::new(bml.candidates(), &initial.0, config.split),

@@ -259,10 +259,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// with each job's **batch-local index** before the cell runs; returning
 /// `Some(msg)` makes that cell panic with `msg` instead of executing.
 /// Injection depends only on the index, never on scheduling.
+///
+/// `done` is a progress hook: called exactly once per job, on the worker
+/// that ran it, as soon as the job finished, with its batch-local index
+/// and whether it produced a result (`false` for a panic, injected or
+/// not). Calls arrive concurrently and in no fixed order; results never
+/// depend on them.
 pub fn run_cells_checked(
     jobs: &[CellJob<'_>],
     threads: Option<usize>,
     inject: Option<&(dyn Fn(usize) -> Option<String> + Sync)>,
+    done: Option<&(dyn Fn(usize, bool) + Sync)>,
 ) -> Vec<Result<ScenarioResult, CellPanic>> {
     let indices: Vec<usize> = (0..jobs.len()).collect();
     let tables = SharedTables::assign(jobs);
@@ -275,7 +282,7 @@ pub fn run_cells_checked(
                 // table, which a panicking build leaves unset; a panicking
                 // cell contributes nothing but its message, so no broken
                 // invariant can leak across the boundary.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     if let Some(msg) = inject.and_then(|f| f(i)) {
                         panic!("{msg}");
                     }
@@ -283,7 +290,11 @@ pub fn run_cells_checked(
                 }))
                 .map_err(|payload| CellPanic {
                     message: panic_message(payload.as_ref()),
-                })
+                });
+                if let Some(done) = done {
+                    done(i, result.is_ok());
+                }
+                result
             })
             .collect()
     };
@@ -438,7 +449,9 @@ mod tests {
             .map(|j| run_cell(j.trace, j.bml, &j.cell))
             .collect();
         for threads in [1, 4] {
-            let checked = run_cells_checked(&jobs, Some(threads), Some(&inject));
+            let calls = std::sync::Mutex::new(Vec::new());
+            let done = |i: usize, ok: bool| calls.lock().unwrap().push((i, ok));
+            let checked = run_cells_checked(&jobs, Some(threads), Some(&inject), Some(&done));
             assert_eq!(checked.len(), 3);
             // Non-injected cells match the plain path bit-for-bit.
             assert_eq!(checked[0].as_ref().unwrap(), &clean[0]);
@@ -446,9 +459,17 @@ mod tests {
             // The injected cell fails with its message, in its slot.
             let panic = checked[1].as_ref().unwrap_err();
             assert_eq!(panic.message, "chaos: cell 1");
+            // The done hook hears of every job exactly once, the panic too.
+            let mut calls = calls.into_inner().unwrap();
+            calls.sort_unstable();
+            assert_eq!(
+                calls,
+                [(0, true), (1, false), (2, true)],
+                "{threads} threads"
+            );
         }
         // No injection: every slot is Ok and equals the plain path.
-        let unchecked = run_cells_checked(&jobs, Some(4), None);
+        let unchecked = run_cells_checked(&jobs, Some(4), None, None);
         let ok: Vec<_> = unchecked.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(ok, clean);
     }
@@ -545,7 +566,7 @@ mod tests {
             .collect();
         let inject = |i: usize| (i == 29).then(|| format!("chaos: cell {i}"));
         for threads in [1, 4] {
-            let checked = run_cells_checked(&jobs, Some(threads), Some(&inject));
+            let checked = run_cells_checked(&jobs, Some(threads), Some(&inject), None);
             assert_eq!(checked.len(), jobs.len());
             for (i, (got, want)) in checked.into_iter().zip(&expected).enumerate() {
                 if i == 29 {
@@ -574,7 +595,7 @@ mod tests {
             })
             .collect();
         let run = |threads| -> Vec<_> {
-            run_cells_checked(&jobs, threads, None)
+            run_cells_checked(&jobs, threads, None, None)
                 .into_iter()
                 .map(|r| r.unwrap())
                 .collect()

@@ -110,7 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn span_counts_match_per_second_counters() {
+    fn span_counters_equal_per_second_counters() {
         let mut per_second = QosReport::default();
         let mut span = QosReport::default();
         for _ in 0..37 {

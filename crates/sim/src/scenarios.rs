@@ -95,10 +95,10 @@ pub fn upper_bound_per_day(
 /// combination), so the bound is comparable second-by-second with the
 /// BML scenario rather than using the combination's nominal assignment.
 ///
-/// The per-second combination comes from the infrastructure's precomputed
-/// [`bml_core::table::CombinationTable`], and it and its power are priced
-/// once per distinct load (memoized by the load's bits): a worldcup week
-/// has 464 distinct loads over 588,391 constant-load runs. The loop
+/// The per-second combination comes from the paper's greedy fill
+/// ([`BmlInfrastructure::ideal_combination`]), and it and its power are
+/// priced once per distinct load (memoized by the load's bits): a worldcup
+/// week has 464 distinct loads over 588,391 constant-load runs. The loop
 /// allocates only when it meets a new load. Every run
 /// still adds its own span to the meter, in trace order, so the daily
 /// energies are the same sums as pricing every run afresh.
@@ -109,8 +109,6 @@ pub fn lower_bound_theoretical(
 ) -> ScenarioResult {
     let mut meter = EnergyMeter::new();
     let mut qos = QosReport::default();
-    let table = bml.combination_table();
-    let mut counts = vec![0u32; bml.n_archs()];
     let mut power_at: HashMap<u64, f64> = HashMap::new();
     // The ideal combination and its power are pure functions of the load,
     // so the replay batches over maximal constant-load runs — one memo
@@ -118,7 +116,7 @@ pub fn lower_bound_theoretical(
     // boundaries internally).
     for seg in trace.constant_runs() {
         let w = *power_at.entry(seg.value.to_bits()).or_insert_with(|| {
-            table.counts_into(seg.value, &mut counts);
+            let counts = bml.ideal_combination(seg.value).counts(bml.n_archs());
             config_power(bml.candidates(), &counts, seg.value, split).0
         });
         meter.accumulate_span(w, seg.len());
