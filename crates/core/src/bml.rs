@@ -397,6 +397,15 @@ mod tests {
     }
 
     #[test]
+    fn hundred_requests_per_second_take_three_chromebooks_and_one_raspberry() {
+        let bml = paper_bml();
+        let combo = bml.ideal_combination(100.0);
+        assert_eq!(combo.counts(3), vec![0, 3, 1]);
+        assert!((combo.assigned_rate(bml.candidates()) - 100.0).abs() < 1e-9);
+        assert_eq!(bml.power_at(100.0), combo.power(bml.candidates()));
+    }
+
+    #[test]
     fn very_large_rates_fill_whole_bigs_first() {
         let bml = paper_bml();
         // 7 x 1331 + 683 (>= the Big threshold of 529: one partial Big);
