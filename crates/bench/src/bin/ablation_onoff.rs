@@ -9,14 +9,13 @@
 //! cargo run --release -p bml-bench --bin ablation_onoff [--days N] [--csv]
 //! ```
 
-use bml_bench::Args;
+use bml_bench::{joules_to_kwh, Args, Table};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
 use bml_core::combination::SplitPolicy;
 use bml_core::profile::ArchProfile;
-use bml_metrics::{joules_to_kwh, overhead_stats, Table};
-use bml_sim::{scenarios, SimConfig};
-use bml_trace::worldcup::{generate, WorldCupParams};
+use bml_sim::{overhead_stats, scenarios, SimConfig};
+use bml_trace::registry;
 
 fn scaled(profiles: &[ArchProfile], factor: f64) -> Vec<ArchProfile> {
     profiles
@@ -34,13 +33,8 @@ fn scaled(profiles: &[ArchProfile], factor: f64) -> Vec<ArchProfile> {
 fn main() {
     let args = Args::parse();
     let days = args.days_or(7); // the sweep repeats the simulation; default smaller
-    let trace = generate(&WorldCupParams {
-        seed: args.seed,
-        n_days: days,
-        tournament_start: 8,
-        final_day: 6 + days.saturating_sub(2),
-        ..Default::default()
-    });
+    let trace = registry::generate("worldcup-tournament", days, args.seed)
+        .expect("a registered trace source");
 
     println!(
         "On/Off overhead ablation ({} days, seed {}):\n",
@@ -75,10 +69,6 @@ fn main() {
             format!("{:.4}", 100.0 * r.qos.shortfall_fraction()),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
     println!("\nTransition costs are what separates BML from the unreachable lower bound.");
 }

@@ -14,23 +14,17 @@
 //!     [--days N] [--seed N] [--threads N] [--csv]
 //! ```
 
-use bml_bench::Args;
+use bml_bench::{joules_to_kwh, Args, Table};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
-use bml_metrics::{joules_to_kwh, Table};
 use bml_sim::{runner::sweep_prediction_noise, SimConfig};
-use bml_trace::worldcup::{generate, WorldCupParams};
+use bml_trace::registry;
 
 fn main() {
     let args = Args::parse();
     let days = args.days_or(7); // the sweep repeats the simulation; default smaller
-    let trace = generate(&WorldCupParams {
-        seed: args.seed,
-        n_days: days,
-        tournament_start: 8,
-        final_day: 6 + days.saturating_sub(2),
-        ..Default::default()
-    });
+    let trace = registry::generate("worldcup-tournament", days, args.seed)
+        .expect("a registered trace source");
     let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
     let sigmas = [0.0, 0.02, 0.05, 0.1, 0.2, 0.4];
     eprintln!(
@@ -70,10 +64,6 @@ fn main() {
             format!("{:.1}", 100.0 * r.qos.worst_shortfall),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
     println!("\nUnder-predictions erode QoS; over-predictions waste energy and churn machines.");
 }

@@ -10,23 +10,17 @@
 //! cargo run --release -p bml-bench --bin ablation_scheduler [--days N] [--threads N] [--csv]
 //! ```
 
-use bml_bench::Args;
+use bml_bench::{joules_to_kwh, Args, Table};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
-use bml_metrics::{joules_to_kwh, Table};
 use bml_sim::{runner::sweep_scheduler, SimConfig};
-use bml_trace::worldcup::{generate, WorldCupParams};
+use bml_trace::registry;
 
 fn main() {
     let args = Args::parse();
     let days = args.days_or(7); // the sweep repeats the simulation; default smaller
-    let trace = generate(&WorldCupParams {
-        seed: args.seed,
-        n_days: days,
-        tournament_start: 8,
-        final_day: 6 + days.saturating_sub(2),
-        ..Default::default()
-    });
+    let trace = registry::generate("worldcup-tournament", days, args.seed)
+        .expect("a registered trace source");
     let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
     let config = SimConfig {
         stepping: args.stepping_or_default(),
@@ -55,11 +49,7 @@ fn main() {
             format!("{:.4}", 100.0 * r.qos.shortfall_fraction()),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
     println!(
         "\nThe transition-aware scheduler suppresses reconfigurations whose On/Off energy\n\
          exceeds what the better-fitting combination saves within the decision horizon."

@@ -12,23 +12,17 @@
 //! cargo run --release -p bml-bench --bin ablation_window [--days N] [--threads N] [--csv]
 //! ```
 
-use bml_bench::Args;
+use bml_bench::{joules_to_kwh, Args, Table};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
-use bml_metrics::{joules_to_kwh, Table};
 use bml_sim::{runner::sweep_window, SimConfig};
-use bml_trace::worldcup::{generate, WorldCupParams};
+use bml_trace::registry;
 
 fn main() {
     let args = Args::parse();
     let days = args.days_or(7); // the sweep repeats the simulation; default smaller
-    let trace = generate(&WorldCupParams {
-        seed: args.seed,
-        n_days: days,
-        tournament_start: 8, // pull the tournament into the short span
-        final_day: 6 + days.saturating_sub(2),
-        ..Default::default()
-    });
+    let trace = registry::generate("worldcup-tournament", days, args.seed)
+        .expect("a registered trace source");
     let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
     let windows = [60u64, 189, 378, 756, 1800, 3600];
     eprintln!("sweeping {} windows over {} days...", windows.len(), days);
@@ -62,10 +56,6 @@ fn main() {
             format!("{}", r.qos.violation_seconds),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
     println!("\nThe paper's 378 s window (2x longest boot) hides boot latency with minimal over-provisioning.");
 }

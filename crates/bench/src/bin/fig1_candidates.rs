@@ -8,11 +8,10 @@
 //! cargo run --release -p bml-bench --bin fig1_candidates [--csv]
 //! ```
 
-use bml_bench::Args;
+use bml_bench::{Args, Table};
 use bml_core::candidates::filter_candidates;
 use bml_core::catalog;
 use bml_core::profile::stack_power;
-use bml_metrics::Table;
 
 fn main() {
     let args = Args::parse();
@@ -33,11 +32,7 @@ fn main() {
         ]);
     }
     println!("Fig. 1 — stacked power profiles of illustrative architectures:\n");
-    if args.csv {
-        print!("{}", curve.to_csv());
-    } else {
-        print!("{}", curve.render());
-    }
+    curve.print(args.csv);
 
     let set = filter_candidates(&archs).expect("illustrative set is valid");
     println!("\nStep 2 verdict:");

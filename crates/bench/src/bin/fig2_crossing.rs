@@ -6,12 +6,11 @@
 //! cargo run --release -p bml-bench --bin fig2_crossing [--csv]
 //! ```
 
-use bml_bench::Args;
+use bml_bench::{Args, Table};
 use bml_core::catalog;
 use bml_core::combination::ideal_fill;
 use bml_core::crossing::{compute_thresholds, pairwise_thresholds};
 use bml_core::profile::stack_power;
-use bml_metrics::Table;
 
 fn main() {
     let args = Args::parse();
@@ -36,11 +35,7 @@ fn main() {
             format!("{:.0} ({:?})", step4[i].rate, step4[i].kind),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
 
     // The curves around the Big crossing: single Big vs pure Medium stacks
     // (left plot) vs Medium+Little ideal combinations (right plot).
@@ -62,11 +57,7 @@ fn main() {
         ]);
     }
     println!("\nPower curves around the Big crossing:\n");
-    if args.csv {
-        print!("{}", curves.to_csv());
-    } else {
-        print!("{}", curves.render());
-    }
+    curves.print(args.csv);
     println!(
         "\nStep 4 raises Big's threshold from {:.0} to {:.0}: mixing Little nodes into\n\
          Medium combinations removes the power jump of the Step-3 crossing.",

@@ -8,8 +8,7 @@
 //! cargo run --release -p bml-bench --bin fig3_profiles [--seed N] [--csv]
 //! ```
 
-use bml_bench::Args;
-use bml_metrics::Table;
+use bml_bench::{Args, Table};
 use bml_profiler::{paper_machines, profile_park, BenchmarkConfig, ProfilerConfig};
 
 fn main() {
@@ -44,11 +43,7 @@ fn main() {
         }
         t.row(&row);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
     println!("\nmaxPerf summary (req/s):");
     for p in &profiles {
         println!(

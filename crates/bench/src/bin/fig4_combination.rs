@@ -6,10 +6,9 @@
 //! cargo run --release -p bml-bench --bin fig4_combination [--csv]
 //! ```
 
-use bml_bench::Args;
+use bml_bench::{Args, Table};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
-use bml_metrics::Table;
 
 fn main() {
     let args = Args::parse();
@@ -45,11 +44,7 @@ fn main() {
             format!("{}/{}/{}", counts[0], counts[1], counts[2]),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
 
     // Key operating points called out in the paper's Sec. V-B.
     println!("\nKey points:");

@@ -32,22 +32,16 @@
 //! plane, the comparison and DP-solve wall clocks as spans on the host
 //! plane.
 
-use bml_bench::{json, Args};
+use bml_bench::{fmt_percent, joules_to_kwh, json, Args, Table};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
-use bml_metrics::{fmt_percent, joules_to_kwh, Table};
 use bml_sim::{run_comparison, SimConfig};
-use bml_trace::worldcup::{generate, WorldCupParams};
+use bml_trace::registry;
 
 fn main() {
     let args = Args::parse();
     let days = args.days_or(87); // the paper's full span
-    let params = WorldCupParams {
-        seed: args.seed,
-        n_days: days,
-        ..Default::default()
-    };
-    let trace = generate(&params);
+    let trace = registry::generate("worldcup", days, args.seed).expect("a registered trace source");
     let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
     let config = SimConfig {
         window: args.window,
@@ -120,11 +114,7 @@ fn main() {
             fmt_percent(100.0 * (bmld - lb) / lb),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
 
     println!("\nTotals over {} days:", days);
     let mut rows = c.scenarios().to_vec();

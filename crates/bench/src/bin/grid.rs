@@ -49,11 +49,10 @@
 
 use std::path::Path;
 
-use bml_bench::{json, smoke_spec, Args};
+use bml_bench::{joules_to_kwh, json, smoke_spec, Args, Table};
 use bml_grid::{
     pareto_frontier, per_dimension_bests, ChaosPolicy, GridRunner, StreamingArtifactWriter,
 };
-use bml_metrics::{joules_to_kwh, Table};
 use bml_sim::Stepping;
 
 /// Print one structured event as a single JSON line on stderr.
@@ -226,11 +225,7 @@ fn main() {
             format!("{:.4}", 100.0 * b.qos_shortfall),
         ]);
     }
-    if args.csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
+    t.print(args.csv);
 
     let frontier = pareto_frontier(out);
     println!(
@@ -262,11 +257,7 @@ fn main() {
             format!("{:.4}", 100.0 * c.summary.qos_shortfall),
         ]);
     }
-    if args.csv {
-        print!("{}", p.to_csv());
-    } else {
-        print!("{}", p.render());
-    }
+    p.print(args.csv);
 
     run.telemetry.span("phase.render", render_t0.elapsed());
 

@@ -12,9 +12,8 @@
 //! also written — the CI smoke job uploads `BENCH_table1.json` as part of
 //! the perf-trajectory artifact.
 
-use bml_bench::{json, Args};
+use bml_bench::{json, Args, Table};
 use bml_core::catalog;
-use bml_metrics::Table;
 use bml_profiler::{paper_machines, profile_park, BenchmarkConfig, ProfilerConfig};
 
 fn main() {
@@ -71,11 +70,7 @@ fn main() {
         "Table I — measured by the profiling harness (seed {}) vs paper:\n",
         args.seed
     );
-    if args.csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.render());
-    }
+    table.print(args.csv);
 
     if let Some(path) = &args.json {
         let machine_objs = measured

@@ -1,25 +1,28 @@
 //! # bml-bench — experiment binaries and Criterion benches
 //!
-//! One binary per paper table/figure (see DESIGN.md's per-experiment
-//! index) plus ablation studies and the multi-dimensional `grid` runner.
-//! This library hosts the shared CLI argument plumbing ([`cli`]) so the
-//! twelve binaries parse `--seed`/`--days`/`--threads`/... one way, and
-//! the smoke grid spec ([`smoke_spec`]) the `grid` binary runs.
+//! One binary per paper table/figure (the README's *Figure & ablation
+//! binaries* lists them) plus ablation studies and the multi-dimensional
+//! `grid` runner. This library hosts the shared CLI argument plumbing
+//! ([`cli`]) so the twelve binaries parse `--seed`/`--days`/`--threads`/...
+//! one way, the text/CSV tables they print ([`report`]), and the smoke
+//! grid spec ([`smoke_spec`]) the `grid` binary runs.
 
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod report;
 
 use bml_core::combination::SplitPolicy;
 use bml_grid::spec::{CatalogSpec, GridSpec, SchedulerDim};
 use bml_sim::Stepping;
 
 pub use cli::{Args, USAGE};
+pub use report::{fmt_percent, joules_to_kwh, Table};
 
-/// Ordered-JSON emission for the `BENCH_*.json` artifacts, re-exported
-/// from `bml-grid` (where the grid artifact writer lives) so every bench
-/// binary renders machine-readable summaries the same way.
-pub use bml_grid::json;
+/// The workspace's one JSON writer, re-exported from `bml-obs` so every
+/// bench binary renders its `BENCH_*.json` summary and its stderr events
+/// the way the grid artifact and the telemetry are rendered.
+pub use bml_obs::json;
 
 /// The `grid` binary's smoke grid: 3 catalogs x 2 schedulers x 3 windows
 /// x 2 sigmas x 2 splits x the given steppings (144 cells with both) on

@@ -1,5 +1,5 @@
-//! Report emitters: aligned text tables and CSV for the per-figure
-//! binaries.
+//! Report emitters for the per-figure binaries: aligned text tables or
+//! CSV, and the energy and percent formatting they share.
 
 /// A simple column-aligned text table (monospace output for terminals and
 /// markdown code blocks).
@@ -81,11 +81,26 @@ impl Table {
         }
         out
     }
+
+    /// Print to stdout as CSV when `csv` (the binaries' `--csv` flag),
+    /// else as the aligned text table.
+    pub fn print(&self, csv: bool) {
+        if csv {
+            print!("{}", self.to_csv());
+        } else {
+            print!("{}", self.render());
+        }
+    }
 }
 
 /// Format a percentage with one decimal.
 pub fn fmt_percent(p: f64) -> String {
     format!("{p:+.1}%")
+}
+
+/// Convert Joules to kWh.
+pub fn joules_to_kwh(j: f64) -> f64 {
+    j / 3_600_000.0
 }
 
 #[cfg(test)]
@@ -121,6 +136,11 @@ mod tests {
         let mut t = Table::new(&["x", "y"]);
         t.row(&["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
+    }
+
+    #[test]
+    fn unit_conversions() {
+        assert_eq!(joules_to_kwh(3_600_000.0), 1.0);
     }
 
     #[test]

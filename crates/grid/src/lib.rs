@@ -65,8 +65,12 @@
 //! | `fig5_bounds --stepping` | `steppings`                        |
 //!
 //! Their `sweep_*` entry points in `bml_sim::runner` are thin wrappers
-//! over the same cell executor this crate drives, so a grid cell and the
-//! matching ablation point are the *same computation*.
+//! over the same cell executor this crate drives, so a *clean* grid cell
+//! and the matching ablation point are the same computation. Noisy points
+//! differ in their seed: `sweep_prediction_noise` hands its one `seed` to
+//! every sigma, while a grid cell's noise seed is
+//! `splitmix64(root_seed ^ splitmix64(scenario))`. Given that seed, the
+//! sweep reproduces the cell (`tests/ablation_slices.rs` checks both).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -77,9 +81,12 @@ pub mod cache;
 pub mod chaos;
 pub mod executor;
 pub mod journal;
-pub mod json;
 pub mod spec;
 pub mod stream;
+
+/// The workspace's one JSON writer, owned by `bml-obs`; the artifact
+/// writer and the benchmark harness import it from here.
+pub use bml_obs::json;
 
 pub use aggregate::{pareto_frontier, per_dimension_bests, DimensionBest};
 pub use artifact::{render_csv, render_json, SCHEMA};

@@ -1,17 +1,16 @@
-//! Minimal ordered-JSON emission for the `BENCH_*` artifacts.
+//! The workspace's one JSON writer: an ordered object builder.
 //!
-//! The workspace has no serialization dependency, so the artifact writers
-//! (the grid's `BENCH_grid.json`, the bench binaries' perf-trajectory
-//! summaries) render JSON by hand through this ordered object builder.
-//! Field order is the insertion order and every value is formatted
-//! deterministically — two renders of equal data are equal *bytes*, which
-//! is what the grid's thread-count-independence guarantee is stated
-//! against. Strings are escaped by [`bml_obs::escape_json`]. Lives here
-//! (rather than in `bml-bench`) so both the grid artifact writer and the
-//! bench binaries can use it; `bml-bench` re-exports it as
-//! `bml_bench::json`.
+//! The workspace has no serialization dependency, so every JSON document
+//! — the grid's `BENCH_grid.json`, the bench binaries' perf-trajectory
+//! summaries, and this crate's own `bml-obs/v1` telemetry — is rendered
+//! by hand through [`Object`]. Field order is the insertion order and
+//! every value is formatted deterministically — two renders of equal data
+//! are equal *bytes*, which is what the grid's thread-count-independence
+//! guarantee and the telemetry counter gate are stated against. Keys and
+//! string values are escaped here and nowhere else. `bml-grid` re-exports
+//! the module as `bml_grid::json`, and `bml-bench` as `bml_bench::json`.
 
-use bml_obs::escape_json;
+use std::fmt::Write as _;
 
 /// An ordered JSON object under construction.
 #[derive(Debug, Default)]
@@ -28,7 +27,7 @@ impl Object {
     /// Add a string field (escaped).
     #[must_use]
     pub fn str(mut self, key: &str, v: &str) -> Self {
-        let escaped = escape_json(v);
+        let escaped = escape(v);
         self.fields.push((key.into(), format!("\"{escaped}\"")));
         self
     }
@@ -59,10 +58,7 @@ impl Object {
     /// Add an array of strings (each escaped).
     #[must_use]
     pub fn strs(mut self, key: &str, vs: &[String]) -> Self {
-        let body: Vec<String> = vs
-            .iter()
-            .map(|v| format!("\"{}\"", escape_json(v)))
-            .collect();
+        let body: Vec<String> = vs.iter().map(|v| format!("\"{}\"", escape(v))).collect();
         self.fields
             .push((key.into(), format!("[{}]", body.join(","))));
         self
@@ -96,7 +92,7 @@ impl Object {
         let body: Vec<String> = self
             .fields
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", escape_json(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", escape(k), v))
             .collect();
         format!("{{{}}}", body.join(","))
     }
@@ -105,6 +101,27 @@ impl Object {
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.render() + "\n")
     }
+}
+
+/// Escape a string for inclusion in a JSON document: quote, backslash and
+/// control characters. Everything else passes through unchanged (output
+/// stays UTF-8).
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -141,6 +158,9 @@ mod tests {
 
     #[test]
     fn control_characters_are_escaped() {
+        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(escape("\u{01}"), "\\u0001");
+        assert_eq!(escape("a\nb\tc\u{1}"), "a\\nb\\tc\\u0001");
         let o = Object::new()
             .str("k\t", "a\nb\tc\u{1}")
             .strs("v", &["\r".into()]);

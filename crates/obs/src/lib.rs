@@ -27,7 +27,10 @@
 //! rendering never touches float formatting. Keys are dotted lowercase
 //! (`cells.ok`, `engine.events_skipped`, `phase.cells`) and sort
 //! lexicographically in the output (BTreeMap order), which is what makes
-//! the counter bytes canonical.
+//! the counter bytes canonical. Every section is built with [`json`], the
+//! ordered object writer this crate also lends to the grid artifact and
+//! the bench binaries: the workspace has one JSON writer, and it lives
+//! here because this crate has no dependencies.
 //!
 //! [`Heartbeat`] is the throttle behind progress lines on stderr: it
 //! answers "has at least the interval elapsed since the last emit?" and
@@ -36,46 +39,19 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod json;
+
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+
+use json::Object;
 
 /// Version tag of the rendered telemetry document.
 pub const SCHEMA: &str = "bml-obs/v1";
 
-/// Escape a string for inclusion in a JSON document.
-///
-/// Handles the mandatory set: quote, backslash, and control characters.
-/// Everything else passes through unchanged (output stays UTF-8).
-#[must_use]
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn render_u64_map(map: &BTreeMap<String, u64>) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", escape_json(k), v);
-    }
-    out.push('}');
-    out
+/// The JSON object of a `u64` map, in key order.
+fn u64_object(map: &BTreeMap<String, u64>) -> Object {
+    map.iter().fold(Object::new(), |o, (k, &v)| o.int(k, v))
 }
 
 /// The deterministic plane: monotone event counts keyed by dotted name.
@@ -126,7 +102,7 @@ impl Counters {
     /// the byte-gateable `counters` section of the artifact.
     #[must_use]
     pub fn render_json(&self) -> String {
-        render_u64_map(&self.map)
+        u64_object(&self.map).render()
     }
 }
 
@@ -166,16 +142,10 @@ impl Histogram {
         self.buckets.values().sum()
     }
 
-    fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (le, n)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{le}\":{n}");
-        }
-        out.push('}');
-        out
+    fn object(&self) -> Object {
+        self.buckets
+            .iter()
+            .fold(Object::new(), |o, (le, &n)| o.int(&le.to_string(), n))
     }
 }
 
@@ -226,35 +196,26 @@ impl Timings {
         self.spans.get(name).copied()
     }
 
-    /// Single-line JSON of the whole timing plane:
+    /// The whole timing plane:
     /// `{"spans":{...},"histograms":{...},"host":{...}}`.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"spans\":{");
-        for (i, (k, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"total_us\":{},\"max_us\":{}}}",
-                escape_json(k),
-                s.count,
-                s.total_us,
-                s.max_us
-            );
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", escape_json(k), h.render_json());
-        }
-        out.push_str("},\"host\":");
-        out.push_str(&render_u64_map(&self.host));
-        out.push('}');
-        out
+    fn object(&self) -> Object {
+        let spans = self.spans.iter().fold(Object::new(), |o, (k, s)| {
+            o.obj(
+                k,
+                Object::new()
+                    .int("count", s.count)
+                    .int("total_us", s.total_us)
+                    .int("max_us", s.max_us),
+            )
+        });
+        let histograms = self
+            .histograms
+            .iter()
+            .fold(Object::new(), |o, (k, h)| o.obj(k, h.object()));
+        Object::new()
+            .obj("spans", spans)
+            .obj("histograms", histograms)
+            .obj("host", u64_object(&self.host))
     }
 }
 
@@ -302,22 +263,14 @@ impl Recorder {
     /// never measurements.
     #[must_use]
     pub fn render_document(&self, meta: &[(&str, String)]) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"schema\":\"{SCHEMA}\",\"meta\":{{");
-        for (i, (k, v)) in meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-        }
-        let _ = write!(
-            out,
-            "}},\"counters\":{},\"timings\":{}}}",
-            self.counters.render_json(),
-            self.timings.render_json()
-        );
-        out.push('\n');
-        out
+        let meta = meta.iter().fold(Object::new(), |o, (k, v)| o.str(k, v));
+        Object::new()
+            .str("schema", SCHEMA)
+            .obj("meta", meta)
+            .obj("counters", u64_object(&self.counters.map))
+            .obj("timings", self.timings.object())
+            .render()
+            + "\n"
     }
 }
 
@@ -381,7 +334,7 @@ mod tests {
         h.observe(3);
         h.observe(4);
         h.observe(1000);
-        assert_eq!(h.render_json(), "{\"1\":2,\"4\":2,\"1024\":1}");
+        assert_eq!(h.object().render(), "{\"1\":2,\"4\":2,\"1024\":1}");
         assert_eq!(h.count(), 5);
     }
 
@@ -412,9 +365,16 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_controls() {
-        assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(escape_json("\u{01}"), "\\u0001");
-        assert_eq!(escape_json("a\nb\tc\u{1}"), "a\\nb\\tc\\u0001");
+        // Meta keys and values reach the document escaped: quote,
+        // backslash and control characters.
+        let meta = [
+            ("a\"b\\c\n", "\u{01}".to_owned()),
+            ("k", "a\nb\tc\u{1}".to_owned()),
+        ];
+        let doc = Recorder::new().render_document(&meta);
+        assert!(
+            doc.contains("\"meta\":{\"a\\\"b\\\\c\\n\":\"\\u0001\",\"k\":\"a\\nb\\tc\\u0001\"}")
+        );
     }
 
     #[test]

@@ -1408,9 +1408,12 @@ mod tests {
         let bml = bml();
         for rate in (1..=2662u64).step_by(97) {
             let (opt, counts) = optimal_instant(&bml, rate, greedy());
-            let greedy_w = bml.ideal_combination(rate as f64).power(bml.candidates());
+            // Priced by the model the DP minimizes: the greedy fleet is one
+            // of its states, so no tolerance is needed.
+            let greedy_counts = bml.ideal_combination(rate as f64).counts(bml.n_archs());
+            let (greedy_w, _) = bml.config_power(&greedy_counts, rate as f64, greedy());
             assert!(
-                opt <= greedy_w + 1e-9,
+                opt <= greedy_w,
                 "rate {rate}: optimal {opt} > greedy {greedy_w}"
             );
             let (_, dp_counts) = bml_core::combination::optimal_dp(bml.candidates(), rate);

@@ -1,16 +1,7 @@
 //! Energy accounting: a running meter with per-day aggregation (the
-//! Fig. 5 unit), overhead statistics and unit conversions.
+//! Fig. 5 unit) and the per-day overhead statistics the paper quotes.
 
-/// Seconds per day.
-pub const SECONDS_PER_DAY: u64 = 86_400;
-
-/// Joules per kilowatt-hour.
-pub const JOULES_PER_KWH: f64 = 3_600_000.0;
-
-/// Convert Joules to kWh.
-pub fn joules_to_kwh(j: f64) -> f64 {
-    j / JOULES_PER_KWH
-}
+use bml_trace::SECONDS_PER_DAY;
 
 /// Running energy meter: feed it power samples, read total/interval
 /// energies. This is the simulator-facing equivalent of the paper's
@@ -72,11 +63,6 @@ impl EnergyMeter {
     /// Total energy recorded (J).
     pub fn total_joules(&self) -> f64 {
         self.total_j
-    }
-
-    /// Total energy in kWh.
-    pub fn total_kwh(&self) -> f64 {
-        joules_to_kwh(self.total_j)
     }
 
     /// Per-day energies (J).
@@ -235,12 +221,7 @@ mod tests {
     fn meter_empty() {
         let m = EnergyMeter::new();
         assert_eq!(m.mean_power(), 0.0);
-        assert_eq!(m.total_kwh(), 0.0);
-    }
-
-    #[test]
-    fn unit_conversions() {
-        assert_eq!(joules_to_kwh(3_600_000.0), 1.0);
+        assert_eq!(m.total_joules(), 0.0);
     }
 
     #[test]

@@ -90,10 +90,10 @@ use bml_core::profile::ArchProfile;
 use bml_core::reconfig::{Configuration, ReconfigPlan};
 pub use bml_core::scheduler::SchedulerKind;
 use bml_core::scheduler::{Decision, ProActiveScheduler};
-use bml_metrics::EnergyMeter;
 use bml_trace::{LoadTrace, Predictor};
 
 use crate::cluster::Cluster;
+use crate::energy::EnergyMeter;
 use crate::migration::migration_cost;
 use crate::qos::QosReport;
 

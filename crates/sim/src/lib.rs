@@ -9,6 +9,8 @@
 //! * [`cluster`] — per-architecture machine pools with the
 //!   Off → Booting → On → ShuttingDown lifecycle and transition power
 //!   ramps that integrate exactly to the Table I transition energies;
+//! * [`energy`] — the energy meter (per-second and batched spans, split
+//!   into per-day bins) and the per-day overhead statistics of Fig. 5;
 //! * [`engine`] — the simulation loop driving the `bml-core` scheduler
 //!   with any `bml-trace` predictor, in either per-second (reference) or
 //!   event-driven skip-ahead stepping ([`engine::Stepping`]);
@@ -30,6 +32,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
+pub mod energy;
 pub mod engine;
 pub mod exec;
 mod migration;
@@ -39,6 +42,7 @@ pub mod runner;
 pub mod scenarios;
 
 pub use cluster::{ArchPool, Cluster};
+pub use energy::{overhead_percent, overhead_stats, EnergyMeter, OverheadStats};
 pub use engine::{
     simulate_bml, CellSummary, FailureModel, ReconfigRecord, ScenarioResult, SchedulerKind,
     SimConfig, Stepping,

@@ -10,9 +10,9 @@
 use bml_core::bml::BmlInfrastructure;
 use bml_core::scheduler::SchedulerKind;
 use bml_core::transition_aware::TransitionAwareConfig;
-use bml_metrics::{overhead_stats, OverheadStats};
 use bml_trace::LoadTrace;
 
+use crate::energy::{overhead_stats, OverheadStats};
 use crate::engine::{ScenarioResult, SimConfig};
 use crate::exec::{run_cells_checked, CellConfig, CellJob};
 use crate::scenarios;

@@ -16,21 +16,12 @@ use std::collections::HashMap;
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::{config_power, PowerCurve, SplitPolicy};
-use bml_core::profile::ArchProfile;
-use bml_metrics::EnergyMeter;
+use bml_core::profile::{stack_nodes, ArchProfile};
 use bml_trace::{LoadTrace, LookaheadMaxPredictor};
 
+use crate::energy::EnergyMeter;
 use crate::engine::{simulate_bml, ScenarioResult, SimConfig};
 use crate::qos::QosReport;
-
-/// Machines needed to cover `rate` with nodes of capacity `max_perf`.
-fn nodes_for(rate: f64, max_perf: f64) -> u32 {
-    if rate <= 0.0 {
-        0
-    } else {
-        (rate / max_perf).ceil() as u32
-    }
-}
 
 /// Shared loop for the homogeneous upper bounds: `counts_for_day` gives
 /// the number of Big machines powered during each day. The fleet is
@@ -65,7 +56,7 @@ pub fn upper_bound_global(
     big: &ArchProfile,
     split: SplitPolicy,
 ) -> ScenarioResult {
-    let n = nodes_for(trace.max(), big.max_perf);
+    let n = stack_nodes(big, trace.max());
     homogeneous_scenario("UpperBound Global", trace, big, split, move |_| n)
 }
 
@@ -80,7 +71,7 @@ pub fn upper_bound_per_day(
     let daily: Vec<u32> = trace
         .daily_max()
         .iter()
-        .map(|&m| nodes_for(m, big.max_perf))
+        .map(|&m| stack_nodes(big, m))
         .collect();
     homogeneous_scenario("UpperBound PerDay", trace, big, split, move |d| {
         daily.get(d as usize).copied().unwrap_or(0)

@@ -31,8 +31,8 @@ pub const NAMES: [&str; 7] = [
     "constant",
 ];
 
-/// WC98-like params with the tournament pulled into a short span, exactly
-/// as the ablation binaries configure it for `--days` runs.
+/// WC98-like params with the tournament pulled into a short span: the
+/// trace the ablation binaries sweep over for `--days` runs.
 fn tournament_params(days: u32, seed: u64) -> WorldCupParams {
     WorldCupParams {
         seed,

@@ -11,9 +11,8 @@
 //!   pro-active scheduler;
 //! * [`trace`] (`bml-trace`) — load traces, the World-Cup-98-like
 //!   workload, predictors;
-//! * [`metrics`] (`bml-metrics`) — energy accounting, report tables;
-//! * [`sim`] (`bml-sim`) — the discrete-event simulator and the four
-//!   Fig. 5 scenarios;
+//! * [`sim`] (`bml-sim`) — the discrete-event simulator, its energy
+//!   meter and the four Fig. 5 scenarios;
 //! * [`grid`] (`bml-grid`) — declarative multi-dimensional scenario
 //!   grids executed rayon-parallel with deterministic artifacts;
 //! * [`opt`] (`bml-opt`) — offline-optimal reconfiguration schedules via
@@ -31,7 +30,6 @@
 
 pub use bml_core as core;
 pub use bml_grid as grid;
-pub use bml_metrics as metrics;
 pub use bml_opt as opt;
 pub use bml_profiler as profiler;
 pub use bml_sim as sim;
@@ -41,9 +39,8 @@ pub use bml_trace as trace;
 pub mod prelude {
     pub use bml_core::prelude::*;
     pub use bml_grid::{GridOutcome, GridRunner, GridSpec};
-    pub use bml_metrics::{EnergyMeter, OverheadStats, Table};
     pub use bml_opt::{solve_verified, OptOptions, OptimalSchedule};
     pub use bml_profiler::{paper_machines, profile_park, ProfilerConfig};
-    pub use bml_sim::{run_comparison, ScenarioResult, SimConfig};
+    pub use bml_sim::{run_comparison, EnergyMeter, OverheadStats, ScenarioResult, SimConfig};
     pub use bml_trace::{LoadTrace, LookaheadMaxPredictor, Predictor};
 }
