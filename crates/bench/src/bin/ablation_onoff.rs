@@ -6,7 +6,8 @@
 //! look-ahead window (tied to boot duration) widens.
 //!
 //! ```text
-//! cargo run --release -p bml-bench --bin ablation_onoff [--days N] [--csv]
+//! cargo run --release -p bml-bench --bin ablation_onoff -- \
+//!     [--days N] [--seed N] [--stepping event|per-second] [--csv]
 //! ```
 
 use bml_bench::{joules_to_kwh, Args, Table};

@@ -10,8 +10,8 @@
 //! executor as the `grid` binary and honors `--threads`.
 //!
 //! ```text
-//! cargo run --release -p bml-bench --bin ablation_prediction \
-//!     [--days N] [--seed N] [--threads N] [--csv]
+//! cargo run --release -p bml-bench --bin ablation_prediction -- \
+//!     [--days N] [--seed N] [--stepping event|per-second] [--threads N] [--csv]
 //! ```
 
 use bml_bench::{joules_to_kwh, Args, Table};

@@ -7,7 +7,8 @@
 //! executor as the `grid` binary and honors `--threads`.
 //!
 //! ```text
-//! cargo run --release -p bml-bench --bin ablation_scheduler [--days N] [--threads N] [--csv]
+//! cargo run --release -p bml-bench --bin ablation_scheduler -- \
+//!     [--days N] [--seed N] [--stepping event|per-second] [--threads N] [--csv]
 //! ```
 
 use bml_bench::{joules_to_kwh, Args, Table};

@@ -2,8 +2,13 @@
 //! performance rate, up to `maxPerf(Big)`, compared to the all-Big
 //! provisioning and to the "BML linear" goal line.
 //!
+//! The text table samples every 37th rate (0, 37, ..., 1295 req/s); with
+//! `--csv` the table has one row per integer rate from 0 to 1331 req/s
+//! (1,332 rows), the series the figure plots. Both outputs end with the
+//! key operating points of Sec. V-B.
+//!
 //! ```text
-//! cargo run --release -p bml-bench --bin fig4_combination [--csv]
+//! cargo run --release -p bml-bench --bin fig4_combination -- [--csv]
 //! ```
 
 use bml_bench::{Args, Table};

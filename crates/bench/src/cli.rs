@@ -34,7 +34,9 @@ pub struct Args {
     /// Look-ahead window override (seconds, at least 1); `None` = the
     /// paper's 378 s.
     pub window: Option<u64>,
-    /// Emit CSV instead of aligned text tables.
+    /// Emit CSV instead of aligned text tables. `fig4_combination` also
+    /// samples densely in CSV: one row per integer rate from 0 to
+    /// 1331 req/s, where its text table keeps every 37th.
     pub csv: bool,
     /// Also write a machine-readable summary (the `BENCH_*.json` perf
     /// trajectory CI uploads) to this path.

@@ -29,16 +29,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when no data row was added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with space-padded, column-aligned cells.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -120,8 +110,6 @@ mod tests {
         // Columns aligned: "value" column starts at the same offset.
         let col = lines[0].find("value").unwrap();
         assert_eq!(&lines[3][col..col + 2], "22");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

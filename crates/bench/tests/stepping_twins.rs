@@ -32,7 +32,7 @@ fn every_smoke_cell_agrees_with_its_per_second_twin() {
             cell: spec.cell_config(c, &catalogs[c.catalog]),
         })
         .collect();
-    let results = run_cells_checked(&jobs, None, None, None);
+    let results = run_cells_checked(&jobs, 1, None, None);
 
     // Stepping is the innermost dimension and twins share the scenario
     // seed, so a scenario is the cell's seed plus its other coordinates.

@@ -1,13 +1,17 @@
 //! Grid execution behind the [`GridRunner`] API.
 //!
 //! A run resolves the spec's traces and catalogs once, solves the offline
-//! optimum per distinct `(trace, catalog, split)` triple up front — cache
-//! misses concurrently on the run's worker pool, merged with the hits in
-//! triple order — then fans the cells out over the shared `bml-sim` cell
-//! executor in batches,
-//! optionally short-circuiting each cell through the content-addressed
-//! [`crate::cache::CellCache`] and streaming each completed record to a
-//! [`StreamingArtifactWriter`] in enumeration order.
+//! optimum per distinct `(trace, catalog, split)` triple up front — one
+//! ordered parallel map over the triples in which a cache hit passes
+//! through and a miss solves — then carries each batch of cells through
+//! one pipeline: **lookup** (the journal, then the content-addressed
+//! [`crate::cache::CellCache`]), **compute** (one fan-out over the shared
+//! `bml-sim` cell executor for the cells neither served), **persist**
+//! (the cache gets the cells computed this run, the journal every
+//! decision it does not already hold) and **emit** (each record streamed
+//! to a [`StreamingArtifactWriter`] in enumeration order). Both phases
+//! run inside the run's one worker pool, whose cap
+//! ([`GridRunner::threads`]) is the only thread setting.
 //!
 //! Determinism: cells carry seeds derived purely from the root seed and
 //! their enumeration index, the parallel fan-out returns results in input
@@ -19,12 +23,13 @@
 //! # Fault tolerance
 //!
 //! Every cell runs isolated ([`bml_sim::exec::run_cells_checked`]): a
-//! panicking cell is retried up to [`GridRunner::max_retries`] extra
-//! times with the **same seed** (a deterministic workload that panicked
-//! once will panic again — the retry budget exists for injected and
-//! environmental faults), and a cell that exhausts its budget is
-//! **quarantined** into [`GridOutcome::failed_cells`] (artifact schema
-//! `bml-grid/v5`) instead of aborting the run.
+//! panicking cell is retried at once, on its own worker inside the one
+//! fan-out, up to [`GridRunner::max_retries`] extra times with the
+//! **same seed** (a deterministic workload that panicked once will panic
+//! again — the retry budget exists for injected and environmental
+//! faults), and a cell that exhausts its budget is **quarantined** into
+//! [`GridOutcome::failed_cells`] (artifact schema `bml-grid/v5`) instead
+//! of aborting the run.
 //!
 //! With a journal directory configured, every decided cell (succeeded
 //! *or* quarantined) is appended to a checksummed journal
@@ -62,6 +67,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -116,6 +122,14 @@ impl Progress {
             eprintln!("{}", line.render());
         }
     }
+}
+
+/// Where a cell's decision came from: replayed from the journal, served
+/// by the cell cache, or run in this run's fan-out.
+enum Source {
+    Journal,
+    Cache,
+    Run,
 }
 
 /// One executed cell: its coordinates, resolved dimension labels (in
@@ -224,8 +238,9 @@ impl<'a> GridRunner<'a> {
         }
     }
 
-    /// Cap the worker-thread count (only changes wall-clock time, never
-    /// results).
+    /// Cap the worker-thread count of the run's pool, which both the
+    /// optimum solves and the cell fan-out run in (only changes
+    /// wall-clock time, never results).
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
@@ -373,23 +388,23 @@ impl<'a> GridRunner<'a> {
         // Optima first: one verified solve per distinct (trace, catalog,
         // split) triple — the only dimensions the optimum depends on. Solving
         // before the fan-out lets each record be stamped (and streamed)
-        // complete the moment its cell finishes. Cache misses are solved
-        // concurrently on the run's worker pool, then merged with the hits in
-        // triple order `(t, c, s)`: cache writes and the `opt.*` counters
-        // follow that order whichever solve finishes first, and solver
-        // statistics travel with the cached entry, so the merged counters are
-        // identical on cold, warm and partially warm caches.
+        // complete the moment its cell finishes. Every triple goes through
+        // one ordered parallel map on the run's worker pool — a cache hit
+        // passes through, a miss solves — so cache writes and the `opt.*`
+        // counters follow triple order `(t, c, s)` whichever solve finishes
+        // first, and solver statistics travel with the cached entry: the
+        // counters are identical on cold, warm and partially warm caches.
         let opt_t0 = Instant::now();
         let opt_options = bml_opt::OptOptions::default();
-        let triples: Vec<(usize, usize, usize)> = (0..traces.len())
+        // Per triple: the triple, its cache key when a cache is open, and
+        // the entry that key hit.
+        let lookups: Vec<_> = (0..traces.len())
             .flat_map(|t| (0..catalogs.len()).map(move |c| (t, c)))
             .flat_map(|(t, c)| (0..spec.splits.len()).map(move |s| (t, c, s)))
-            .collect();
-        // Per triple, when a cache is open: its key and the entry it hit.
-        let lookups: Vec<Option<(String, Option<OptEntry>)>> = triples
-            .iter()
-            .map(|&(t, c, s)| {
-                let cache = cache.as_ref()?;
+            .map(|(t, c, s)| {
+                let Some(cache) = &cache else {
+                    return ((t, c, s), None, None);
+                };
                 stats.opt_lookups += 1;
                 let key = cache::opt_key(
                     &trace_digests[t],
@@ -401,55 +416,41 @@ impl<'a> GridRunner<'a> {
                 if hit.is_some() {
                     stats.opt_hits += 1;
                 }
-                Some((key, hit))
+                ((t, c, s), Some(key), hit)
             })
-            .collect();
-        let misses: Vec<(usize, usize, usize)> = triples
-            .iter()
-            .zip(&lookups)
-            .filter(|(_, lookup)| !matches!(lookup, Some((_, Some(_)))))
-            .map(|(&triple, _)| triple)
             .collect();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads.map_or(0, |n| n.max(1)))
             .build()
             .expect("thread pool construction cannot fail");
-        let solved: Vec<OptEntry> = pool.install(|| {
-            misses
+        let entries: Vec<OptEntry> = pool.install(|| {
+            lookups
                 .par_iter()
-                .map(|&(t, c, s)| {
-                    let (sched, _) = bml_opt::solve_verified(
-                        &traces[t],
-                        &catalogs[c],
-                        spec.splits[s],
-                        &opt_options,
-                    )
-                    .expect("exact DP cannot dead-end");
-                    OptEntry::from_schedule(&sched)
+                .map(|&((t, c, s), _, hit)| {
+                    hit.unwrap_or_else(|| {
+                        let (sched, _) = bml_opt::solve_verified(
+                            &traces[t],
+                            &catalogs[c],
+                            spec.splits[s],
+                            &opt_options,
+                        )
+                        .expect("exact DP cannot dead-end");
+                        OptEntry::from_schedule(&sched)
+                    })
                 })
                 .collect()
         });
-        let mut solved = solved.into_iter();
         let mut optima: BTreeMap<(usize, usize, usize), f64> = BTreeMap::new();
-        for (triple, lookup) in triples.into_iter().zip(lookups) {
-            let entry = match lookup {
-                Some((_, Some(hit))) => hit,
-                lookup => {
-                    let entry = solved.next().expect("one solve per miss");
-                    if let (Some(cache), Some((key, _))) = (&cache, &lookup) {
-                        if cache_writes {
-                            if let Err(e) = cache.store_opt(key, &entry) {
-                                warnings.push(RunWarning {
-                                    component: "cache",
-                                    message: format!("cache write: {e}; caching disabled"),
-                                });
-                                cache_writes = false;
-                            }
-                        }
-                    }
-                    entry
+        for ((triple, key, hit), entry) in lookups.into_iter().zip(entries) {
+            if let (Some(cache), Some(key), None, true) = (&cache, &key, hit, cache_writes) {
+                if let Err(e) = cache.store_opt(key, &entry) {
+                    warnings.push(RunWarning {
+                        component: "cache",
+                        message: format!("cache write: {e}; caching disabled"),
+                    });
+                    cache_writes = false;
                 }
-            };
+            }
             telemetry.count("opt.solves", 1);
             telemetry.count("opt.states", entry.n_states);
             telemetry.count("opt.segments", entry.n_segments);
@@ -518,182 +519,127 @@ impl<'a> GridRunner<'a> {
             state: Mutex::new((Heartbeat::new(HEARTBEAT_INTERVAL), 0)),
             total: coords.len() as u64,
         });
+        // Retries and injections happen on the workers; the chaos hook
+        // sees every attempt, so it counts them.
+        let retries = AtomicU64::new(0);
+        let injections = AtomicU64::new(0);
         for batch in coords.chunks(STREAM_BATCH) {
             let batch_t0 = Instant::now();
-            // Journal and cache lookups first; the parallel fan-out then only
-            // sees undecided cells (in enumeration order, so results align
-            // back by index).
             let configs: Vec<CellConfig> = batch
                 .iter()
                 .map(|c| spec.cell_config(c, &catalogs[c.catalog]))
                 .collect();
-            let mut summaries: Vec<Option<CellSummary>> = vec![None; batch.len()];
-            // Quarantine decisions: (attempts consumed, panic digest).
-            let mut failures: Vec<Option<(u32, String)>> = vec![None; batch.len()];
+            // Lookup: the journal, then the cache. A cell either side serves
+            // is decided here; the rest go to the fan-out.
             let mut keys: Vec<Option<String>> = vec![None; batch.len()];
-            // Journal-replayed decisions are already on disk; everything
-            // decided *this* run gets appended.
-            let mut from_journal: Vec<bool> = vec![false; batch.len()];
-            for (i, (c, config)) in batch.iter().zip(&configs).enumerate() {
-                if let Some(entry) = journaled.get(&c.index) {
-                    from_journal[i] = true;
-                    match entry {
-                        CellEntry::Done(summary) => summaries[i] = Some(summary.clone()),
-                        CellEntry::Failed {
-                            attempts,
-                            panic_digest,
-                        } => failures[i] = Some((*attempts, panic_digest.clone())),
+            let mut decided: Vec<Option<(CellEntry, Source)>> = batch
+                .iter()
+                .zip(&configs)
+                .zip(&mut keys)
+                .map(|((c, config), key)| {
+                    if let Some(entry) = journaled.remove(&c.index) {
+                        return Some((entry, Source::Journal));
                     }
-                    continue;
-                }
-                if let Some(cache) = &cache {
+                    let cache = cache.as_ref()?;
                     stats.lookups += 1;
-                    let key = cache::cell_key(
+                    let k = key.insert(cache::cell_key(
                         &trace_digests[c.trace],
                         &catalog_digests[c.catalog],
                         config,
-                    );
-                    let hit = cache.load_cell(&key);
-                    if hit.is_some() {
-                        stats.hits += 1;
-                    }
-                    keys[i] = Some(key);
-                    summaries[i] = hit;
-                }
-            }
-
-            // Isolated execution with bounded retry: every attempt replays
-            // the same seed, and the chaos panic schedule is keyed on the
-            // cell's enumeration index + attempt number — thread counts and
-            // batch shapes can never move an injected fault.
-            let mut pending: Vec<usize> = (0..batch.len())
-                .filter(|&i| summaries[i].is_none() && failures[i].is_none())
+                    ));
+                    let hit = cache.load_cell(k)?;
+                    stats.hits += 1;
+                    Some((CellEntry::Done(hit), Source::Cache))
+                })
                 .collect();
+
+            // Compute: one isolated fan-out over the undecided cells, each
+            // retried on its worker with the same seed. The chaos panic
+            // schedule is keyed on the cell's enumeration index + attempt
+            // number, so thread counts and batch shapes can never move an
+            // injected fault.
+            let pending: Vec<usize> = (0..batch.len()).filter(|&i| decided[i].is_none()).collect();
             if let Some(p) = &progress {
                 p.advance((batch.len() - pending.len()) as u64);
             }
-            let mut computed: Vec<bool> = vec![false; batch.len()];
-            let mut last_panic: Vec<Option<String>> = vec![None; batch.len()];
-            for attempt in 1..=max_attempts {
-                if pending.is_empty() {
-                    break;
-                }
-                let jobs: Vec<CellJob<'_>> = pending
-                    .iter()
-                    .map(|&i| CellJob {
-                        trace: &traces[batch[i].trace],
-                        bml: &catalogs[batch[i].catalog],
-                        cell: configs[i].clone(),
-                    })
-                    .collect();
-                let global: Vec<u64> = pending.iter().map(|&i| batch[i].index as u64).collect();
-                if attempt > 1 {
-                    telemetry.host_count("retry.attempts", jobs.len() as u64);
-                }
-                if let Some(chaos) = chaos.as_ref() {
-                    // The panic schedule is a pure function of (cell index,
-                    // attempt), so injections are countable without touching
-                    // the worker threads.
-                    let injected = global
-                        .iter()
-                        .filter(|&&g| chaos.should_panic(g, attempt).is_some())
-                        .count();
-                    if injected > 0 {
-                        telemetry.host_count("chaos.injections", injected as u64);
-                    }
-                }
-                let inject = chaos
-                    .as_ref()
-                    .map(|chaos| move |pos: usize| chaos.should_panic(global[pos], attempt));
-                // A panic decides its cell only on the last attempt.
-                let done = progress.as_ref().map(|p| {
-                    move |_: usize, ok: bool| {
-                        if ok || attempt == max_attempts {
-                            p.advance(1);
-                        }
-                    }
-                });
-                let results = run_cells_checked(
+            let jobs: Vec<CellJob<'_>> = pending
+                .iter()
+                .map(|&i| CellJob {
+                    trace: &traces[batch[i].trace],
+                    bml: &catalogs[batch[i].catalog],
+                    cell: configs[i].clone(),
+                })
+                .collect();
+            let inject = |pos: usize, attempt: u32| {
+                retries.fetch_add(u64::from(attempt > 1), Ordering::Relaxed);
+                let panic = chaos
+                    .as_ref()?
+                    .should_panic(batch[pending[pos]].index as u64, attempt);
+                injections.fetch_add(u64::from(panic.is_some()), Ordering::Relaxed);
+                panic
+            };
+            let done = progress.as_ref().map(|p| move |_: usize| p.advance(1));
+            let results = pool.install(|| {
+                run_cells_checked(
                     &jobs,
-                    threads,
-                    inject
+                    max_attempts,
+                    Some(&inject),
+                    done.as_ref().map(|f| f as &(dyn Fn(usize) + Sync)),
+                )
+            });
+            for (&i, result) in pending.iter().zip(results) {
+                let entry = match result {
+                    Ok(r) => CellEntry::Done(r.summary()),
+                    Err(p) => CellEntry::Failed {
+                        attempts: max_attempts,
+                        panic_digest: panic_digest(&p.message),
+                    },
+                };
+                decided[i] = Some((entry, Source::Run));
+            }
+
+            for ((c, decision), key) in batch.iter().zip(decided).zip(&keys) {
+                let (entry, source) = decision.expect("every cell is decided by now");
+                // Persist: the cache gets the summaries computed this run,
+                // the journal every decision it does not already hold —
+                // before the cell is emitted anywhere else, so a kill
+                // cannot lose it.
+                if let (Source::Run, CellEntry::Done(summary), Some(cache), Some(key), true) =
+                    (&source, &entry, &cache, key, cache_writes)
+                {
+                    let store = match chaos
                         .as_ref()
-                        .map(|f| f as &(dyn Fn(usize) -> Option<String> + Sync)),
-                    done.as_ref().map(|f| f as &(dyn Fn(usize, bool) + Sync)),
-                );
-                let mut still: Vec<usize> = Vec::new();
-                for (pos, result) in results.into_iter().enumerate() {
-                    let i = pending[pos];
-                    match result {
-                        Ok(r) => {
-                            summaries[i] = Some(r.summary());
-                            computed[i] = true;
-                        }
-                        Err(p) => {
-                            last_panic[i] = Some(p.message);
-                            still.push(i);
-                        }
-                    }
-                }
-                pending = still;
-            }
-            for i in pending {
-                let message = last_panic[i].take().unwrap_or_default();
-                failures[i] = Some((max_attempts, panic_digest(&message)));
-            }
-
-            for (i, c) in batch.iter().enumerate() {
-                // Persist computed results to the cache (journal hits and
-                // cache hits are already stored there).
-                if computed[i] && cache_writes {
-                    if let (Some(cache), Some(key), Some(summary)) =
-                        (&cache, &keys[i], &summaries[i])
+                        .and_then(|ch| ch.io_error(STREAM_CACHE_IO, c.index as u64))
                     {
-                        let store = match chaos
-                            .as_ref()
-                            .and_then(|ch| ch.io_error(STREAM_CACHE_IO, c.index as u64))
-                        {
-                            Some(e) => Err(e),
-                            None => cache.store_cell(key, summary),
-                        };
-                        if let Err(e) = store {
-                            warnings.push(RunWarning {
-                                component: "cache",
-                                message: format!("cache write: {e}; caching disabled"),
-                            });
-                            cache_writes = false;
-                        }
+                        Some(e) => Err(e),
+                        None => cache.store_cell(key, summary),
+                    };
+                    if let Err(e) = store {
+                        warnings.push(RunWarning {
+                            component: "cache",
+                            message: format!("cache write: {e}; caching disabled"),
+                        });
+                        cache_writes = false;
                     }
                 }
-                // Journal the decision before emitting it anywhere else: once
-                // appended, a kill cannot lose this cell.
-                if !from_journal[i] {
-                    if let Some(j) = journal.as_mut() {
-                        let entry = match (&summaries[i], &failures[i]) {
-                            (Some(summary), _) => CellEntry::Done(summary.clone()),
-                            (None, Some((attempts, digest))) => CellEntry::Failed {
-                                attempts: *attempts,
-                                panic_digest: digest.clone(),
-                            },
-                            (None, None) => unreachable!("every cell is decided by now"),
-                        };
-                        match j.append(c.index, &entry) {
-                            Ok(bytes) => {
-                                telemetry.host_count("journal.bytes_written", bytes as u64);
-                            }
-                            Err(e) => {
-                                warnings.push(RunWarning {
-                                    component: "journal",
-                                    message: format!("journal write: {e}; journaling disabled"),
-                                });
-                                journal = None;
-                            }
+                if let (Source::Cache | Source::Run, Some(j)) = (&source, journal.as_mut()) {
+                    match j.append(c.index, &entry) {
+                        Ok(bytes) => {
+                            telemetry.host_count("journal.bytes_written", bytes as u64);
+                        }
+                        Err(e) => {
+                            warnings.push(RunWarning {
+                                component: "journal",
+                                message: format!("journal write: {e}; journaling disabled"),
+                            });
+                            journal = None;
                         }
                     }
                 }
 
-                match (summaries[i].take(), &failures[i]) {
-                    (Some(mut summary), _) => {
+                // Emit.
+                match entry {
+                    CellEntry::Done(mut summary) => {
                         // Engine counters merge in enumeration order from the
                         // summary — which rides through cache and journal —
                         // so the totals are byte-identical whether the cell
@@ -730,16 +676,18 @@ impl<'a> GridRunner<'a> {
                         }
                         cells.push(record);
                     }
-                    (None, Some((attempts, digest))) => {
+                    CellEntry::Failed {
+                        attempts,
+                        panic_digest,
+                    } => {
                         telemetry.count("cells.failed", 1);
                         failed_cells.push(FailedCell {
                             labels: spec.cell_labels(c),
                             coords: *c,
-                            attempts: *attempts,
-                            panic_digest: digest.clone(),
+                            attempts,
+                            panic_digest,
                         });
                     }
-                    (None, None) => unreachable!("every cell is decided by now"),
                 }
                 emitted += 1;
                 if kill_after == Some(emitted) {
@@ -757,6 +705,15 @@ impl<'a> GridRunner<'a> {
                 "batch.wall_us",
                 u64::try_from(batch_t0.elapsed().as_micros()).unwrap_or(u64::MAX),
             );
+        }
+        for (key, n) in [
+            ("retry.attempts", retries),
+            ("chaos.injections", injections),
+        ] {
+            let n = n.into_inner();
+            if n > 0 {
+                telemetry.host_count(key, n);
+            }
         }
         telemetry.span("phase.cells", cells_t0.elapsed());
         let pool_after = rayon::pool_stats();

@@ -78,3 +78,57 @@ fn grid_telemetry_keeps_its_planes_apart() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The retry bookkeeping a chaos run must report, derived from the
+/// schedule alone: a cell runs attempts until one is not injected or the
+/// budget of `retries + 1` is spent. Returns `(retry.attempts,
+/// chaos.injections, cells.failed)`.
+fn expected_retry_counts(policy: &ChaosPolicy, retries: u32, cells: u64) -> (u64, u64, u64) {
+    let (mut extra, mut injected, mut failed) = (0, 0, 0);
+    for cell in 0..cells {
+        let run = (1..=retries + 1)
+            .find(|&a| policy.should_panic(cell, a).is_none())
+            .unwrap_or(retries + 1);
+        let hits = (1..=run)
+            .filter(|&a| policy.should_panic(cell, a).is_some())
+            .count() as u64;
+        extra += u64::from(run - 1);
+        injected += hits;
+        failed += u64::from(hits == u64::from(run));
+    }
+    (extra, injected, failed)
+}
+
+#[test]
+fn retry_bookkeeping_matches_the_chaos_schedule() {
+    let spec = spec();
+    let cells = spec.n_cells() as u64;
+    assert_eq!(cells, 16);
+    for ((seed, p, retries), want) in [
+        ((42, 0.5, 1), (5, 6, 1)),
+        ((7, 0.7, 2), (26, 35, 9)),
+        ((3, 1.0, 0), (0, 16, 16)),
+    ] {
+        let policy = ChaosPolicy::new(seed).panic_prob(p);
+        assert_eq!(
+            expected_retry_counts(&policy, retries, cells),
+            want,
+            "seed {seed}"
+        );
+        for threads in [1, 3] {
+            let run = GridRunner::new(&spec)
+                .threads(threads)
+                .chaos(policy)
+                .max_retries(retries)
+                .run()
+                .unwrap();
+            let (counters, timings) = (&run.telemetry.counters, &run.telemetry.timings);
+            let got = (
+                timings.host_get("retry.attempts"),
+                timings.host_get("chaos.injections"),
+                counters.get("cells.failed"),
+            );
+            assert_eq!(got, want, "seed {seed} at {threads} threads");
+        }
+    }
+}

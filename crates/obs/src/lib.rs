@@ -58,7 +58,7 @@ fn u64_object(map: &BTreeMap<String, u64>) -> Object {
 ///
 /// Merged in enumeration order by the owning pipeline, the rendered bytes
 /// are identical across thread counts, hosts, and cache temperature. CI
-/// gates byte equality on [`Counters::render_json`].
+/// gates byte equality on [`Recorder::render_counters`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Counters {
     map: BTreeMap<String, u64>,
@@ -76,11 +76,6 @@ impl Counters {
         *self.map.entry(key.to_owned()).or_insert(0) += n;
     }
 
-    /// Overwrite counter `key` with `n`.
-    pub fn set(&mut self, key: &str, n: u64) {
-        self.map.insert(key.to_owned(), n);
-    }
-
     /// Current value of `key` (0 when absent).
     #[must_use]
     pub fn get(&self, key: &str) -> u64 {
@@ -90,19 +85,6 @@ impl Counters {
     /// Iterate `(key, value)` in sorted key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.map.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// True when no counter has been touched.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Canonical single-line JSON object, keys sorted, integer values —
-    /// the byte-gateable `counters` section of the artifact.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        u64_object(&self.map).render()
     }
 }
 
@@ -250,11 +232,12 @@ impl Recorder {
         self.timings.record_span(name, elapsed);
     }
 
-    /// Canonical bytes of the `counters` section alone — the unit CI and
-    /// the determinism suite compare with `==` on the raw string.
+    /// Canonical bytes of the `counters` section alone — one single-line
+    /// JSON object, keys sorted, integer values: the unit CI and the
+    /// determinism suite compare with `==` on the raw string.
     #[must_use]
     pub fn render_counters(&self) -> String {
-        self.counters.render_json()
+        u64_object(&self.counters.map).render()
     }
 
     /// The full `bml-obs/v1` document as a single JSON line (trailing
@@ -317,13 +300,13 @@ mod tests {
 
     #[test]
     fn counters_render_sorted_and_canonical() {
-        let mut c = Counters::new();
-        c.add("b.two", 2);
-        c.add("a.one", 1);
-        c.add("b.two", 3);
-        assert_eq!(c.render_json(), "{\"a.one\":1,\"b.two\":5}");
-        assert_eq!(c.get("b.two"), 5);
-        assert_eq!(c.get("missing"), 0);
+        let mut r = Recorder::new();
+        r.count("b.two", 2);
+        r.count("a.one", 1);
+        r.count("b.two", 3);
+        assert_eq!(r.render_counters(), "{\"a.one\":1,\"b.two\":5}");
+        assert_eq!(r.counters.get("b.two"), 5);
+        assert_eq!(r.counters.get("missing"), 0);
     }
 
     #[test]

@@ -240,10 +240,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Execute a batch of cells in parallel, returning results in input
-/// order. Each cell runs under `catch_unwind`, so one panicking cell
-/// yields an `Err(CellPanic)` in its slot while every other cell still
-/// completes — the grid executor's retry/quarantine layer is built on
-/// this.
+/// order. Each attempt of a cell runs under `catch_unwind`, so a
+/// panicking cell yields an `Err(CellPanic)` in its slot while every
+/// other cell still completes — the grid executor's quarantine is built
+/// on this.
+///
+/// A cell whose attempt panics is retried at once, on the same worker
+/// and with the same job (so the same seed), until an attempt succeeds
+/// or `attempts` attempts have run (a budget of 0 runs one). Its slot
+/// holds the successful attempt's result, or the last attempt's panic.
 ///
 /// Each cell's result equals [`run_cell`]'s, but the call builds one
 /// look-ahead table per distinct (trace, resolved window) among `jobs` —
@@ -251,39 +256,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// share — inside the first of its cells to need it, and every other
 /// cell of the pair reads that table.
 ///
-/// `threads` caps the worker count (`None` = rayon's default). The cap
-/// only changes wall-clock time, never results: output order is the input
-/// order and cells share nothing mutable but the write-once table slots.
+/// The worker count is the caller's to cap, by running the call inside
+/// a [`rayon::ThreadPool::install`]; outside one it is rayon's default.
+/// The cap only changes wall-clock time, never results: output order is
+/// the input order and cells share nothing mutable but the write-once
+/// table slots.
 ///
 /// `inject` is a deterministic fault hook (the chaos harness): called
-/// with each job's **batch-local index** before the cell runs; returning
-/// `Some(msg)` makes that cell panic with `msg` instead of executing.
-/// Injection depends only on the index, never on scheduling.
+/// before every attempt with the job's **batch-local index** and the
+/// attempt number (from 1); returning `Some(msg)` makes that attempt
+/// panic with `msg` instead of executing. Injection depends only on the
+/// index and the attempt, never on scheduling.
 ///
 /// `done` is a progress hook: called exactly once per job, on the worker
-/// that ran it, as soon as the job finished, with its batch-local index
-/// and whether it produced a result (`false` for a panic, injected or
-/// not). Calls arrive concurrently and in no fixed order; results never
-/// depend on them.
+/// that ran it, with its batch-local index, as soon as the job is
+/// decided — an attempt succeeded or the budget ran out. Calls arrive
+/// concurrently and in no fixed order; results never depend on them.
 pub fn run_cells_checked(
     jobs: &[CellJob<'_>],
-    threads: Option<usize>,
-    inject: Option<&(dyn Fn(usize) -> Option<String> + Sync)>,
-    done: Option<&(dyn Fn(usize, bool) + Sync)>,
+    attempts: u32,
+    inject: Option<&(dyn Fn(usize, u32) -> Option<String> + Sync)>,
+    done: Option<&(dyn Fn(usize) + Sync)>,
 ) -> Vec<Result<ScenarioResult, CellPanic>> {
     let indices: Vec<usize> = (0..jobs.len()).collect();
     let tables = SharedTables::assign(jobs);
-    let run = || {
-        indices
-            .par_iter()
-            .map(|&i| {
-                let j = &jobs[i];
+    indices
+        .par_iter()
+        .map(|&i| {
+            let j = &jobs[i];
+            let mut attempt = 1;
+            let result = loop {
                 // A cell touches only the job's own borrows and its shared
                 // table, which a panicking build leaves unset; a panicking
-                // cell contributes nothing but its message, so no broken
+                // attempt contributes nothing but its message, so no broken
                 // invariant can leak across the boundary.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(msg) = inject.and_then(|f| f(i)) {
+                    if let Some(msg) = inject.and_then(|f| f(i, attempt)) {
                         panic!("{msg}");
                     }
                     run_cell_on(j.trace, j.bml, &j.cell, tables.table(i))
@@ -291,21 +299,17 @@ pub fn run_cells_checked(
                 .map_err(|payload| CellPanic {
                     message: panic_message(payload.as_ref()),
                 });
-                if let Some(done) = done {
-                    done(i, result.is_ok());
+                if result.is_ok() || attempt >= attempts {
+                    break result;
                 }
-                result
-            })
-            .collect()
-    };
-    match threads {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n.max(1))
-            .build()
-            .expect("thread pool construction cannot fail")
-            .install(run),
-        None => run(),
-    }
+                attempt += 1;
+            };
+            if let Some(done) = done {
+                done(i);
+            }
+            result
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -320,6 +324,14 @@ mod tests {
 
     fn clean_cell() -> CellConfig {
         CellConfig::from_sim(&SimConfig::default())
+    }
+
+    /// A pool capping the fan-out at `threads` workers.
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
     }
 
     /// A piecewise step trace: cheap to simulate in debug builds while
@@ -443,15 +455,16 @@ mod tests {
                 cell: clean_cell(),
             })
             .collect();
-        let inject = |i: usize| (i == 1).then(|| format!("chaos: cell {i}"));
+        let inject = |i: usize, _: u32| (i == 1).then(|| format!("chaos: cell {i}"));
         let clean: Vec<_> = jobs
             .iter()
             .map(|j| run_cell(j.trace, j.bml, &j.cell))
             .collect();
         for threads in [1, 4] {
             let calls = std::sync::Mutex::new(Vec::new());
-            let done = |i: usize, ok: bool| calls.lock().unwrap().push((i, ok));
-            let checked = run_cells_checked(&jobs, Some(threads), Some(&inject), Some(&done));
+            let done = |i: usize| calls.lock().unwrap().push(i);
+            let checked =
+                pool(threads).install(|| run_cells_checked(&jobs, 1, Some(&inject), Some(&done)));
             assert_eq!(checked.len(), 3);
             // Non-injected cells match the plain path bit-for-bit.
             assert_eq!(checked[0].as_ref().unwrap(), &clean[0]);
@@ -462,16 +475,70 @@ mod tests {
             // The done hook hears of every job exactly once, the panic too.
             let mut calls = calls.into_inner().unwrap();
             calls.sort_unstable();
-            assert_eq!(
-                calls,
-                [(0, true), (1, false), (2, true)],
-                "{threads} threads"
-            );
+            assert_eq!(calls, [0, 1, 2], "{threads} threads");
         }
         // No injection: every slot is Ok and equals the plain path.
-        let unchecked = run_cells_checked(&jobs, Some(4), None, None);
+        let unchecked = pool(4).install(|| run_cells_checked(&jobs, 1, None, None));
         let ok: Vec<_> = unchecked.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(ok, clean);
+    }
+
+    #[test]
+    fn run_cells_checked_retries_a_panicking_cell_on_its_worker() {
+        let traces: Vec<_> = [200.0, 600.0, 1_000.0]
+            .iter()
+            .map(|&peak| step_trace(&[peak], 800))
+            .collect();
+        let bml = bml();
+        let jobs: Vec<CellJob<'_>> = traces
+            .iter()
+            .map(|t| CellJob {
+                trace: t,
+                bml: &bml,
+                cell: clean_cell(),
+            })
+            .collect();
+        let clean: Vec<_> = jobs
+            .iter()
+            .map(|j| run_cell(j.trace, j.bml, &j.cell))
+            .collect();
+        for threads in [1, 4] {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let calls = std::sync::Mutex::new(Vec::new());
+            // Job 0 never panics, job 1 panics on its first two attempts,
+            // job 2 on every attempt.
+            let inject = |i: usize, attempt: u32| {
+                seen.lock().unwrap().push((i, attempt));
+                (i == 2 || (i == 1 && attempt <= 2))
+                    .then(|| format!("chaos: job {i} attempt {attempt}"))
+            };
+            let done = |i: usize| calls.lock().unwrap().push(i);
+            let checked =
+                pool(threads).install(|| run_cells_checked(&jobs, 3, Some(&inject), Some(&done)));
+            assert_eq!(checked.len(), 3);
+            // The third attempt of job 1 ran the cell itself.
+            assert_eq!(checked[0].as_ref().unwrap(), &clean[0]);
+            assert_eq!(checked[1].as_ref().unwrap(), &clean[1]);
+            // Job 2 exhausted its budget and reports its last attempt.
+            assert_eq!(
+                checked[2].as_ref().unwrap_err().message,
+                "chaos: job 2 attempt 3"
+            );
+            // Each job's attempts run in order, on one worker, and stop at
+            // the first success.
+            let seen = seen.into_inner().unwrap();
+            for (job, want) in [(0, &[1][..]), (1, &[1, 2, 3]), (2, &[1, 2, 3])] {
+                let got: Vec<u32> = seen
+                    .iter()
+                    .filter(|&&(i, _)| i == job)
+                    .map(|&(_, a)| a)
+                    .collect();
+                assert_eq!(got, want, "job {job} at {threads} threads");
+            }
+            let mut calls = calls.into_inner().unwrap();
+            calls.sort_unstable();
+            assert_eq!(calls, [0, 1, 2], "{threads} threads");
+        }
     }
 
     #[test]
@@ -564,9 +631,10 @@ mod tests {
             .iter()
             .map(|j| run_cell(j.trace, j.bml, &j.cell))
             .collect();
-        let inject = |i: usize| (i == 29).then(|| format!("chaos: cell {i}"));
+        let inject = |i: usize, _: u32| (i == 29).then(|| format!("chaos: cell {i}"));
         for threads in [1, 4] {
-            let checked = run_cells_checked(&jobs, Some(threads), Some(&inject), None);
+            let checked =
+                pool(threads).install(|| run_cells_checked(&jobs, 1, Some(&inject), None));
             assert_eq!(checked.len(), jobs.len());
             for (i, (got, want)) in checked.into_iter().zip(&expected).enumerate() {
                 if i == 29 {
@@ -594,8 +662,8 @@ mod tests {
                 cell: clean_cell(),
             })
             .collect();
-        let run = |threads| -> Vec<_> {
-            run_cells_checked(&jobs, threads, None, None)
+        let run = || -> Vec<_> {
+            run_cells_checked(&jobs, 1, None, None)
                 .into_iter()
                 .map(|r| r.unwrap())
                 .collect()
@@ -604,9 +672,9 @@ mod tests {
             .iter()
             .map(|j| run_cell(j.trace, j.bml, &j.cell))
             .collect();
-        let one = run(Some(1));
-        let many = run(Some(4));
-        let default = run(None);
+        let one = pool(1).install(run);
+        let many = pool(4).install(run);
+        let default = run();
         assert_eq!(one, serial);
         assert_eq!(one, many);
         assert_eq!(one, default);

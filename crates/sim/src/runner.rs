@@ -94,7 +94,7 @@ fn sweep<K>(
         .into_iter()
         .map(|cell| CellJob { trace, bml, cell })
         .collect();
-    let results = run_cells_checked(&jobs, None, None, None)
+    let results = run_cells_checked(&jobs, 1, None, None)
         .into_iter()
         .map(|r| r.unwrap_or_else(|p| panic!("{}", p.message)));
     knobs.into_iter().zip(results).collect()
