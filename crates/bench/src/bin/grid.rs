@@ -31,7 +31,8 @@
 //! tasks, retries) in the `timings` section (never gated). Progress goes to
 //! stderr as single-line JSON events — a throttled `heartbeat` with the
 //! cells-per-second rate while running, then `cache`/`phases`/`done`
-//! summaries; every event keeps a human-readable `message` field.
+//! summaries; every event keeps a human-readable `message` field. Panics,
+//! caught or not, are `panic` events too.
 //!
 //! # Fault tolerance
 //!
@@ -60,7 +61,35 @@ fn event(obj: json::Object) {
     eprintln!("{}", obj.render());
 }
 
+/// Replace the default panic hook's multi-line text with one `panic`
+/// event per panic, so stderr stays one JSON event per line under
+/// `--chaos`, whose cell panics are caught and retried or quarantined.
+/// The event carries `message` and `location`, and a `backtrace` only
+/// when `RUST_BACKTRACE` asks for one (the JSON escaping keeps it on its
+/// line).
+fn install_panic_hook() {
+    let backtraces = std::env::var_os("RUST_BACKTRACE").is_some_and(|v| v != "0");
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info
+            .payload_as_str()
+            .unwrap_or("<non-string panic payload>");
+        let location = info
+            .location()
+            .map_or_else(|| "<unknown>".to_string(), ToString::to_string);
+        let mut panic = json::Object::new()
+            .str("event", "panic")
+            .str("message", message)
+            .str("location", &location);
+        if backtraces {
+            let trace = std::backtrace::Backtrace::force_capture();
+            panic = panic.str("backtrace", &trace.to_string());
+        }
+        event(panic);
+    }));
+}
+
 fn main() {
+    install_panic_hook();
     let args = Args::parse();
     let days = args.days_or(3); // the grid multiplies the trace 144-fold; default small
     let steppings = match args.stepping {

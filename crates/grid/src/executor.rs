@@ -3,7 +3,8 @@
 //! A run resolves the spec's traces and catalogs once, solves the offline
 //! optimum per distinct `(trace, catalog, split)` triple up front — one
 //! ordered parallel map over the triples in which a cache hit passes
-//! through and a miss solves — then carries each batch of cells through
+//! through and a miss solves, the misses on one trace sharing one
+//! [`bml_opt::SegmentIndex`] — then carries each batch of cells through
 //! one pipeline: **lookup** (the journal, then the content-addressed
 //! [`crate::cache::CellCache`]), **compute** (one fan-out over the shared
 //! `bml-sim` cell executor for the cells neither served), **persist**
@@ -68,10 +69,11 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use bml_obs::{Heartbeat, Recorder};
+use bml_opt::SegmentIndex;
 use bml_sim::exec::{run_cells_checked, CellConfig, CellJob};
 use bml_sim::CellSummary;
 use rayon::prelude::*;
@@ -423,23 +425,29 @@ impl<'a> GridRunner<'a> {
             .num_threads(threads.map_or(0, |n| n.max(1)))
             .build()
             .expect("thread pool construction cannot fail");
+        // One segment index per trace, built by the first solve that needs
+        // it and shared by the trace's other triples; a warm cache builds
+        // none. The indexes go when the opt phase ends.
+        let indexes: Vec<OnceLock<SegmentIndex<'_>>> =
+            traces.iter().map(|_| OnceLock::new()).collect();
         let entries: Vec<OptEntry> = pool.install(|| {
             lookups
                 .par_iter()
                 .map(|&((t, c, s), _, hit)| {
                     hit.unwrap_or_else(|| {
-                        let (sched, _) = bml_opt::solve_verified(
-                            &traces[t],
+                        let index = indexes[t].get_or_init(|| SegmentIndex::new(&traces[t]));
+                        let (sched, _) = bml_opt::solve_verified_indexed(
+                            index,
                             &catalogs[c],
                             spec.splits[s],
                             &opt_options,
-                        )
-                        .expect("exact DP cannot dead-end");
+                        );
                         OptEntry::from_schedule(&sched)
                     })
                 })
                 .collect()
         });
+        drop(indexes);
         let mut optima: BTreeMap<(usize, usize, usize), f64> = BTreeMap::new();
         for ((triple, key, hit), entry) in lookups.into_iter().zip(entries) {
             if let (Some(cache), Some(key), None, true) = (&cache, &key, hit, cache_writes) {

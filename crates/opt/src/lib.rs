@@ -59,17 +59,28 @@
 //!
 //! ## Memory
 //!
-//! The backtrack needs every segment's cost vector, and an 87-day worldcup
-//! trace has millions of segments. The forward pass therefore keeps one
-//! checkpoint every `ceil(sqrt(S))` segments, `O(K * sqrt(S))` memory for
-//! `K` states and `S` segments, and the backtrack re-runs each window of
-//! `ceil(sqrt(S))` rows from its checkpoint, for the price of a second
-//! forward pass. The windows go through a fixed pool of `T + 1` window
-//! buffers, allocated before the backtrack starts (one buffer when
-//! `T = 1`; `T` is below), so the buffers take `O(T * K * sqrt(S))`.
-//! Checkpoints and window rows hold only the `K` state values, copied run
-//! by run out of a lattice vector; a window restarts by copying its
-//! checkpoint's runs back into its buffer's own lattice of `INF`.
+//! A solve holds three things that grow with the trace:
+//!
+//! * **Cost vectors, `O(T * K * sqrt(S))`** for `K` states and `S`
+//!   segments. The backtrack needs every segment's cost vector, and an
+//!   87-day worldcup trace has millions of segments. The forward pass
+//!   therefore keeps one checkpoint every `ceil(sqrt(S))` segments,
+//!   `O(K * sqrt(S))`, and the backtrack re-runs each window of
+//!   `ceil(sqrt(S))` rows from its checkpoint, for the price of a second
+//!   forward pass. The windows go through a fixed pool of `T + 1` window
+//!   buffers, allocated before the backtrack starts (one buffer when
+//!   `T = 1`; `T` is below). Checkpoints and window rows hold only the
+//!   `K` state values, copied run by run out of a lattice vector; a
+//!   window restarts by copying its checkpoint's runs back into its
+//!   buffer's own lattice of `INF`.
+//! * **The path, `O(changes)`.** The backtrack records the optimal path
+//!   as runs of one state, one per change point: 14,613 runs over the
+//!   588,391 segments of a 7-day worldcup trace.
+//! * **The [`SegmentIndex`], 8 bytes per segment.** A segment lasts at
+//!   least a second, so that is never more than the trace's own 8 bytes
+//!   per second (plus one sentinel). It is allocated once at its exact
+//!   size, depends on the trace alone, and can be shared by every solve
+//!   on that trace ([`solve_indexed`]).
 //!
 //! ## Concurrency
 //!
@@ -218,14 +229,110 @@ impl ArchCost {
     }
 }
 
-/// One maximal constant-load run, in 12 bytes: long traces run to
-/// millions of segments, and a grid solves several traces at once.
+/// One [`SegmentIndex`] entry, in 8 bytes: long traces run to millions
+/// of segments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    /// First second of the segment.
+    start: u32,
+    /// Index into the distinct-load table.
+    load: u32,
+}
+
+/// One maximal constant-load run, read from two adjacent index entries.
 #[derive(Debug, Clone, Copy)]
 struct Seg {
     start: u32,
     len: u32,
     /// Index into the distinct-load table.
     load: u32,
+}
+
+/// A trace's maximal constant-load runs, as the DP reads them: per
+/// segment, its first second and the index of its load among the
+/// trace's distinct loads, then a `(horizon, 0)` sentinel, so a segment's
+/// length is the next start minus its own. That is 8 bytes per segment,
+/// at most the trace's own 8 bytes per second (plus the sentinel),
+/// allocated once at its exact size.
+///
+/// The index depends on the trace alone. Build it once and every solve
+/// on that trace can share it, whatever the catalog and split: see
+/// [`solve_indexed`] and [`solve_verified_indexed`].
+#[derive(Debug, Clone)]
+pub struct SegmentIndex<'t> {
+    trace: &'t LoadTrace,
+    /// `(start, load)` per segment, then `(horizon, 0)`.
+    entries: Vec<Entry>,
+    /// The distinct loads, in order of first appearance.
+    loads: Vec<f64>,
+}
+
+impl<'t> SegmentIndex<'t> {
+    /// Index `trace`'s constant-load runs: one counting pass sizes the
+    /// list, a second fills it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace is longer than `u32::MAX` seconds (136 years).
+    pub fn new(trace: &'t LoadTrace) -> Self {
+        let horizon = u32::try_from(trace.len()).unwrap_or_else(|_| {
+            panic!(
+                "a {} s trace overflows the DP's u32 segment positions",
+                trace.len()
+            )
+        });
+        let mut entries = Vec::with_capacity(trace.constant_runs().count() + 1);
+        let mut load_idx: HashMap<u64, u32> = HashMap::new();
+        let mut loads: Vec<f64> = Vec::new();
+        for seg in trace.constant_runs() {
+            let load = *load_idx.entry(seg.value.to_bits()).or_insert_with(|| {
+                loads.push(seg.value);
+                loads.len() as u32 - 1
+            });
+            entries.push(Entry {
+                start: seg.start as u32,
+                load,
+            });
+        }
+        entries.push(Entry {
+            start: horizon,
+            load: 0,
+        });
+        SegmentIndex {
+            trace,
+            entries,
+            loads,
+        }
+    }
+
+    /// Number of constant-load segments.
+    fn len(&self) -> usize {
+        self.entries.len() - 1
+    }
+
+    /// Segment `i`.
+    fn seg(&self, i: usize) -> Seg {
+        let [this, next] = [self.entries[i], self.entries[i + 1]];
+        Seg {
+            start: this.start,
+            len: next.start - this.start,
+            load: this.load,
+        }
+    }
+
+    /// First second of segment `i`: the boundary the DP crosses into it.
+    fn start(&self, i: usize) -> u64 {
+        u64::from(self.entries[i].start)
+    }
+}
+
+/// One run of the optimal path: from segment `first` up to the next
+/// run's, the path holds `state`. Adjacent runs differ in state, so a
+/// path has one run per change point, plus the first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PathRun {
+    first: usize,
+    state: usize,
 }
 
 /// One axis of the count lattice, priced once per solve.
@@ -257,7 +364,7 @@ struct StateRun {
 struct Dp<'a> {
     profiles: &'a [ArchProfile],
     horizon: u64,
-    segs: Vec<Seg>,
+    index: &'a SegmentIndex<'a>,
     states: Vec<Vec<u32>>,
     /// `serve[load * K + rank_of[s]]`: serving power (W) of state `s` at
     /// that load, `INF` when the state's capacity cannot cover it. The
@@ -303,41 +410,20 @@ fn lattice_strides(lens: &[usize]) -> (Vec<usize>, usize) {
 
 impl<'a> Dp<'a> {
     fn build(
-        trace: &LoadTrace,
+        index: &'a SegmentIndex<'a>,
         bml: &'a BmlInfrastructure,
         split: SplitPolicy,
         opts: &OptOptions,
     ) -> Self {
         let profiles = bml.candidates();
         let n_archs = profiles.len();
-        assert!(
-            u32::try_from(trace.len()).is_ok(),
-            "a {} s trace overflows the DP's u32 segment positions",
-            trace.len()
-        );
-
-        // Distinct loads (indexed in order of first appearance) and the
-        // segment list.
-        let mut load_idx: HashMap<u64, u32> = HashMap::new();
-        let mut loads: Vec<f64> = Vec::new();
-        let mut segs: Vec<Seg> = Vec::new();
-        for seg in trace.constant_runs() {
-            let load = *load_idx.entry(seg.value.to_bits()).or_insert_with(|| {
-                loads.push(seg.value);
-                loads.len() as u32 - 1
-            });
-            segs.push(Seg {
-                start: seg.start as u32,
-                len: seg.len() as u32,
-                load,
-            });
-        }
+        let loads = &index.loads;
 
         // Candidate states: the ideal combination for every distinct load,
         // all-off, and the caller's extras.
         let mut state_set: BTreeSet<Vec<u32>> = BTreeSet::new();
         state_set.insert(vec![0; n_archs]);
-        for &v in &loads {
+        for &v in loads {
             state_set.insert(bml.ideal_combination(v).counts(n_archs));
         }
         for extra in &opts.extra_states {
@@ -417,8 +503,8 @@ impl<'a> Dp<'a> {
 
         Dp {
             profiles,
-            horizon: trace.len(),
-            segs,
+            horizon: index.trace.len(),
+            index,
             states,
             serve,
             costs,
@@ -436,7 +522,7 @@ impl<'a> Dp<'a> {
 
     /// Serving energy of segment `i` in state `s` (INF when infeasible).
     fn serve_energy(&self, i: usize, s: usize) -> f64 {
-        let seg = self.segs[i];
+        let seg = self.index.seg(i);
         self.serve[seg.load as usize * self.k() + self.rank_of[s]] * f64::from(seg.len)
     }
 
@@ -556,14 +642,14 @@ impl<'a> Dp<'a> {
 
     /// Forward pass + windowed backtrack, with up to `workers` threads
     /// recomputing the backtrack's windows (see [`pipeline`]). Returns the
-    /// optimal state per segment.
-    fn solve_path(&self, workers: usize) -> Vec<usize> {
+    /// optimal path as runs, in segment order.
+    fn solve_path(&self, workers: usize) -> Vec<PathRun> {
         let k = self.k();
-        let s_count = self.segs.len();
+        let s_count = self.index.len();
         let rows = window_rows(s_count);
         // The cost vector lives in the lattice for the whole pass.
         let mut cells = vec![INF; self.box_size];
-        let seg = self.segs[0];
+        let seg = self.index.seg(0);
         let first: Vec<f64> = self.serve[seg.load as usize * k..][..k]
             .iter()
             .map(|&w| w * f64::from(seg.len))
@@ -575,7 +661,7 @@ impl<'a> Dp<'a> {
             if i % rows == 0 {
                 self.gather(&cells, &mut checkpoints[i / rows * k..][..k]);
             }
-            self.cross(&mut cells, self.segs[i + 1]);
+            self.cross(&mut cells, self.index.seg(i + 1));
         }
         let (mut best_s, mut best_v) = (usize::MAX, INF);
         for (s, &cell) in self.cell_of.iter().enumerate() {
@@ -586,8 +672,12 @@ impl<'a> Dp<'a> {
         }
         debug_assert!(best_v.is_finite(), "the exact DP cannot dead-end");
 
-        let mut path = vec![0usize; s_count];
-        path[s_count - 1] = best_s;
+        // The chain walks the segments last first, so it builds the runs
+        // back to front and they are reversed once at the end.
+        let mut path = vec![PathRun {
+            first: s_count - 1,
+            state: best_s,
+        }];
         pipeline(
             (s_count - 1).div_ceil(rows),
             workers,
@@ -595,6 +685,7 @@ impl<'a> Dp<'a> {
             |c, window| self.recompute(c, rows, &checkpoints, window),
             |c, window| self.chain(c, rows, &window.rows, &mut path),
         );
+        path.reverse();
         path
     }
 
@@ -603,7 +694,7 @@ impl<'a> Dp<'a> {
     /// pass's argmin already fixed.
     fn window_span(&self, c: usize, rows: usize) -> std::ops::Range<usize> {
         let w0 = c * rows;
-        w0..(w0 + rows).min(self.segs.len() - 1)
+        w0..(w0 + rows).min(self.index.len() - 1)
     }
 
     /// The backtrack's first step for window `c`: row `r` of
@@ -617,21 +708,23 @@ impl<'a> Dp<'a> {
         window_rows[..k].copy_from_slice(checkpoint);
         self.scatter(checkpoint, cells);
         for r in 1..span.len() {
-            self.cross(cells, self.segs[span.start + r]);
+            self.cross(cells, self.index.seg(span.start + r));
             self.gather(cells, &mut window_rows[r * k..][..k]);
         }
     }
 
     /// The backtrack's second step for window `c`: the argmin chain over
-    /// its recomputed `rows`, last segment first, each choice reading the
-    /// state `path` already holds for the segment after it.
-    fn chain(&self, c: usize, rows: usize, window: &[f64], path: &mut [usize]) {
+    /// its recomputed `rows`, last segment first. Each choice reads the
+    /// state of the run the chain has reached (the segment after it) and
+    /// either extends that run down by one segment or starts a new one.
+    fn chain(&self, c: usize, rows: usize, window: &[f64], path: &mut Vec<PathRun>) {
         let k = self.k();
         let span = self.window_span(c, rows);
         for i in span.clone().rev() {
             let dp_i = &window[(i - span.start) * k..][..k];
-            let b = path[i + 1];
-            let tau = u64::from(self.segs[i + 1].start);
+            let run = path.last_mut().expect("the chain starts on the last run");
+            let b = run.state;
+            let tau = self.index.start(i + 1);
             // Seeding the scan with staying put lets it skip every `a`
             // whose cost is `>= best_c` unpriced: profiles forbid negative
             // energies, so transition prices are >= 0 and such an `a` can
@@ -656,42 +749,55 @@ impl<'a> Dp<'a> {
             }
             debug_assert!(best_c.is_finite(), "reachable state has a predecessor");
             // Prefer staying put on (float-) ties: fewer records, and the
-            // common no-reconfiguration case short-circuits.
-            path[i] = if stay <= best_c + 1e-9 * best_c.abs() + 1e-6 {
-                b
+            // common no-reconfiguration case short-circuits. A stay is
+            // chosen whenever `best_a == b`, so a new run always changes
+            // state.
+            if stay <= best_c + 1e-9 * best_c.abs() + 1e-6 {
+                run.first = i;
             } else {
-                best_a
-            };
+                path.push(PathRun {
+                    first: i,
+                    state: best_a,
+                });
+            }
         }
     }
 
-    /// Total energy of a state path, priced canonically (serve + direct
+    /// Total energy of a path, priced canonically (serve + direct
     /// transition costs) — this, not the forward pass's float
-    /// accumulation, is the number the replay must reproduce.
-    fn path_energy(&self, path: &[usize]) -> f64 {
-        let mut e = self.serve_energy(0, path[0]);
-        for i in 1..path.len() {
-            e += self.trans_cost(path[i - 1], path[i], u64::from(self.segs[i].start));
-            e += self.serve_energy(i, path[i]);
+    /// accumulation, is the number the replay must reproduce. The sum
+    /// runs in segment order: each segment adds its serving energy, and a
+    /// run's first segment adds its transition before that. Staying put
+    /// prices `+0.0`, and the running sum is never `-0.0`, so the stays'
+    /// additions, left out, would change no bit.
+    fn path_energy(&self, path: &[PathRun]) -> f64 {
+        let mut e = self.serve_energy(0, path[0].state);
+        let mut prev = path[0].state;
+        for (r, run) in path.iter().enumerate() {
+            let end = path.get(r + 1).map_or(self.index.len(), |next| next.first);
+            for i in run.first.max(1)..end {
+                if i == run.first {
+                    e += self.trans_cost(prev, run.state, self.index.start(i));
+                }
+                e += self.serve_energy(i, run.state);
+            }
+            prev = run.state;
         }
         e
     }
 
-    /// Convert a state path into the engine's believed-configuration
-    /// record protocol: per transition, one boot record per distinct
+    /// Convert a path into the engine's believed-configuration record
+    /// protocol: per change of state, one boot record per distinct
     /// maturity lead issued `lead` seconds before the boundary, and one
     /// shutdown record at the boundary; then a global stable sort by
     /// time with cumulatively rebuilt targets, so records compose in
     /// list order even when leads from different transitions interleave.
-    fn schedule(&self, path: &[usize]) -> Vec<ReconfigRecord> {
+    fn schedule(&self, path: &[PathRun]) -> Vec<ReconfigRecord> {
         let n_archs = self.profiles.len();
         let mut events: Vec<(u64, Vec<i64>)> = Vec::new();
-        for i in 1..path.len() {
-            let (a, b) = (&self.states[path[i - 1]], &self.states[path[i]]);
-            if a == b {
-                continue;
-            }
-            let tau = u64::from(self.segs[i].start);
+        for pair in path.windows(2) {
+            let (a, b) = (&self.states[pair[0].state], &self.states[pair[1].state]);
+            let tau = self.index.start(pair[1].first);
             let mut boots: BTreeMap<u64, Vec<i64>> = BTreeMap::new();
             let mut offs = vec![0i64; n_archs];
             let mut any_off = false;
@@ -715,7 +821,10 @@ impl<'a> Dp<'a> {
             }
         }
         events.sort_by_key(|e| e.0); // stable: same-time records keep order
-        let mut believed: Vec<i64> = self.states[path[0]].iter().map(|&c| i64::from(c)).collect();
+        let mut believed: Vec<i64> = self.states[path[0].state]
+            .iter()
+            .map(|&c| i64::from(c))
+            .collect();
         events
             .into_iter()
             .map(|(at, delta)| {
@@ -868,19 +977,13 @@ fn relax(to: &mut [f64], from: &[f64], price: f64) {
 }
 
 /// Compute the offline-optimal reconfiguration schedule for `trace` on
-/// `bml`'s candidate infrastructure under `split`.
+/// `bml`'s candidate infrastructure under `split`: [`solve_indexed`] on a
+/// [`SegmentIndex`] built for this one solve.
 ///
 /// Always returns `Some`: the DP cannot dead-end (the combination for the
 /// trace maximum is feasible everywhere, and the warm start makes it
 /// reachable). The `Option` stays only because the `perfbench` harness
-/// unwraps it, and goes when that harness does. An empty trace yields a
-/// zero-energy schedule.
-///
-/// The optimum is exact *within its state space*: the infrastructure's
-/// ideal combinations for the trace's load levels (plus all-off and
-/// [`OptOptions::extra_states`]), reconfigured only at
-/// constant-load segment boundaries — see the crate docs for why
-/// boundary-restricted schedules dominate.
+/// unwraps it, and goes when that harness does.
 ///
 /// # Panics
 ///
@@ -891,8 +994,26 @@ pub fn solve(
     split: SplitPolicy,
     opts: &OptOptions,
 ) -> Option<OptimalSchedule> {
-    if trace.is_empty() {
-        return Some(OptimalSchedule {
+    Some(solve_indexed(&SegmentIndex::new(trace), bml, split, opts))
+}
+
+/// Compute the offline-optimal reconfiguration schedule for the trace
+/// `index` was built from, on `bml`'s candidate infrastructure under
+/// `split`. An empty trace yields a zero-energy schedule.
+///
+/// The optimum is exact *within its state space*: the infrastructure's
+/// ideal combinations for the trace's load levels (plus all-off and
+/// [`OptOptions::extra_states`]), reconfigured only at
+/// constant-load segment boundaries — see the crate docs for why
+/// boundary-restricted schedules dominate.
+pub fn solve_indexed(
+    index: &SegmentIndex<'_>,
+    bml: &BmlInfrastructure,
+    split: SplitPolicy,
+    opts: &OptOptions,
+) -> OptimalSchedule {
+    if index.len() == 0 {
+        return OptimalSchedule {
             energy_j: 0.0,
             initial: vec![0; bml.n_archs()],
             schedule: Vec::new(),
@@ -900,26 +1021,27 @@ pub fn solve(
             n_segments: 0,
             n_boundaries: 0,
             states_pruned: 0,
-        });
+        };
     }
-    let dp = Dp::build(trace, bml, split, opts);
+    let dp = Dp::build(index, bml, split, opts);
     let path = dp.solve_path(rayon::current_num_threads());
-    Some(OptimalSchedule {
+    OptimalSchedule {
         energy_j: dp.path_energy(&path),
-        initial: dp.states[path[0]].clone(),
+        initial: dp.states[path[0].state].clone(),
         schedule: dp.schedule(&path),
         n_states: dp.k(),
-        n_segments: dp.segs.len(),
-        n_boundaries: dp.segs.len() - 1,
+        n_segments: index.len(),
+        n_boundaries: index.len() - 1,
         states_pruned: 0,
-    })
+    }
 }
 
 /// [`solve`], then replay the schedule through the simulator
 /// ([`bml_sim::replay_schedule`]) and demand the claimed energy back to
 /// 1e-9 relative. Returns the schedule and the full replay
 /// [`ScenarioResult`] (named `"Offline Optimal"`, genuine QoS and daily
-/// energies). Always `Some`, for the reason [`solve`] gives.
+/// energies). Always `Some`, for the reason [`solve`] gives. The segment
+/// index is dropped before the replay starts.
 ///
 /// # Panics
 ///
@@ -933,6 +1055,33 @@ pub fn solve_verified(
     opts: &OptOptions,
 ) -> Option<(OptimalSchedule, ScenarioResult)> {
     let sched = solve(trace, bml, split, opts)?;
+    Some(verify(trace, bml, split, sched))
+}
+
+/// [`solve_indexed`], then the replay check of [`solve_verified`] on the
+/// trace `index` was built from.
+///
+/// # Panics
+///
+/// As [`solve_verified`].
+pub fn solve_verified_indexed(
+    index: &SegmentIndex<'_>,
+    bml: &BmlInfrastructure,
+    split: SplitPolicy,
+    opts: &OptOptions,
+) -> (OptimalSchedule, ScenarioResult) {
+    let sched = solve_indexed(index, bml, split, opts);
+    verify(index.trace, bml, split, sched)
+}
+
+/// Replay `sched` on `trace` and demand its claimed energy back (see
+/// [`solve_verified`]).
+fn verify(
+    trace: &LoadTrace,
+    bml: &BmlInfrastructure,
+    split: SplitPolicy,
+    sched: OptimalSchedule,
+) -> (OptimalSchedule, ScenarioResult) {
     let replay = replay_schedule(trace, bml, &sched.initial, &sched.schedule, split);
     let (a, b) = (sched.energy_j, replay.total_energy_j);
     assert!(
@@ -942,7 +1091,7 @@ pub fn solve_verified(
         sched.schedule.len(),
         sched.n_segments,
     );
-    Some((sched, replay))
+    (sched, replay)
 }
 
 /// Optimal power (W) and machine counts for serving a single constant
@@ -961,7 +1110,7 @@ pub fn optimal_instant(bml: &BmlInfrastructure, rate: u64, split: SplitPolicy) -
     let opts = OptOptions {
         extra_states: vec![knapsack],
     };
-    let sched = solve(&trace, bml, split, &opts).expect("the exact DP cannot dead-end");
+    let sched = solve_indexed(&SegmentIndex::new(&trace), bml, split, &opts);
     (sched.energy_j, sched.initial)
 }
 
@@ -1094,8 +1243,10 @@ mod tests {
         // window, 5 make 2, 16 and 17 make 4).
         let bml = bml();
         for n in [1, 2, 5, 16, 17, 49, 50] {
-            let dp = Dp::build(&steps(n), &bml, greedy(), &OptOptions::default());
-            assert_eq!(dp.segs.len(), n);
+            let trace = steps(n);
+            let index = SegmentIndex::new(&trace);
+            let dp = Dp::build(&index, &bml, greedy(), &OptOptions::default());
+            assert_eq!(index.len(), n);
             let inline = dp.solve_path(1);
             for workers in [2, 3, 8] {
                 assert_eq!(
@@ -1105,6 +1256,173 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Fig. 5's trace: 7 worldcup days at the default seed.
+    fn fig5_week() -> LoadTrace {
+        bml_trace::worldcup::generate(&bml_trace::worldcup::WorldCupParams {
+            seed: 1998,
+            n_days: 7,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn segment_index_is_exactly_sized() {
+        assert_eq!(std::mem::size_of::<Entry>(), 8);
+        let traces = [
+            LoadTrace::new(0, vec![]),
+            steps(1),
+            steps(2),
+            steps(17),
+            steps(50),
+            fig5_week(),
+        ];
+        for trace in &traces {
+            let index = SegmentIndex::new(trace);
+            let runs: Vec<_> = trace.constant_runs().collect();
+            let n = runs.len();
+            assert_eq!((index.len(), index.entries.len()), (n, n + 1));
+            assert_eq!(
+                index.entries.capacity(),
+                index.entries.len(),
+                "{n} segments"
+            );
+            let sentinel = Entry {
+                start: trace.len() as u32,
+                load: 0,
+            };
+            assert_eq!(index.entries.last(), Some(&sentinel));
+            for (i, run) in runs.iter().enumerate() {
+                let seg = index.seg(i);
+                assert_eq!(
+                    (u64::from(seg.start), u64::from(seg.len)),
+                    (run.start, run.len())
+                );
+                assert_eq!(
+                    index.loads[seg.load as usize].to_bits(),
+                    run.value.to_bits()
+                );
+            }
+        }
+        assert_eq!(SegmentIndex::new(&traces[5]).len(), 588_391);
+    }
+
+    /// A path expanded to one state per segment.
+    fn per_segment(path: &[PathRun], n_segments: usize) -> Vec<usize> {
+        let mut states = Vec::with_capacity(n_segments);
+        for (r, run) in path.iter().enumerate() {
+            let end = path.get(r + 1).map_or(n_segments, |next| next.first);
+            states.extend(std::iter::repeat_n(run.state, end - run.first));
+        }
+        states
+    }
+
+    /// The reference for [`Dp::path_energy`]: every boundary priced, in
+    /// segment order, stays included.
+    fn per_segment_energy(dp: &Dp<'_>, path: &[usize]) -> f64 {
+        let mut e = dp.serve_energy(0, path[0]);
+        for i in 1..path.len() {
+            e += dp.trans_cost(path[i - 1], path[i], dp.index.start(i));
+            e += dp.serve_energy(i, path[i]);
+        }
+        e
+    }
+
+    /// The reference for [`Dp::schedule`]: every pair of neighbouring
+    /// segments compared, and the records built from each change.
+    fn per_segment_schedule(dp: &Dp<'_>, path: &[usize]) -> Vec<ReconfigRecord> {
+        let n_archs = dp.profiles.len();
+        let mut events: Vec<(u64, Vec<i64>)> = Vec::new();
+        for i in 1..path.len() {
+            let (a, b) = (&dp.states[path[i - 1]], &dp.states[path[i]]);
+            if a == b {
+                continue;
+            }
+            let tau = dp.index.start(i);
+            let mut boots: BTreeMap<u64, Vec<i64>> = BTreeMap::new();
+            let mut offs = vec![0i64; n_archs];
+            for arch in 0..n_archs {
+                let d = i64::from(b[arch]) - i64::from(a[arch]);
+                if d > 0 {
+                    boots
+                        .entry(dp.costs[arch].lead)
+                        .or_insert_with(|| vec![0; n_archs])[arch] += d;
+                } else if d < 0 {
+                    offs[arch] = d;
+                }
+            }
+            for (lead, delta) in boots {
+                events.push((tau - lead, delta));
+            }
+            if offs.iter().any(|&d| d < 0) {
+                events.push((tau, offs));
+            }
+        }
+        events.sort_by_key(|e| e.0);
+        let mut believed: Vec<i64> = dp.states[path[0]].iter().map(|&c| i64::from(c)).collect();
+        events
+            .into_iter()
+            .map(|(at, delta)| {
+                for (b, d) in believed.iter_mut().zip(delta) {
+                    *b += d;
+                }
+                ReconfigRecord {
+                    at,
+                    target: believed.iter().map(|&c| c as u32).collect(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn path_runs_price_and_schedule_like_a_per_segment_path() {
+        let tournament = bml_trace::registry::generate("worldcup-tournament", 1, 1998).unwrap();
+        let flash = bml_trace::synthetic::flash_crowd(100.0, 5000.0, 1000, 60, 300.0, 5000);
+        let traces = [
+            steps(1),
+            steps(2),
+            steps(5),
+            steps(17),
+            steps(50),
+            flash,
+            tournament,
+        ];
+        let bml = bml();
+        let mut changes = 0;
+        for trace in &traces {
+            let index = SegmentIndex::new(trace);
+            for split in [greedy(), SplitPolicy::ProportionalToCapacity] {
+                let dp = Dp::build(&index, &bml, split, &OptOptions::default());
+                let path = dp.solve_path(1);
+                let n = index.len();
+                // Change points: the runs start at segment 0, their starts
+                // strictly increase, and neighbours differ in state.
+                assert_eq!(path[0].first, 0, "{n} segments");
+                assert!(path.last().unwrap().first < n);
+                for pair in path.windows(2) {
+                    assert!(pair[0].first < pair[1].first, "{n} segments: {pair:?}");
+                    assert_ne!(pair[0].state, pair[1].state, "{n} segments: {pair:?}");
+                }
+                changes += path.len() - 1;
+                let states = per_segment(&path, n);
+                assert_eq!(states.len(), n);
+                assert_eq!(
+                    dp.path_energy(&path).to_bits(),
+                    per_segment_energy(&dp, &states).to_bits(),
+                    "{n} segments"
+                );
+                assert_eq!(
+                    dp.schedule(&path),
+                    per_segment_schedule(&dp, &states),
+                    "{n} segments"
+                );
+            }
+        }
+        assert!(
+            changes > 100,
+            "the paths should reconfigure: {changes} changes"
+        );
     }
 
     #[test]
@@ -1242,11 +1560,12 @@ mod tests {
         let trace = LoadTrace::new(0, rates);
         let build = |profiles: &[ArchProfile]| BmlInfrastructure::build(profiles).unwrap();
         let table1 = build(&catalog::table1());
+        let index = SegmentIndex::new(&trace);
         // An extra state on a new last position of the contiguous axis
         // puts a non-state cell between states the plain lattice holds
         // side by side, so the runs split.
         let (plain_runs, split_run) = {
-            let plain = Dp::build(&trace, &table1, greedy(), &OptOptions::default());
+            let plain = Dp::build(&index, &table1, greedy(), &OptOptions::default());
             let contiguous = plain.lattice.iter().position(|a| a.stride == 1).unwrap();
             let mut extra = vec![0; plain.profiles.len()];
             extra[contiguous] = plain.states.iter().map(|s| s[contiguous]).max().unwrap() + 1;
@@ -1275,7 +1594,7 @@ mod tests {
             ("table1+split-run", table1, split_opts),
         ];
         for (name, bml, opts) in cases {
-            let dp = Dp::build(&trace, &bml, greedy(), &opts);
+            let dp = Dp::build(&index, &bml, greedy(), &opts);
             let k = dp.k();
             assert!(k >= 5, "{name}: want a non-trivial state space, got {k}");
             assert!(
@@ -1318,9 +1637,9 @@ mod tests {
                 for i in [0, 20, 41] {
                     let next = Seg {
                         start: tau as u32,
-                        ..dp.segs[i]
+                        ..index.seg(i)
                     };
-                    let rate = trace.rates[dp.segs[i].start as usize];
+                    let rate = trace.rates[index.start(i) as usize];
                     let len = f64::from(next.len);
                     dp.scatter(&row, &mut cells);
                     dp.cross(&mut cells, next);
@@ -1358,18 +1677,15 @@ mod tests {
     fn state_runs_on_the_worldcup_lattices() {
         // The lattices the crate docs describe: fig5's 7 worldcup days
         // and the smoke grid's 2-day tournament, both on table1.
-        let fig5 = bml_trace::worldcup::generate(&bml_trace::worldcup::WorldCupParams {
-            seed: 1998,
-            n_days: 7,
-            ..Default::default()
-        });
+        let fig5 = fig5_week();
         let tournament = bml_trace::registry::generate("worldcup-tournament", 2, 1998).unwrap();
         let bml = bml();
         for (name, trace, box_size, k, runs) in [
             ("fig5", fig5, 68, 34, 2),
             ("tournament", tournament, 170, 120, 11),
         ] {
-            let dp = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
+            let index = SegmentIndex::new(&trace);
+            let dp = Dp::build(&index, &bml, greedy(), &OptOptions::default());
             assert_eq!(
                 (dp.box_size, dp.k(), dp.runs.len()),
                 (box_size, k, runs),

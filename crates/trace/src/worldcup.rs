@@ -140,8 +140,18 @@ struct Burst {
 }
 
 impl Burst {
+    /// The multiplier at second `s`: exactly `1.0`, without calling
+    /// `exp`, more than 40 sigma from the center. There the bump's
+    /// exponent is below -800, and any `exp` that returns 0 below -745
+    /// (where `f64` underflows) gives exactly `0.0`, so the skip changes
+    /// no bit (ROADMAP item 6 replaces the platform `exp`; the skip holds
+    /// for any such replacement).
     fn multiplier(&self, s: f64) -> f64 {
-        1.0 + self.extra * bump(s - self.center_s, self.sigma_s)
+        let d = s - self.center_s;
+        if d.abs() > 40.0 * self.sigma_s {
+            return 1.0;
+        }
+        1.0 + self.extra * bump(d, self.sigma_s)
     }
 }
 
@@ -159,21 +169,15 @@ fn day_bursts(params: &WorldCupParams, match_day: bool, rng: &mut StdRng) -> Vec
         .collect()
 }
 
-/// Generate the trace.
-pub fn generate(params: &WorldCupParams) -> LoadTrace {
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let n = params.n_days as usize * 86_400;
-    let mut rates = Vec::with_capacity(n);
+/// The pre-noise level of every second of a day (the diurnal cycle, plus
+/// the three kick-off crowds on a match day), as a fraction of the day's
+/// peak. It depends only on the second of day and the day kind.
+fn day_levels(params: &WorldCupParams, match_day: bool) -> Vec<f64> {
     // Kick-off times (seconds since midnight): 14:30, 17:30, 21:00.
     const KICKOFFS: [f64; 3] = [14.5 * 3_600.0, 17.5 * 3_600.0, 21.0 * 3_600.0];
     const MATCH_SIGMA: f64 = 2_700.0; // 45 min crowd build-up/drain
-
-    for di in 0..params.n_days {
-        let day = params.first_day + di;
-        let peak = params.daily_peak(day);
-        let match_day = params.is_match_day(day);
-        let bursts = day_bursts(params, match_day, &mut rng);
-        for s in 0..86_400u64 {
+    (0..86_400u64)
+        .map(|s| {
             let hour = s as f64 / 3_600.0;
             // Diurnal base: trough at 4 am, crest at 4 pm.
             let phase = (hour - 4.0) / 24.0 * std::f64::consts::TAU;
@@ -189,6 +193,33 @@ pub fn generate(params: &WorldCupParams) -> LoadTrace {
                         weights[k] * (1.0 - 0.45 * base_level) * bump(s as f64 - t0, MATCH_SIGMA);
                 }
             }
+            level
+        })
+        .collect()
+}
+
+/// Generate the trace.
+///
+/// The pre-noise level of a second (the diurnal cycle, plus the kick-off
+/// crowds on a match day) is tabulated once per day kind, match day or
+/// not, on the first day of that kind; the tables go when this returns.
+/// The RNG draws keep their order: per day the burst schedule, then per
+/// second the jitter and the shot noise.
+pub fn generate(params: &WorldCupParams) -> LoadTrace {
+    let mut rng = StdRng::seed_from_u64(params.seed);
+    let n = params.n_days as usize * 86_400;
+    let mut rates = Vec::with_capacity(n);
+    // Indexed by `match_day`.
+    let mut levels: [Option<Vec<f64>>; 2] = [None, None];
+
+    for di in 0..params.n_days {
+        let day = params.first_day + di;
+        let peak = params.daily_peak(day);
+        let match_day = params.is_match_day(day);
+        let bursts = day_bursts(params, match_day, &mut rng);
+        let day_levels =
+            levels[usize::from(match_day)].get_or_insert_with(|| day_levels(params, match_day));
+        for (s, &level) in day_levels.iter().enumerate() {
             let jitter: f64 = rng.gen_range(-params.noise..=params.noise);
             let mut rate = peak * level * (1.0 + jitter);
             // Minute-scale surges.
