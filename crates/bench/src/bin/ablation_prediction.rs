@@ -5,42 +5,29 @@
 //! reports how energy, reconfiguration churn and QoS degrade with the
 //! error magnitude.
 //!
-//! The sweep is a 1-D slice of the `bml-grid` experiment space (the
-//! `noise_sigmas` dimension); it routes through the same shared cell
-//! executor as the `grid` binary and honors `--threads`.
+//! The sweep is a 1-D grid over the `noise_sigmas` dimension, run by
+//! [`bml_bench::run_ablation`]; `--threads` caps its workers and
+//! `--window` sets the look-ahead. Row `i` draws its noise from its grid
+//! cell's seed, `splitmix64(seed ^ splitmix64(i))`. The last column is
+//! each cell's gap to the full-service offline optimum.
 //!
 //! ```text
 //! cargo run --release -p bml-bench --bin ablation_prediction -- \
-//!     [--days N] [--seed N] [--stepping event|per-second] [--threads N] [--csv]
+//!     [--days N] [--seed N] [--window S] [--stepping event|per-second] \
+//!     [--threads N] [--csv]
 //! ```
 
-use bml_bench::{joules_to_kwh, Args, Table};
-use bml_core::bml::BmlInfrastructure;
-use bml_core::catalog;
-use bml_sim::{runner::sweep_prediction_noise, SimConfig};
-use bml_trace::registry;
+use bml_bench::{gap_percent, joules_to_kwh, run_ablation, Args, Table};
 
 fn main() {
     let args = Args::parse();
     let days = args.days_or(7); // the sweep repeats the simulation; default smaller
-    let trace = registry::generate("worldcup-tournament", days, args.seed)
-        .expect("a registered trace source");
-    let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
     let sigmas = [0.0, 0.02, 0.05, 0.1, 0.2, 0.4];
-    eprintln!(
-        "sweeping {} noise levels over {} days...",
-        sigmas.len(),
-        days
-    );
     // Noise is counter-based and resampled once per look-ahead window,
-    // so every sigma honors this stepping choice — noisy runs included.
-    let config = SimConfig {
-        stepping: args.stepping_or_default(),
-        ..Default::default()
-    };
-    let results = args
-        .pool()
-        .install(|| sweep_prediction_noise(&trace, &bml, &sigmas, args.seed, &config));
+    // so every sigma honors the stepping choice — noisy runs included.
+    let cells = run_ablation("ablation-prediction", &args, days, |spec| {
+        spec.noise_sigmas(sigmas.to_vec())
+    });
 
     println!(
         "Prediction-error ablation ({} days, seed {}):\n",
@@ -53,15 +40,18 @@ fn main() {
         "boots",
         "QoS shortfall (%)",
         "worst shortfall (%)",
+        "gap vs full-service optimum (%)",
     ]);
-    for (sigma, r) in &results {
+    for (sigma, c) in sigmas.iter().zip(&cells) {
+        let r = &c.summary;
         t.row(&[
             format!("{sigma:.2}"),
             format!("{:.2}", joules_to_kwh(r.total_energy_j)),
             format!("{}", r.reconfigurations),
             format!("{}", r.nodes_switched_on),
-            format!("{:.4}", 100.0 * r.qos.shortfall_fraction()),
-            format!("{:.1}", 100.0 * r.qos.worst_shortfall),
+            format!("{:.4}", 100.0 * r.qos_shortfall),
+            format!("{:.1}", 100.0 * r.worst_shortfall),
+            gap_percent(r),
         ]);
     }
     t.print(args.csv);

@@ -2,34 +2,27 @@
 //! transition-aware scheduler (paper Sec. VI) on the World-Cup-like
 //! trace: energy, churn and QoS side by side.
 //!
-//! The sweep is a 1-D slice of the `bml-grid` experiment space (the
-//! `schedulers` dimension); it routes through the same shared cell
-//! executor as the `grid` binary and honors `--threads`.
+//! The sweep is a 1-D grid over the `schedulers` dimension, run by
+//! [`bml_bench::run_ablation`]; `--threads` caps its workers and
+//! `--window` sets both schedulers' look-ahead. The last column is each
+//! cell's gap to the full-service offline optimum.
 //!
 //! ```text
 //! cargo run --release -p bml-bench --bin ablation_scheduler -- \
-//!     [--days N] [--seed N] [--stepping event|per-second] [--threads N] [--csv]
+//!     [--days N] [--seed N] [--window S] [--stepping event|per-second] \
+//!     [--threads N] [--csv]
 //! ```
 
-use bml_bench::{joules_to_kwh, Args, Table};
-use bml_core::bml::BmlInfrastructure;
-use bml_core::catalog;
-use bml_sim::{runner::sweep_scheduler, SimConfig};
-use bml_trace::registry;
+use bml_bench::{gap_percent, joules_to_kwh, run_ablation, Args, Table};
+use bml_grid::SchedulerDim;
 
 fn main() {
     let args = Args::parse();
     let days = args.days_or(7); // the sweep repeats the simulation; default smaller
-    let trace = registry::generate("worldcup-tournament", days, args.seed)
-        .expect("a registered trace source");
-    let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
-    let config = SimConfig {
-        stepping: args.stepping_or_default(),
-        ..Default::default()
-    };
-    let results = args
-        .pool()
-        .install(|| sweep_scheduler(&trace, &bml, &config));
+    let schedulers = [SchedulerDim::Baseline, SchedulerDim::TransitionAware];
+    let cells = run_ablation("ablation-scheduler", &args, days, |spec| {
+        spec.schedulers(schedulers.to_vec())
+    });
 
     println!("Scheduler ablation ({} days, seed {}):\n", days, args.seed);
     let mut t = Table::new(&[
@@ -39,15 +32,18 @@ fn main() {
         "boots",
         "reconfig energy (kJ)",
         "QoS shortfall (%)",
+        "gap vs full-service optimum (%)",
     ]);
-    for (name, r) in &results {
+    for (s, c) in schedulers.iter().zip(&cells) {
+        let r = &c.summary;
         t.row(&[
-            name.clone(),
+            s.label().to_string(),
             format!("{:.2}", joules_to_kwh(r.total_energy_j)),
             format!("{}", r.reconfigurations),
             format!("{}", r.nodes_switched_on),
             format!("{:.1}", r.reconfig_energy_j / 1_000.0),
-            format!("{:.4}", 100.0 * r.qos.shortfall_fraction()),
+            format!("{:.4}", 100.0 * r.qos_shortfall),
+            gap_percent(r),
         ]);
     }
     t.print(args.csv);

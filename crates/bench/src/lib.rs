@@ -4,8 +4,10 @@
 //! binaries* lists them) plus ablation studies and the multi-dimensional
 //! `grid` runner. This library hosts the shared CLI argument plumbing
 //! ([`cli`]) so the twelve binaries parse `--seed`/`--days`/`--threads`/...
-//! one way, the text/CSV tables they print ([`report`]), and the smoke
-//! grid spec ([`smoke_spec`]) the `grid` binary runs.
+//! one way, the text/CSV tables they print ([`report`]), the smoke grid
+//! spec ([`smoke_spec`]) the `grid` binary runs, and the one-dimensional
+//! grid ([`run_ablation`]) the window, scheduler and prediction
+//! ablations run.
 
 #![warn(missing_docs)]
 
@@ -13,8 +15,9 @@ pub mod cli;
 pub mod report;
 
 use bml_core::combination::SplitPolicy;
-use bml_grid::spec::{CatalogSpec, GridSpec, SchedulerDim};
-use bml_sim::Stepping;
+use bml_grid::spec::{CatalogSpec, GridSpec, GridSpecBuilder, SchedulerDim};
+use bml_grid::{CellRecord, GridRunner};
+use bml_sim::{CellSummary, Stepping};
 
 pub use cli::{Args, USAGE};
 pub use report::{fmt_percent, joules_to_kwh, Table};
@@ -51,4 +54,60 @@ pub fn smoke_spec(days: u32, seed: u64, steppings: Vec<Stepping>) -> GridSpec {
         .steppings(steppings)
         .build()
         .expect("the smoke grid is always a valid spec")
+}
+
+/// Run an ablation binary's sweep as a one-dimensional grid through
+/// [`GridRunner`]; returns its cells in sweep order, optima attached.
+///
+/// The other dimensions hold one value each: the `days`-day
+/// worldcup-tournament trace at `--seed`, Table I, the baseline
+/// scheduler, `--window` (the paper's rule when unset), clean prediction,
+/// the efficiency-greedy split and `--stepping`. `sweep` replaces the
+/// swept dimension's list. `--seed` is also the root seed, and
+/// `--threads` caps the workers. Exits 1, naming them, when cells were
+/// quarantined: the table would lack their rows.
+pub fn run_ablation(
+    name: &str,
+    args: &Args,
+    days: u32,
+    sweep: impl FnOnce(GridSpecBuilder) -> GridSpecBuilder,
+) -> Vec<CellRecord> {
+    let spec = sweep(
+        GridSpec::builder()
+            .name(name)
+            .root_seed(args.seed)
+            .trace("worldcup-tournament", days, args.seed)
+            .catalogs(vec![CatalogSpec::table1()])
+            .schedulers(vec![SchedulerDim::Baseline])
+            .windows(vec![args.window])
+            .noise_sigmas(vec![0.0])
+            .splits(vec![SplitPolicy::EfficiencyGreedy])
+            .steppings(vec![args.stepping_or_default()]),
+    )
+    .build()
+    .expect("an ablation sweep is a valid spec");
+    eprintln!("{name}: {} cells over {days} days...", spec.n_cells());
+    let mut runner = GridRunner::new(&spec);
+    if let Some(n) = args.threads {
+        runner = runner.threads(n);
+    }
+    let outcome = runner.run().expect("a valid spec runs").outcome;
+    for f in &outcome.failed_cells {
+        eprintln!(
+            "{name}: quarantined cell {} ({})",
+            f.coords.index,
+            f.labels.join(", ")
+        );
+    }
+    if !outcome.failed_cells.is_empty() {
+        std::process::exit(1);
+    }
+    outcome.cells
+}
+
+/// A cell's optimality gap in percent, two decimals; `-` without one.
+pub fn gap_percent(summary: &CellSummary) -> String {
+    summary
+        .optimality_gap
+        .map_or_else(|| "-".into(), |gap| format!("{:.2}", 100.0 * gap))
 }

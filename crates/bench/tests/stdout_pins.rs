@@ -2,9 +2,11 @@
 //! binary runs as a child process, in text and `--csv` mode, and the
 //! `KeyHasher` digest of its stdout must equal the pin, as `smoke_gaps`
 //! pins the grid artifact. The sweeps and `fig5_bounds` run on one trace
-//! day. Every printed number, table row and label is covered; stderr
-//! (progress and wall-clock lines) is not. A deliberate change to a
-//! binary's output re-pins its digests and says so.
+//! day; the grid-backed ablations and `fig5_bounds` run in text mode
+//! again at `--threads 1`, which must print the same. Every printed
+//! number, table row and label is covered; stderr (progress and
+//! wall-clock lines) is not. A deliberate change to a binary's output
+//! re-pins its digests and says so.
 
 use std::process::Command;
 
@@ -31,6 +33,18 @@ fn assert_pinned(exe: &str, args: &[&str], text: &str, csv: &str) {
     let csv_args = [args, &["--csv"]].concat();
     let got = (stdout_digest(exe, args), stdout_digest(exe, &csv_args));
     assert_eq!(got, (text.to_owned(), csv.to_owned()), "{exe} {args:?}");
+}
+
+/// [`assert_pinned`], plus the text pin at `--threads 1`: the worker cap
+/// changes wall-clock time, never what a binary prints.
+fn assert_pinned_at_any_thread_count(exe: &str, args: &[&str], text: &str, csv: &str) {
+    assert_pinned(exe, args, text, csv);
+    let one_thread = [args, &["--threads", "1"]].concat();
+    assert_eq!(
+        stdout_digest(exe, &one_thread),
+        text,
+        "{exe} {one_thread:?}"
+    );
 }
 
 #[test]
@@ -85,7 +99,7 @@ fn fig4_combination() {
 
 #[test]
 fn fig5_bounds() {
-    assert_pinned(
+    assert_pinned_at_any_thread_count(
         env!("CARGO_BIN_EXE_fig5_bounds"),
         &["--days", "1"],
         "9395786290c1421ef54e72d0f2edd97d",
@@ -115,32 +129,46 @@ fn ablation_onoff() {
     );
 }
 
+/// The window, scheduler and prediction ablations run their sweep as a
+/// grid whose cells carry their offline optimum, so each table ends in a
+/// gap column. The noisy rows of `ablation_prediction` draw from their
+/// grid cell's seed.
 #[test]
 fn ablation_window() {
-    assert_pinned(
+    assert_pinned_at_any_thread_count(
         env!("CARGO_BIN_EXE_ablation_window"),
         &["--days", "1"],
-        "e6cd40a77d54344552256ce09e56041c",
-        "7462de9e66e4126aecfcd20a81baa9d5",
+        "81562f618e6a59df6edb48f7e8a13ad0",
+        "a49f1086d9a1ebd14d7d9cea5b399794",
     );
 }
 
 #[test]
 fn ablation_prediction() {
-    assert_pinned(
+    assert_pinned_at_any_thread_count(
         env!("CARGO_BIN_EXE_ablation_prediction"),
         &["--days", "1"],
-        "9dc51c51ba720c8febd36f0e71059c38",
-        "535f58217518c7a478375459e798c5d9",
+        "7988b12e5099cab3c40b205c55ea7f62",
+        "d71700c128f78e7150a5d39dde71cfca",
     );
 }
 
 #[test]
 fn ablation_scheduler() {
-    assert_pinned(
+    assert_pinned_at_any_thread_count(
         env!("CARGO_BIN_EXE_ablation_scheduler"),
         &["--days", "1"],
-        "ec412620eeb2c4734a0f4d606b71c8c6",
-        "8b9150f1d03a79427088704fcb42aab3",
+        "f09bc4247bea67a15f16a67bb63c481c",
+        "60c67f6511d7d577d156ebcf123d93fe",
     );
+}
+
+/// `--window` reaches the scheduler ablation's cells: both schedulers
+/// then look 189 s ahead instead of the paper's 378 s.
+#[test]
+fn ablation_scheduler_honors_window() {
+    let exe = env!("CARGO_BIN_EXE_ablation_scheduler");
+    let digest = stdout_digest(exe, &["--days", "1", "--window", "189"]);
+    assert_eq!(digest, "68be71e30a4bd2995e6144de8aed8170");
+    assert_ne!(digest, stdout_digest(exe, &["--days", "1"]));
 }

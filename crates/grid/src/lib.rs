@@ -64,13 +64,11 @@
 //! | `ablation_scheduler`  | `schedulers`                          |
 //! | `fig5_bounds --stepping` | `steppings`                        |
 //!
-//! Their `sweep_*` entry points in `bml_sim::runner` are thin wrappers
-//! over the same cell executor this crate drives, so a *clean* grid cell
-//! and the matching ablation point are the same computation. Noisy points
-//! differ in their seed: `sweep_prediction_noise` hands its one `seed` to
-//! every sigma, while a grid cell's noise seed is
-//! `splitmix64(root_seed ^ splitmix64(scenario))`. Given that seed, the
-//! sweep reproduces the cell (`tests/ablation_slices.rs` checks both).
+//! The first three build that slice as a [`GridSpec`] and run it through
+//! [`GridRunner`] (`bml_bench::run_ablation`), so every row they print is
+//! a grid cell, noise seed and offline optimum included. `fig5_bounds` is
+//! not a grid run: it runs the Fig. 5 comparison at the one stepping
+//! `--stepping` names.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -49,9 +49,9 @@ impl SchedulerDim {
     }
 
     /// Concrete scheduler for a cell with look-ahead `window_s` and load
-    /// split `split` — built by
-    /// [`TransitionAwareConfig::for_window`](bml_core::transition_aware::TransitionAwareConfig::for_window),
-    /// like `sweep_scheduler`'s.
+    /// split `split`: the transition-aware one prices its decisions over
+    /// that window, through
+    /// [`TransitionAwareConfig::for_window`](bml_core::transition_aware::TransitionAwareConfig::for_window).
     pub fn resolve(self, window_s: u64, split: SplitPolicy) -> SchedulerKind {
         match self {
             SchedulerDim::Baseline => SchedulerKind::Baseline,

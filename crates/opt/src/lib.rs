@@ -20,10 +20,9 @@
 //!
 //! * **States** are the ideal machine combinations (the paper's Step-5
 //!   greedy fill, [`BmlInfrastructure::ideal_combination`]) of the
-//!   trace's distinct load levels, plus all-off, plus any
-//!   [`OptOptions::extra_states`]. A state is feasible for a segment
-//!   when its capacity covers the load — the QoS target is full service,
-//!   the same constraint the ideal combination satisfies.
+//!   trace's distinct load levels, plus all-off. A state is feasible for
+//!   a segment when its capacity covers the load — the QoS target is full
+//!   service, the same constraint the ideal combination satisfies.
 //! * **Serving cost** of a segment in state `s` is
 //!   `PowerCurve::new(s).eval(load) * len`, the exact power the simulator
 //!   meters for an online fleet `s` under the chosen split policy (one
@@ -142,14 +141,11 @@ fn window_rows(segments: usize) -> usize {
     rows
 }
 
-/// Knobs for [`solve`].
+/// Knobs for [`solve`]. It has none today; every solve takes it so that
+/// a knob added later reaches the grid's opt-cache key, which hashes its
+/// `Debug` text.
 #[derive(Debug, Clone, Default)]
-pub struct OptOptions {
-    /// Additional candidate states (machine counts per architecture,
-    /// candidate order) to consider beyond the ideal combinations — e.g.
-    /// the knapsack packing of [`bml_core::combination::optimal_dp`].
-    pub extra_states: Vec<Vec<u32>>,
-}
+pub struct OptOptions {}
 
 /// The DP's output: the minimum achievable energy and the schedule that
 /// achieves it, in the engine's `reconfig_log` protocol.
@@ -409,32 +405,31 @@ fn lattice_strides(lens: &[usize]) -> (Vec<usize>, usize) {
 }
 
 impl<'a> Dp<'a> {
-    fn build(
+    /// The DP over `index` whose states are the ideal combination of
+    /// every distinct load, and all-off.
+    fn build(index: &'a SegmentIndex<'a>, bml: &'a BmlInfrastructure, split: SplitPolicy) -> Self {
+        let n_archs = bml.n_archs();
+        let mut states: BTreeSet<Vec<u32>> = BTreeSet::new();
+        states.insert(vec![0; n_archs]);
+        for &v in &index.loads {
+            states.insert(bml.ideal_combination(v).counts(n_archs));
+        }
+        Self::over_states(index, bml, split, states)
+    }
+
+    /// The DP over `index` with `states` (machine counts per
+    /// architecture, candidate order) as its state space, numbered in
+    /// their sorted order.
+    fn over_states(
         index: &'a SegmentIndex<'a>,
         bml: &'a BmlInfrastructure,
         split: SplitPolicy,
-        opts: &OptOptions,
+        states: BTreeSet<Vec<u32>>,
     ) -> Self {
         let profiles = bml.candidates();
         let n_archs = profiles.len();
         let loads = &index.loads;
-
-        // Candidate states: the ideal combination for every distinct load,
-        // all-off, and the caller's extras.
-        let mut state_set: BTreeSet<Vec<u32>> = BTreeSet::new();
-        state_set.insert(vec![0; n_archs]);
-        for &v in loads {
-            state_set.insert(bml.ideal_combination(v).counts(n_archs));
-        }
-        for extra in &opts.extra_states {
-            assert_eq!(
-                extra.len(),
-                n_archs,
-                "extra state arity must match the candidate count"
-            );
-            state_set.insert(extra.clone());
-        }
-        let states: Vec<Vec<u32>> = state_set.into_iter().collect();
+        let states: Vec<Vec<u32>> = states.into_iter().collect();
         let k = states.len();
 
         let costs: Vec<ArchCost> = profiles.iter().map(ArchCost::new).collect();
@@ -1002,15 +997,14 @@ pub fn solve(
 /// `split`. An empty trace yields a zero-energy schedule.
 ///
 /// The optimum is exact *within its state space*: the infrastructure's
-/// ideal combinations for the trace's load levels (plus all-off and
-/// [`OptOptions::extra_states`]), reconfigured only at
-/// constant-load segment boundaries — see the crate docs for why
-/// boundary-restricted schedules dominate.
+/// ideal combinations for the trace's load levels (plus all-off),
+/// reconfigured only at constant-load segment boundaries — see the crate
+/// docs for why boundary-restricted schedules dominate.
 pub fn solve_indexed(
     index: &SegmentIndex<'_>,
     bml: &BmlInfrastructure,
     split: SplitPolicy,
-    opts: &OptOptions,
+    _opts: &OptOptions,
 ) -> OptimalSchedule {
     if index.len() == 0 {
         return OptimalSchedule {
@@ -1023,7 +1017,7 @@ pub fn solve_indexed(
             states_pruned: 0,
         };
     }
-    let dp = Dp::build(index, bml, split, opts);
+    let dp = Dp::build(index, bml, split);
     let path = dp.solve_path(rayon::current_num_threads());
     OptimalSchedule {
         energy_j: dp.path_energy(&path),
@@ -1092,26 +1086,6 @@ fn verify(
         sched.n_segments,
     );
     (sched, replay)
-}
-
-/// Optimal power (W) and machine counts for serving a single constant
-/// `rate` — the one-segment special case of the DP, with the knapsack
-/// packing of [`bml_core::combination::optimal_dp`] seeded as an extra
-/// candidate so the answer is the true instantaneous optimum (for a
-/// fixed machine multiset the efficiency-greedy split is the cheapest
-/// assignment, so the enriched candidate set contains the knapsack's
-/// minimizer).
-///
-/// `ablation_packing` uses this to compare the Step-5 greedy fill
-/// against the optimum; the two solvers must agree (tested there).
-pub fn optimal_instant(bml: &BmlInfrastructure, rate: u64, split: SplitPolicy) -> (f64, Vec<u32>) {
-    let (_, knapsack) = bml_core::combination::optimal_dp(bml.candidates(), rate);
-    let trace = LoadTrace::new(0, vec![rate as f64]);
-    let opts = OptOptions {
-        extra_states: vec![knapsack],
-    };
-    let sched = solve_indexed(&SegmentIndex::new(&trace), bml, split, &opts);
-    (sched.energy_j, sched.initial)
 }
 
 #[cfg(test)]
@@ -1245,7 +1219,7 @@ mod tests {
         for n in [1, 2, 5, 16, 17, 49, 50] {
             let trace = steps(n);
             let index = SegmentIndex::new(&trace);
-            let dp = Dp::build(&index, &bml, greedy(), &OptOptions::default());
+            let dp = Dp::build(&index, &bml, greedy());
             assert_eq!(index.len(), n);
             let inline = dp.solve_path(1);
             for workers in [2, 3, 8] {
@@ -1393,7 +1367,7 @@ mod tests {
         for trace in &traces {
             let index = SegmentIndex::new(trace);
             for split in [greedy(), SplitPolicy::ProportionalToCapacity] {
-                let dp = Dp::build(&index, &bml, split, &OptOptions::default());
+                let dp = Dp::build(&index, &bml, split);
                 let path = dp.solve_path(1);
                 let n = index.len();
                 // Change points: the runs start at segment 0, their starts
@@ -1561,49 +1535,40 @@ mod tests {
         let build = |profiles: &[ArchProfile]| BmlInfrastructure::build(profiles).unwrap();
         let table1 = build(&catalog::table1());
         let index = SegmentIndex::new(&trace);
-        // An extra state on a new last position of the contiguous axis
-        // puts a non-state cell between states the plain lattice holds
-        // side by side, so the runs split.
-        let (plain_runs, split_run) = {
-            let plain = Dp::build(&index, &table1, greedy(), &OptOptions::default());
-            let contiguous = plain.lattice.iter().position(|a| a.stride == 1).unwrap();
-            let mut extra = vec![0; plain.profiles.len()];
-            extra[contiguous] = plain.states.iter().map(|s| s[contiguous]).max().unwrap() + 1;
-            (plain.runs.len(), extra)
-        };
-        let split_opts = OptOptions {
-            extra_states: vec![split_run],
-        };
+        // A state on a new last position of the contiguous axis puts a
+        // non-state cell between states the plain lattice holds side by
+        // side, so the runs split.
+        let plain = Dp::build(&index, &table1, greedy());
+        let contiguous = plain.lattice.iter().position(|a| a.stride == 1).unwrap();
+        let mut extra = vec![0; plain.profiles.len()];
+        extra[contiguous] = plain.states.iter().map(|s| s[contiguous]).max().unwrap() + 1;
+        let split_run = Dp::over_states(
+            &index,
+            &table1,
+            greedy(),
+            plain.states.iter().cloned().chain([extra]).collect(),
+        );
+        assert!(
+            split_run.runs.len() > plain.runs.len(),
+            "the extra state splits a run"
+        );
+        let big_medium = build(&[catalog::paravance(), catalog::chromebook()]);
+        let big_little = build(&[catalog::paravance(), catalog::raspberry()]);
+        let illustrative = build(&catalog::illustrative());
         let cases = [
-            ("table1", table1.clone(), OptOptions::default()),
-            (
-                "big-medium",
-                build(&[catalog::paravance(), catalog::chromebook()]),
-                OptOptions::default(),
-            ),
-            (
-                "big-little",
-                build(&[catalog::paravance(), catalog::raspberry()]),
-                OptOptions::default(),
-            ),
-            (
-                "illustrative",
-                build(&catalog::illustrative()),
-                OptOptions::default(),
-            ),
-            ("table1+split-run", table1, split_opts),
+            ("table1", plain),
+            ("big-medium", Dp::build(&index, &big_medium, greedy())),
+            ("big-little", Dp::build(&index, &big_little, greedy())),
+            ("illustrative", Dp::build(&index, &illustrative, greedy())),
+            ("table1+split-run", split_run),
         ];
-        for (name, bml, opts) in cases {
-            let dp = Dp::build(&index, &bml, greedy(), &opts);
+        for (name, dp) in cases {
             let k = dp.k();
             assert!(k >= 5, "{name}: want a non-trivial state space, got {k}");
             assert!(
                 dp.runs.len() > 1,
                 "{name}: want states that are not adjacent"
             );
-            if name == "table1+split-run" {
-                assert!(dp.runs.len() > plain_runs, "the extra state splits a run");
-            }
             // Deterministic pseudo-random dp vector, in state order.
             let dp_in: Vec<f64> = (0..k)
                 .map(|s| {
@@ -1685,7 +1650,7 @@ mod tests {
             ("tournament", tournament, 170, 120, 11),
         ] {
             let index = SegmentIndex::new(&trace);
-            let dp = Dp::build(&index, &bml, greedy(), &OptOptions::default());
+            let dp = Dp::build(&index, &bml, greedy());
             assert_eq!(
                 (dp.box_size, dp.k(), dp.runs.len()),
                 (box_size, k, runs),
@@ -1717,28 +1682,6 @@ mod tests {
             s.energy_j,
             live.total_energy_j
         );
-    }
-
-    #[test]
-    fn optimal_instant_never_above_greedy_fill() {
-        let bml = bml();
-        for rate in (1..=2662u64).step_by(97) {
-            let (opt, counts) = optimal_instant(&bml, rate, greedy());
-            // Priced by the model the DP minimizes: the greedy fleet is one
-            // of its states, so no tolerance is needed.
-            let greedy_counts = bml.ideal_combination(rate as f64).counts(bml.n_archs());
-            let (greedy_w, _) = bml.config_power(&greedy_counts, rate as f64, greedy());
-            assert!(
-                opt <= greedy_w,
-                "rate {rate}: optimal {opt} > greedy {greedy_w}"
-            );
-            let (_, dp_counts) = bml_core::combination::optimal_dp(bml.candidates(), rate);
-            let (dp_w, _) = bml.config_power(&dp_counts, rate as f64, greedy());
-            assert!(
-                (opt - dp_w.min(greedy_w)).abs() <= 1e-9 * dp_w.max(1.0),
-                "rate {rate}: instant {opt} vs knapsack {dp_w} / greedy {greedy_w} ({counts:?})"
-            );
-        }
     }
 
     proptest! {

@@ -1,11 +1,12 @@
 //! The shared experiment-cell executor.
 //!
-//! Every experiment in this repo — the three ablation sweeps in
-//! [`crate::runner`], the `bml-grid` multi-dimensional scenario grids, the
-//! bench binaries — boils down to the same unit of work: *run the BML
-//! pro-active scenario once under a specific knob setting*. This module is
-//! the single implementation of that unit ([`run_cell`]) plus the one
-//! parallel fan-out everything shares ([`run_cells_checked`]).
+//! Every experiment grid in this repo — the `grid` binary's smoke grid
+//! and the one-dimensional grids of the window, scheduler and prediction
+//! ablations, all run by `bml-grid` — boils down to the same unit of
+//! work: *run the BML pro-active scenario once under a specific knob
+//! setting*. This module is the single implementation of that unit
+//! ([`run_cell`]) plus the one parallel fan-out the grid runs it through
+//! ([`run_cells_checked`]).
 //!
 //! A cell's look-ahead table is a function of its trace and its resolved
 //! window alone, so the fan-out builds one table per distinct (trace,
@@ -372,15 +373,30 @@ mod tests {
             &bml,
             &CellConfig {
                 noise_seed: 12,
-                ..cell
+                ..cell.clone()
             },
         );
         assert_ne!(a, other_seed, "noise seed must matter");
+        // Under-prediction with noise must hurt QoS or change energy.
+        let clean = run_cell(&trace, &bml, &clean_cell());
+        let degraded = run_cell(
+            &trace,
+            &bml,
+            &CellConfig {
+                noise_sigma: 0.3,
+                ..cell
+            },
+        );
+        assert!(
+            degraded.qos.violation_seconds > clean.qos.violation_seconds
+                || (degraded.total_energy_j - clean.total_energy_j).abs() > 1.0,
+            "sigma 0.3 left the clean run unchanged"
+        );
     }
 
     #[test]
     fn failure_model_survives_the_cell_wrapping() {
-        // The sweeps lift SimConfig through CellConfig::from_sim; a base
+        // Grid cells lift SimConfig through CellConfig::from_sim; a base
         // with crash injection must keep injecting (regression: the
         // wrapper once dropped `failures`).
         let trace = step_trace(&[150.0], 3_000);

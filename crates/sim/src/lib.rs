@@ -24,9 +24,9 @@
 //!   bounds, BML, the theoretical lower bound);
 //! * [`exec`] — the shared experiment-cell executor: one knob setting =
 //!   one cell, fanned out rayon-parallel with order-preserving,
-//!   thread-count-independent results;
-//! * [`runner`] — the Fig. 5 comparison and the ablation sweeps, thin
-//!   wrappers over [`exec`].
+//!   thread-count-independent results. `bml-grid` drives it for every
+//!   experiment grid, the ablation sweeps included;
+//! * [`runner`] — the Fig. 5 four-way comparison.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,4 +50,4 @@ pub use engine::{
 pub use exec::{run_cell, run_cells_checked, CellConfig, CellJob, CellPanic};
 pub use qos::QosReport;
 pub use replay::replay_schedule;
-pub use runner::{run_comparison, sweep_prediction_noise, sweep_window, ComparisonResult};
+pub use runner::{run_comparison, ComparisonResult};

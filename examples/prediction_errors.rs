@@ -10,7 +10,7 @@
 //! ```
 
 use bml::prelude::*;
-use bml::sim::{runner::sweep_prediction_noise, simulate_bml};
+use bml::sim::{run_cell, simulate_bml, CellConfig};
 use bml::trace::{synthetic, EwmaPredictor, LastValuePredictor};
 
 fn main() {
@@ -23,9 +23,13 @@ fn main() {
         "{:<8} {:>12} {:>10} {:>16} {:>14}",
         "sigma", "energy(kWh)", "reconfigs", "shortfall(%)", "worst sec(%)"
     );
-    for (sigma, r) in
-        sweep_prediction_noise(&trace, &infra, &[0.0, 0.05, 0.1, 0.2, 0.4], 1998, &config)
-    {
+    for sigma in [0.0, 0.05, 0.1, 0.2, 0.4] {
+        let cell = CellConfig {
+            noise_sigma: sigma,
+            noise_seed: 1998,
+            ..CellConfig::from_sim(&config)
+        };
+        let r = run_cell(&trace, &infra, &cell);
         println!(
             "{:<8.2} {:>12.3} {:>10} {:>16.4} {:>14.1}",
             sigma,
