@@ -16,9 +16,9 @@
 //! The headline printed per trace before the criterion timings is
 //! **simulated-seconds per wall-clock second** for the full
 //! solve-then-verify pipeline (best of 3), next to the solve alone as
-//! **ns per boundary per pass**: its best-of-3 time over twice the
-//! boundary count, since the backtrack recomputes every boundary the
-//! forward pass crossed.
+//! **ns per boundary**: its best-of-3 time over the boundary count, since
+//! the solve crosses every boundary once and chains the backtrack inside
+//! that one forward pass.
 
 use std::time::Instant;
 
@@ -88,14 +88,14 @@ fn bench_opt_dp(c: &mut Criterion) {
         println!(
             "opt_dp/{name} exact+verify {:>12.0} simulated-s/wallclock-s  \
              ({:.0} sim-s, {} segments x {} states, {} records, in {:.4} s); \
-             solve {:.1} ns/boundary/pass",
+             solve {:.1} ns/boundary",
             sim_secs / verified_s,
             sim_secs,
             sched.n_segments,
             sched.n_states,
             sched.schedule.len(),
             verified_s,
-            solve_s * 1e9 / (2.0 * sched.n_boundaries as f64),
+            solve_s * 1e9 / sched.n_boundaries as f64,
         );
     }
 

@@ -6,7 +6,8 @@
 //! error magnitude.
 //!
 //! The sweep is a 1-D grid over the `noise_sigmas` dimension, run by
-//! [`bml_bench::run_ablation`]; `--threads` caps its workers and
+//! [`bml_bench::run_ablation`]; `--threads` caps its workers,
+//! `--cache-dir` caches its cells and optimum and
 //! `--window` sets the look-ahead. Row `i` draws its noise from its grid
 //! cell's seed, `splitmix64(seed ^ splitmix64(i))`. The last column is
 //! each cell's gap to the full-service offline optimum.
@@ -14,7 +15,7 @@
 //! ```text
 //! cargo run --release -p bml-bench --bin ablation_prediction -- \
 //!     [--days N] [--seed N] [--window S] [--stepping event|per-second] \
-//!     [--threads N] [--csv]
+//!     [--threads N] [--cache-dir PATH] [--csv]
 //! ```
 
 use bml_bench::{gap_percent, joules_to_kwh, run_ablation, Args, Table};

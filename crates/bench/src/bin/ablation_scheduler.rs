@@ -3,14 +3,15 @@
 //! trace: energy, churn and QoS side by side.
 //!
 //! The sweep is a 1-D grid over the `schedulers` dimension, run by
-//! [`bml_bench::run_ablation`]; `--threads` caps its workers and
+//! [`bml_bench::run_ablation`]; `--threads` caps its workers,
+//! `--cache-dir` caches its cells and optimum and
 //! `--window` sets both schedulers' look-ahead. The last column is each
 //! cell's gap to the full-service offline optimum.
 //!
 //! ```text
 //! cargo run --release -p bml-bench --bin ablation_scheduler -- \
 //!     [--days N] [--seed N] [--window S] [--stepping event|per-second] \
-//!     [--threads N] [--csv]
+//!     [--threads N] [--cache-dir PATH] [--csv]
 //! ```
 
 use bml_bench::{gap_percent, joules_to_kwh, run_ablation, Args, Table};

@@ -5,12 +5,14 @@
 //! reconfigurations), long windows over-provision (energy).
 //!
 //! The sweep is a 1-D grid over the `windows` dimension, run by
-//! [`bml_bench::run_ablation`]; `--threads` caps its workers. The last
-//! column is each cell's gap to the full-service offline optimum.
+//! [`bml_bench::run_ablation`]; `--threads` caps its workers and
+//! `--cache-dir` caches its cells and optimum. The last column is each
+//! cell's gap to the full-service offline optimum.
 //!
 //! ```text
 //! cargo run --release -p bml-bench --bin ablation_window -- \
-//!     [--days N] [--seed N] [--stepping event|per-second] [--threads N] [--csv]
+//!     [--days N] [--seed N] [--stepping event|per-second] [--threads N] \
+//!     [--cache-dir PATH] [--csv]
 //! ```
 
 use bml_bench::{gap_percent, joules_to_kwh, run_ablation, Args, Table};

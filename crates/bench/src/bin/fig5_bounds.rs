@@ -15,11 +15,10 @@
 //!     [--threads N] [--csv] [--json PATH] [--telemetry-out PATH]
 //! ```
 //!
-//! `--threads N` caps the offline-optimal solve, whose backtrack
-//! recomputes its windows on up to `N` threads (default: available
-//! parallelism); results are the same at every `N`. The comparison's four
-//! scenarios run on `rayon::join` threads, which no cap governs, so they
-//! run four at a time whatever `N` is.
+//! `--threads` does not apply here: it parses and is unused. The
+//! offline-optimal solve runs on the calling thread, and the comparison's
+//! four scenarios run on `rayon::join` threads, which no cap governs, so
+//! they run four at a time.
 //!
 //! With `--json PATH` a machine-readable summary (totals, per-day
 //! energies, overhead statistics, wall time) is also written — the CI
@@ -58,17 +57,14 @@ fn main() {
         days,
         trace.len()
     );
-    let pool = args.pool();
     let started = std::time::Instant::now();
-    let c = pool.install(|| run_comparison(&trace, &bml, &config));
+    let c = run_comparison(&trace, &bml, &config);
     let wall_s = started.elapsed().as_secs_f64();
     eprintln!("solving the offline-optimal reconfiguration schedule (exact DP)...");
     let opt_started = std::time::Instant::now();
-    let (opt_sched, opt_row) = pool
-        .install(|| {
-            bml_opt::solve_verified(&trace, &bml, config.split, &bml_opt::OptOptions::default())
-        })
-        .expect("exact DP cannot dead-end");
+    let (opt_sched, opt_row) =
+        bml_opt::solve_verified(&trace, &bml, config.split, &bml_opt::OptOptions::default())
+            .expect("exact DP cannot dead-end");
     let opt_wall_s = opt_started.elapsed().as_secs_f64();
     eprintln!(
         "optimal schedule: {} records over {} segments x {} states, \

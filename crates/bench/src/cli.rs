@@ -41,8 +41,8 @@ pub struct Args {
     /// Also write a machine-readable summary (the `BENCH_*.json` perf
     /// trajectory CI uploads) to this path.
     pub json: Option<String>,
-    /// Worker-thread cap for the parallel sweeps and grids; `None` =
-    /// rayon's default. Thread count never changes results, only
+    /// Worker-thread cap for the grid and the grid-backed ablations;
+    /// `None` = rayon's default. Thread count never changes results, only
     /// wall-clock time.
     pub threads: Option<usize>,
     /// Directory artifact-writing binaries (`grid`) emit into
@@ -201,15 +201,6 @@ impl Args {
     /// given, otherwise event-driven.
     pub fn stepping_or_default(&self) -> bml_sim::Stepping {
         self.stepping.unwrap_or_default()
-    }
-
-    /// A rayon pool honoring `--threads` (the default pool when unset).
-    /// Run parallel sections under `pool().install(|| ...)`.
-    pub fn pool(&self) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads.unwrap_or(0))
-            .build()
-            .expect("thread pool construction cannot fail")
     }
 }
 
@@ -389,14 +380,6 @@ mod tests {
     fn help_is_the_usage_line() {
         assert_eq!(try_parse(&["--help"]).unwrap_err(), USAGE);
         assert_eq!(try_parse(&["-h"]).unwrap_err(), USAGE);
-    }
-
-    #[test]
-    fn pool_honors_threads() {
-        let mut a = parse(&["--threads", "3"]);
-        assert_eq!(a.pool().current_num_threads(), 3);
-        a.threads = None;
-        assert!(a.pool().current_num_threads() >= 1);
     }
 
     #[test]

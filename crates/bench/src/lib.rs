@@ -63,9 +63,11 @@ pub fn smoke_spec(days: u32, seed: u64, steppings: Vec<Stepping>) -> GridSpec {
 /// worldcup-tournament trace at `--seed`, Table I, the baseline
 /// scheduler, `--window` (the paper's rule when unset), clean prediction,
 /// the efficiency-greedy split and `--stepping`. `sweep` replaces the
-/// swept dimension's list. `--seed` is also the root seed, and
-/// `--threads` caps the workers. Exits 1, naming them, when cells were
-/// quarantined: the table would lack their rows.
+/// swept dimension's list. `--seed` is also the root seed, `--threads`
+/// caps the workers, and `--cache-dir` turns on the grid's cell and
+/// optimum cache, so a repeated sweep loads its optimum instead of solving
+/// it again. Exits 1, naming them, when cells were quarantined: the table
+/// would lack their rows.
 pub fn run_ablation(
     name: &str,
     args: &Args,
@@ -90,6 +92,9 @@ pub fn run_ablation(
     let mut runner = GridRunner::new(&spec);
     if let Some(n) = args.threads {
         runner = runner.threads(n);
+    }
+    if let Some(dir) = &args.cache_dir {
+        runner = runner.cache_dir(dir);
     }
     let outcome = runner.run().expect("a valid spec runs").outcome;
     for f in &outcome.failed_cells {

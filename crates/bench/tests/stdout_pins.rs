@@ -3,7 +3,8 @@
 //! `KeyHasher` digest of its stdout must equal the pin, as `smoke_gaps`
 //! pins the grid artifact. The sweeps and `fig5_bounds` run on one trace
 //! day; the grid-backed ablations and `fig5_bounds` run in text mode
-//! again at `--threads 1`, which must print the same. Every printed
+//! again at `--threads 1`, and `ablation_window` on a cold and then a
+//! warm `--cache-dir`, which must all print the same. Every printed
 //! number, table row and label is covered; stderr (progress and
 //! wall-clock lines) is not. A deliberate change to a binary's output
 //! re-pins its digests and says so.
@@ -171,4 +172,21 @@ fn ablation_scheduler_honors_window() {
     let digest = stdout_digest(exe, &["--days", "1", "--window", "189"]);
     assert_eq!(digest, "68be71e30a4bd2995e6144de8aed8170");
     assert_ne!(digest, stdout_digest(exe, &["--days", "1"]));
+}
+
+/// `--cache-dir` reaches the grid-backed ablations: the first run stores
+/// the sweep's one optimum, and a second run on the warm cache prints the
+/// same table.
+#[test]
+fn ablation_window_honors_cache_dir() {
+    let exe = env!("CARGO_BIN_EXE_ablation_window");
+    let dir = std::env::temp_dir().join("bml_ablation_window_cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = ["--days", "1", "--cache-dir", dir.to_str().unwrap()];
+    let pin = "81562f618e6a59df6edb48f7e8a13ad0";
+    assert_eq!(stdout_digest(exe, &args), pin, "cold cache");
+    let optima = std::fs::read_dir(dir.join("opt")).unwrap().count();
+    assert_eq!(optima, 1, "one trace, catalog and split: one optimum");
+    assert_eq!(stdout_digest(exe, &args), pin, "warm cache");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -58,48 +58,34 @@
 //!
 //! ## Memory
 //!
+//! The backtrack is an argmin chain over the cost rows, last segment
+//! first: each step reads one row and the state the chain holds in the
+//! next segment. The forward pass runs once, on the calling thread, and
+//! chains the backtrack as it goes, a window of `ceil(sqrt(S))` segments
+//! at a time (`S` segments), from *every* state the path could hold just
+//! past the window. A step depends only on the row and the state, so
+//! chains that meet share the rest of their walk, and a window's chains
+//! merge almost at once: ~1.06 steps per segment on a 7-day worldcup
+//! trace. Once the next window is chained, only the roots (start states)
+//! its chains end in can still be on the path; their runs are kept and
+//! the rest dropped. After the final argmin the path is read off the kept
+//! windows, last first: the path one chain over the full table of rows
+//! would take, to the bit.
+//!
 //! A solve holds three things that grow with the trace:
 //!
-//! * **Cost vectors, `O(T * K * sqrt(S))`** for `K` states and `S`
-//!   segments. The backtrack needs every segment's cost vector, and an
-//!   87-day worldcup trace has millions of segments. The forward pass
-//!   therefore keeps one checkpoint every `ceil(sqrt(S))` segments,
-//!   `O(K * sqrt(S))`, and the backtrack re-runs each window of
-//!   `ceil(sqrt(S))` rows from its checkpoint, for the price of a second
-//!   forward pass. The windows go through a fixed pool of `T + 1` window
-//!   buffers, allocated before the backtrack starts (one buffer when
-//!   `T = 1`; `T` is below). Checkpoints and window rows hold only the
-//!   `K` state values, copied run by run out of a lattice vector; a
-//!   window restarts by copying its checkpoint's runs back into its
-//!   buffer's own lattice of `INF`.
-//! * **The path, `O(changes)`.** The backtrack records the optimal path
-//!   as runs of one state, one per change point: 14,613 runs over the
-//!   588,391 segments of a 7-day worldcup trace.
+//! * **One window of cost rows, `O(K * sqrt(S))`** for `K` states: the
+//!   `K` state values of each of the window's segments, copied run by run
+//!   out of the lattice vector into one reused buffer.
+//! * **The path and the chains, `O(changes)`.** Paths are runs of one
+//!   state, one per change point: 14,613 runs over the 588,391 segments
+//!   of a 7-day worldcup trace, whose 767 kept windows hold 768 roots and
+//!   14,640 runs. A window's chains live in a reused arena.
 //! * **The [`SegmentIndex`], 8 bytes per segment.** A segment lasts at
 //!   least a second, so that is never more than the trace's own 8 bytes
 //!   per second (plus one sentinel). It is allocated once at its exact
 //!   size, depends on the trace alone, and can be shared by every solve
 //!   on that trace ([`solve_indexed`]).
-//!
-//! ## Concurrency
-//!
-//! The backtrack runs two steps per window. The first recomputes window
-//! `c`'s rows from checkpoint `c` and depends on nothing else. The second
-//! runs the argmin chain over those rows, last segment first; it needs
-//! the state the chain chose just after the window, so windows chain
-//! strictly in descending order. With `T = rayon::current_num_threads()`
-//! above 1, `T` scoped workers recompute windows round-robin in
-//! descending order while the calling thread chains them; at `T = 1` the
-//! caller runs both steps itself and spawns nothing. A top-level solve
-//! gets every core; a solve inside a parallel map gets its worker's share
-//! of the map's cap, so the grid's concurrent solves under `--threads N`
-//! never recompute on more than `N` threads (one each, inline, at `N = 2`
-//! and six solves).
-//!
-//! No bit moves with `T`. A row is the same float computation from the
-//! same checkpoint whichever thread runs it, and the chain reads the rows
-//! in the same order on one thread. The forward pass and the chain stay
-//! sequential, and they now bound the solve.
 //!
 //! ## Trust, but verify
 //!
@@ -116,7 +102,6 @@
 #![warn(rust_2018_idioms)]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::mpsc;
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::{PowerCurve, SplitPolicy};
@@ -131,14 +116,10 @@ const INF: f64 = f64::INFINITY;
 const EPS: f64 = 1e-9;
 
 /// Rows of the backtrack's window for `segments` segments:
-/// `ceil(sqrt(segments))`, which balances the forward pass's checkpoints
-/// (one per window) against the window buffer itself.
+/// `ceil(sqrt(segments))`, which balances the window buffer against the
+/// windows' start-up, where up to `K` chains step before they merge.
 fn window_rows(segments: usize) -> usize {
-    let mut rows = 1;
-    while rows * rows < segments {
-        rows += 1;
-    }
-    rows
+    (1..).find(|r| r * r >= segments).expect("squares grow")
 }
 
 /// Knobs for [`solve`]. It has none today; every solve takes it so that
@@ -324,11 +305,97 @@ impl<'t> SegmentIndex<'t> {
 
 /// One run of the optimal path: from segment `first` up to the next
 /// run's, the path holds `state`. Adjacent runs differ in state, so a
-/// path has one run per change point, plus the first.
+/// path has one run per change point, plus the first. It packs into 8
+/// bytes, as [`SegmentIndex::new`] bounds the segments by `u32::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PathRun {
-    first: usize,
-    state: usize,
+    first: u32,
+    state: u32,
+}
+
+impl PathRun {
+    fn new(first: usize, state: usize) -> Self {
+        let fit = |v| u32::try_from(v).expect("a trace has at most u32::MAX segments");
+        PathRun {
+            first: fit(first),
+            state: fit(state),
+        }
+    }
+
+    fn state(self) -> usize {
+        self.state as usize
+    }
+}
+
+/// No run: the end of a chain in an [`Arena`].
+const NONE: usize = usize::MAX;
+
+/// One backtrack window's chains, from every root at once (see
+/// [`Dp::chain_window`]), in vectors that the next window but one reuses.
+#[derive(Debug, Default)]
+struct Arena {
+    /// The chains' runs; the first `roots` are the roots, one per start
+    /// state. Below its first segment, the chain in run `r` continues in
+    /// run `below[r]`, [`NONE`] at the window's first segment.
+    runs: Vec<PathRun>,
+    below: Vec<usize>,
+    roots: usize,
+    /// The runs the chains are in at the segment the walk has reached, one
+    /// per distinct state: the window's first segment once it is done.
+    active: Vec<usize>,
+    /// Scratch for one step: each active run and the state it moves to.
+    moves: Vec<(usize, usize)>,
+    /// Per state, the run that holds it at this step, or [`NONE`].
+    claim: Vec<usize>,
+}
+
+/// The chained backtrack windows, in segment order, each with only the
+/// roots the optimal path can still take.
+#[derive(Debug, Default)]
+struct Chained {
+    /// Per window: its first kept root in `roots`.
+    windows: Vec<usize>,
+    /// Per kept root: its run, and the end of its chain's runs in `runs`.
+    roots: Vec<(PathRun, usize)>,
+    /// The runs each kept root's chain changes into, last first, down to
+    /// its window's first segment.
+    runs: Vec<PathRun>,
+}
+
+impl Chained {
+    /// Keep the roots of `arena`'s window whose state passes `keep`.
+    fn keep(&mut self, arena: &Arena, keep: impl Fn(usize) -> bool) {
+        self.windows.push(self.roots.len());
+        for root in (0..arena.roots).filter(|&r| keep(arena.runs[r].state())) {
+            let mut below = arena.below[root];
+            while below != NONE {
+                self.runs.push(arena.runs[below]);
+                below = arena.below[below];
+            }
+            self.roots.push((arena.runs[root], self.runs.len()));
+        }
+    }
+
+    /// The optimal path that holds `last` in the last segment, in segment
+    /// order. The windows are walked last first: in each, the root the
+    /// path reaches it in extends the carried run down to the root's first
+    /// segment, and the root's chain adds its runs.
+    fn path(&self, last: PathRun) -> Vec<PathRun> {
+        let mut path = vec![last];
+        let mut roots_end = self.roots.len();
+        for &roots_start in self.windows.iter().rev() {
+            let carried = path.last_mut().expect("the path starts on its last run");
+            let r = (roots_start..roots_end)
+                .find(|&r| self.roots[r].0.state == carried.state)
+                .expect("a window keeps the root the path reaches it in");
+            carried.first = self.roots[r].0.first;
+            let runs_start = r.checked_sub(1).map_or(0, |p| self.roots[p].1);
+            path.extend_from_slice(&self.runs[runs_start..self.roots[r].1]);
+            roots_end = roots_start;
+        }
+        path.reverse();
+        path
+    }
 }
 
 /// One axis of the count lattice, priced once per solve.
@@ -635,28 +702,39 @@ impl<'a> Dp<'a> {
         }
     }
 
-    /// Forward pass + windowed backtrack, with up to `workers` threads
-    /// recomputing the backtrack's windows (see [`pipeline`]). Returns the
-    /// optimal path as runs, in segment order.
-    fn solve_path(&self, workers: usize) -> Vec<PathRun> {
+    /// The optimal path as runs, in segment order (see the crate docs).
+    fn solve_path(&self) -> Vec<PathRun> {
+        let (chained, last) = self.forward();
+        chained.path(last)
+    }
+
+    /// The forward pass. Each segment's row goes into the window, which is
+    /// chained once the segment after it is crossed, from every state
+    /// feasible there. Returns the chained windows and the last segment's
+    /// run, in the state the final argmin picks and the last window's
+    /// chain starts from.
+    fn forward(&self) -> (Chained, PathRun) {
         let k = self.k();
         let s_count = self.index.len();
         let rows = window_rows(s_count);
+        let mut window = vec![INF; rows * k];
+        for (s, &rank) in self.rank_of.iter().enumerate() {
+            window[rank] = self.serve_energy(0, s);
+        }
         // The cost vector lives in the lattice for the whole pass.
         let mut cells = vec![INF; self.box_size];
-        let seg = self.index.seg(0);
-        let first: Vec<f64> = self.serve[seg.load as usize * k..][..k]
-            .iter()
-            .map(|&w| w * f64::from(seg.len))
-            .collect();
-        self.scatter(&first, &mut cells);
-        // Forward pass, checkpointing the cost vector at every window start.
-        let mut checkpoints = vec![INF; s_count.div_ceil(rows) * k];
-        for i in 0..s_count - 1 {
+        self.scatter(&window[..k], &mut cells);
+        // The window chained last, until the next one prunes its roots,
+        // and the window being chained.
+        let mut arenas = [Arena::default(), Arena::default()];
+        let mut chained = Chained::default();
+        for i in 1..s_count {
+            self.cross(&mut cells, self.index.seg(i));
             if i % rows == 0 {
-                self.gather(&cells, &mut checkpoints[i / rows * k..][..k]);
+                let feasible = (0..k).filter(|&s| cells[self.cell_of[s]] < INF);
+                self.chain_window(i - rows, &window, feasible, &mut arenas, &mut chained);
             }
-            self.cross(&mut cells, self.index.seg(i + 1));
+            self.gather(&cells, &mut window[i % rows * k..][..k]);
         }
         let (mut best_s, mut best_v) = (usize::MAX, INF);
         for (s, &cell) in self.cell_of.iter().enumerate() {
@@ -666,95 +744,118 @@ impl<'a> Dp<'a> {
             }
         }
         debug_assert!(best_v.is_finite(), "the exact DP cannot dead-end");
-
-        // The chain walks the segments last first, so it builds the runs
-        // back to front and they are reversed once at the end.
-        let mut path = vec![PathRun {
-            first: s_count - 1,
-            state: best_s,
-        }];
-        pipeline(
-            (s_count - 1).div_ceil(rows),
-            workers,
-            || Window::new(self.box_size, rows * k),
-            |c, window| self.recompute(c, rows, &checkpoints, window),
-            |c, window| self.chain(c, rows, &window.rows, &mut path),
-        );
-        path.reverse();
-        path
+        let lo = (s_count - 1) / rows * rows;
+        let last_rows = &window[..(s_count - 1 - lo) * k];
+        self.chain_window(lo, last_rows, [best_s], &mut arenas, &mut chained);
+        chained.keep(&arenas[0], |s| s == best_s);
+        (chained, PathRun::new(s_count - 1, best_s))
     }
 
-    /// The segments backtrack window `c` covers: from its checkpoint to
-    /// the next window's, or to the last segment, whose state the forward
-    /// pass's argmin already fixed.
-    fn window_span(&self, c: usize, rows: usize) -> std::ops::Range<usize> {
-        let w0 = c * rows;
-        w0..(w0 + rows).min(self.index.len() - 1)
-    }
-
-    /// The backtrack's first step for window `c`: row `r` of
-    /// `window.rows` becomes the cost vector through segment
-    /// `c * rows + r`, re-run from checkpoint `c` alone, in lattice order.
-    fn recompute(&self, c: usize, rows: usize, checkpoints: &[f64], window: &mut Window) {
+    /// Chain the window whose cost rows through segments `lo..` are `rows`
+    /// into `arenas[1]`, from each of `roots` in the segment just past it.
+    /// Then keep the roots of the window before, in `arenas[0]`, that
+    /// these chains end in, and swap the arenas.
+    ///
+    /// At each segment every distinct state the chains hold takes one
+    /// [`Dp::step`]. The chains that stay are sorted first and claim their
+    /// state, so their runs go on, and a chain that changes into a claimed
+    /// state joins that run: from there down, the two walks are one.
+    fn chain_window(
+        &self,
+        lo: usize,
+        rows: &[f64],
+        roots: impl IntoIterator<Item = usize>,
+        arenas: &mut [Arena; 2],
+        chained: &mut Chained,
+    ) {
         let k = self.k();
-        let span = self.window_span(c, rows);
-        let checkpoint = &checkpoints[c * k..][..k];
-        let (cells, window_rows) = window.split();
-        window_rows[..k].copy_from_slice(checkpoint);
-        self.scatter(checkpoint, cells);
-        for r in 1..span.len() {
-            self.cross(cells, self.index.seg(span.start + r));
-            self.gather(cells, &mut window_rows[r * k..][..k]);
-        }
-    }
-
-    /// The backtrack's second step for window `c`: the argmin chain over
-    /// its recomputed `rows`, last segment first. Each choice reads the
-    /// state of the run the chain has reached (the segment after it) and
-    /// either extends that run down by one segment or starts a new one.
-    fn chain(&self, c: usize, rows: usize, window: &[f64], path: &mut Vec<PathRun>) {
-        let k = self.k();
-        let span = self.window_span(c, rows);
-        for i in span.clone().rev() {
-            let dp_i = &window[(i - span.start) * k..][..k];
-            let run = path.last_mut().expect("the chain starts on the last run");
-            let b = run.state;
-            let tau = self.index.start(i + 1);
-            // Seeding the scan with staying put lets it skip every `a`
-            // whose cost is `>= best_c` unpriced: profiles forbid negative
-            // energies, so transition prices are >= 0 and such an `a` can
-            // never win. The seed cannot change the outcome: when staying
-            // ties the minimum it is chosen by the tie rule below anyway,
-            // and otherwise the scan still ends on the lowest-index
-            // minimizer. The scan walks the states in index order through
-            // `rank_of`, so that holds although the row is in lattice
-            // order.
-            let stay = dp_i[self.rank_of[b]];
-            let (mut best_a, mut best_c) = (b, stay);
-            for (a, &rank) in self.rank_of.iter().enumerate() {
-                let v = dp_i[rank];
-                if v >= best_c {
+        let hi = lo + rows.len() / k;
+        let Arena {
+            runs,
+            below,
+            roots: n_roots,
+            active,
+            moves,
+            claim,
+        } = &mut arenas[1];
+        runs.clear();
+        below.clear();
+        runs.extend(roots.into_iter().map(|state| PathRun::new(hi, state)));
+        below.resize(runs.len(), NONE);
+        *n_roots = runs.len();
+        active.clear();
+        active.extend(0..runs.len());
+        claim.resize(k, NONE);
+        for i in (lo..hi).rev() {
+            let row = &rows[(i - lo) * k..][..k];
+            moves.clear();
+            for &r in active.iter() {
+                moves.push((r, self.step(row, runs[r].state(), i)));
+            }
+            moves.sort_unstable_by_key(|&(r, to)| runs[r].state() != to);
+            active.clear();
+            for &(r, to) in moves.iter() {
+                if runs[r].state() == to {
+                    debug_assert_eq!(claim[to], NONE, "stayers claim first");
+                    runs[r] = PathRun::new(i, to);
+                    claim[to] = r;
+                    active.push(r);
                     continue;
                 }
-                let cost = v + self.trans_cost(a, b, tau);
-                if cost < best_c {
-                    best_c = cost;
-                    best_a = a;
+                if claim[to] == NONE {
+                    claim[to] = runs.len();
+                    active.push(runs.len());
+                    runs.push(PathRun::new(i, to));
+                    below.push(NONE);
                 }
+                below[r] = claim[to];
             }
-            debug_assert!(best_c.is_finite(), "reachable state has a predecessor");
-            // Prefer staying put on (float-) ties: fewer records, and the
-            // common no-reconfiguration case short-circuits. A stay is
-            // chosen whenever `best_a == b`, so a new run always changes
-            // state.
-            if stay <= best_c + 1e-9 * best_c.abs() + 1e-6 {
-                run.first = i;
-            } else {
-                path.push(PathRun {
-                    first: i,
-                    state: best_a,
-                });
+            for &r in active.iter() {
+                claim[runs[r].state()] = NONE;
             }
+        }
+        let [pending, current] = arenas;
+        let ends = |s| current.active.iter().any(|&r| current.runs[r].state() == s);
+        if pending.roots > 0 {
+            chained.keep(pending, ends);
+        }
+        std::mem::swap(pending, current);
+    }
+
+    /// One step of the backtrack's argmin chain: the state the optimal
+    /// path holds in segment `i` when it holds `b` in segment `i + 1`.
+    /// `row` is the cost row through segment `i`, in lattice order.
+    fn step(&self, row: &[f64], b: usize, i: usize) -> usize {
+        let tau = self.index.start(i + 1);
+        // Seeding the scan with staying put lets it skip every `a` whose
+        // cost is `>= best_c` unpriced: profiles forbid negative energies,
+        // so transition prices are >= 0 and such an `a` can never win. The
+        // seed cannot change the outcome: when staying ties the minimum it
+        // is chosen by the tie rule below anyway, and otherwise the scan
+        // still ends on the lowest-index minimizer. The scan walks the
+        // states in index order through `rank_of`, so that holds although
+        // the row is in lattice order.
+        let stay = row[self.rank_of[b]];
+        let (mut best_a, mut best_c) = (b, stay);
+        for (a, &rank) in self.rank_of.iter().enumerate() {
+            let v = row[rank];
+            if v >= best_c {
+                continue;
+            }
+            let cost = v + self.trans_cost(a, b, tau);
+            if cost < best_c {
+                best_c = cost;
+                best_a = a;
+            }
+        }
+        debug_assert!(best_c.is_finite(), "reachable state has a predecessor");
+        // Prefer staying put on (float-) ties: fewer records, and the
+        // common no-reconfiguration case short-circuits. A stay is chosen
+        // whenever `best_a == b`, so a move always changes state.
+        if stay <= best_c + 1e-9 * best_c.abs() + 1e-6 {
+            b
+        } else {
+            best_a
         }
     }
 
@@ -766,17 +867,19 @@ impl<'a> Dp<'a> {
     /// prices `+0.0`, and the running sum is never `-0.0`, so the stays'
     /// additions, left out, would change no bit.
     fn path_energy(&self, path: &[PathRun]) -> f64 {
-        let mut e = self.serve_energy(0, path[0].state);
-        let mut prev = path[0].state;
+        let mut e = self.serve_energy(0, path[0].state());
+        let mut prev = path[0].state();
         for (r, run) in path.iter().enumerate() {
-            let end = path.get(r + 1).map_or(self.index.len(), |next| next.first);
-            for i in run.first.max(1)..end {
-                if i == run.first {
-                    e += self.trans_cost(prev, run.state, self.index.start(i));
+            let end = path
+                .get(r + 1)
+                .map_or(self.index.len(), |next| next.first as usize);
+            for i in (run.first as usize).max(1)..end {
+                if i == run.first as usize {
+                    e += self.trans_cost(prev, run.state(), self.index.start(i));
                 }
-                e += self.serve_energy(i, run.state);
+                e += self.serve_energy(i, run.state());
             }
-            prev = run.state;
+            prev = run.state();
         }
         e
     }
@@ -791,8 +894,8 @@ impl<'a> Dp<'a> {
         let n_archs = self.profiles.len();
         let mut events: Vec<(u64, Vec<i64>)> = Vec::new();
         for pair in path.windows(2) {
-            let (a, b) = (&self.states[pair[0].state], &self.states[pair[1].state]);
-            let tau = self.index.start(pair[1].first);
+            let (a, b) = (&self.states[pair[0].state()], &self.states[pair[1].state()]);
+            let tau = self.index.start(pair[1].first as usize);
             let mut boots: BTreeMap<u64, Vec<i64>> = BTreeMap::new();
             let mut offs = vec![0i64; n_archs];
             let mut any_off = false;
@@ -816,7 +919,7 @@ impl<'a> Dp<'a> {
             }
         }
         events.sort_by_key(|e| e.0); // stable: same-time records keep order
-        let mut believed: Vec<i64> = self.states[path[0].state]
+        let mut believed: Vec<i64> = self.states[path[0].state()]
             .iter()
             .map(|&c| i64::from(c))
             .collect();
@@ -834,121 +937,6 @@ impl<'a> Dp<'a> {
             })
             .collect()
     }
-}
-
-/// `f64`s of padding on each side of a [`Window`]'s lattice vector: 128
-/// bytes, a cache line pair. Every boundary rewrites the whole vector, so
-/// a line it shared with another worker's buffer would bounce between
-/// cores on every segment; that cost the concurrent recompute a third of
-/// its speed on a 2-core host.
-const PAD: usize = 16;
-
-/// One backtrack window buffer: the lattice vector its rows are re-run
-/// in (padded by [`PAD`] on each side) and the rows themselves
-/// (`ceil(sqrt(S))` rows of `K` state values).
-struct Window {
-    padded_cells: Vec<f64>,
-    rows: Vec<f64>,
-}
-
-impl Window {
-    fn new(box_size: usize, row_values: usize) -> Self {
-        Window {
-            padded_cells: vec![INF; box_size + 2 * PAD],
-            rows: vec![INF; row_values],
-        }
-    }
-
-    /// The lattice vector and the rows, both writable.
-    fn split(&mut self) -> (&mut [f64], &mut [f64]) {
-        let n = self.padded_cells.len() - 2 * PAD;
-        (&mut self.padded_cells[PAD..][..n], &mut self.rows)
-    }
-}
-
-/// Drive the backtrack's two steps over windows `n_windows - 1` down to
-/// 0: `recompute(c, buf)` fills a buffer from window `c`'s checkpoint
-/// alone, then `chain(c, buf)` reads it. `chain` runs on the calling
-/// thread and sees every window once, in strictly descending order,
-/// whatever `workers` is.
-///
-/// `workers` is clamped to the window count. At 1 the caller runs both
-/// steps itself, one window at a time into one buffer, and spawns
-/// nothing. Otherwise `workers` scoped threads recompute — worker `j`
-/// takes the `j`-th, `(j + workers)`-th, ... window in descending order —
-/// into a fixed pool of `workers + 1` buffers made before any worker
-/// starts: one per worker and the caller's spare. Before the caller waits
-/// for a window it queues its spare with that window's worker, for the
-/// worker's next window, so a worker never waits for the caller to wake
-/// up. The buffer for the window the caller waits for was queued one
-/// round earlier, so the hand-off cannot deadlock.
-///
-/// A panicking worker drops its channel; the caller then resumes that
-/// worker's panic instead of waiting for a window that never comes.
-fn pipeline<B: Send>(
-    n_windows: usize,
-    workers: usize,
-    mut new_buffer: impl FnMut() -> B,
-    recompute: impl Fn(usize, &mut B) + Sync,
-    mut chain: impl FnMut(usize, &B),
-) {
-    let workers = workers.min(n_windows);
-    if workers <= 1 {
-        let mut buf = new_buffer();
-        for c in (0..n_windows).rev() {
-            recompute(c, &mut buf);
-            chain(c, &buf);
-        }
-        return;
-    }
-    let buffers: Vec<B> = (0..workers).map(|_| new_buffer()).collect();
-    let mut spare = new_buffer();
-    std::thread::scope(|scope| {
-        let recompute = &recompute;
-        let mut lanes: Vec<_> = buffers
-            .into_iter()
-            .enumerate()
-            .map(|(j, buf)| {
-                // A lane holds at most one filled buffer and two free ones
-                // (this window's and the next's), so the sends never block,
-                // and the channels allocate only here.
-                let (filled_tx, filled_rx) = mpsc::sync_channel::<B>(1);
-                let (free_tx, free_rx) = mpsc::sync_channel::<B>(2);
-                free_tx.send(buf).expect("the receiver is in scope");
-                let worker = scope.spawn(move || {
-                    for c in (0..n_windows).rev().skip(j).step_by(workers) {
-                        // A closed channel means the caller is unwinding.
-                        let Ok(mut buf) = free_rx.recv() else { return };
-                        recompute(c, &mut buf);
-                        if filled_tx.send(buf).is_err() {
-                            return;
-                        }
-                    }
-                });
-                (filled_rx, free_tx, Some(worker))
-            })
-            .collect();
-        for (m, c) in (0..n_windows).rev().enumerate() {
-            let (filled, free, worker) = &mut lanes[m % workers];
-            if m + workers < n_windows {
-                // The worker may have died; its panic surfaces below.
-                let _ = free.send(spare);
-            }
-            let Ok(buf) = filled.recv() else {
-                let worker = worker.take().expect("a lane fails once");
-                let payload = worker
-                    .join()
-                    .expect_err("only a panic ends a worker before its last window");
-                std::panic::resume_unwind(payload);
-            };
-            chain(c, &buf);
-            spare = buf;
-        }
-        // Join the worker threads, not just their closures, as `rayon`'s parallel map does.
-        for w in lanes.into_iter().filter_map(|(_, _, worker)| worker) {
-            w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-        }
-    });
 }
 
 /// One relaxation: `min(cur, src + price)`, written so it compiles to a
@@ -1018,10 +1006,10 @@ pub fn solve_indexed(
         };
     }
     let dp = Dp::build(index, bml, split);
-    let path = dp.solve_path(rayon::current_num_threads());
+    let path = dp.solve_path();
     OptimalSchedule {
         energy_j: dp.path_energy(&path),
-        initial: dp.states[path[0].state].clone(),
+        initial: dp.states[path[0].state()].clone(),
         schedule: dp.schedule(&path),
         n_states: dp.k(),
         n_segments: index.len(),
@@ -1210,28 +1198,6 @@ mod tests {
         LoadTrace::new(0, rates)
     }
 
-    #[test]
-    fn pipelined_backtrack_matches_inline() {
-        // 1 and 2 segments; rows^2 and rows^2 + 1 segments (rows 4 -> 5
-        // and 7 -> 8); and fewer windows than workers (2 segments make 1
-        // window, 5 make 2, 16 and 17 make 4).
-        let bml = bml();
-        for n in [1, 2, 5, 16, 17, 49, 50] {
-            let trace = steps(n);
-            let index = SegmentIndex::new(&trace);
-            let dp = Dp::build(&index, &bml, greedy());
-            assert_eq!(index.len(), n);
-            let inline = dp.solve_path(1);
-            for workers in [2, 3, 8] {
-                assert_eq!(
-                    dp.solve_path(workers),
-                    inline,
-                    "{n} segments, {workers} workers"
-                );
-            }
-        }
-    }
-
     /// Fig. 5's trace: 7 worldcup days at the default seed.
     fn fig5_week() -> LoadTrace {
         bml_trace::worldcup::generate(&bml_trace::worldcup::WorldCupParams {
@@ -1239,6 +1205,105 @@ mod tests {
             n_days: 7,
             ..Default::default()
         })
+    }
+
+    /// The smoke grid's three catalogs.
+    fn smoke_catalogs() -> [BmlInfrastructure; 3] {
+        let build = |p: &[ArchProfile]| BmlInfrastructure::build(p).unwrap();
+        [
+            bml(),
+            build(&[catalog::paravance(), catalog::chromebook()]),
+            build(&[catalog::paravance(), catalog::raspberry()]),
+        ]
+    }
+
+    /// The oracle for [`Dp::solve_path`]: every segment's cost row in one
+    /// table, then a single chain from the final argmin, last segment first,
+    /// that extends its run on a stay and starts a new one on a change.
+    fn full_table_chain(dp: &Dp<'_>) -> Vec<PathRun> {
+        let (k, n) = (dp.k(), dp.index.len());
+        let mut table = vec![INF; n * k];
+        for (s, &rank) in dp.rank_of.iter().enumerate() {
+            table[rank] = dp.serve_energy(0, s);
+        }
+        let mut cells = vec![INF; dp.box_size];
+        dp.scatter(&table[..k], &mut cells);
+        for i in 1..n {
+            dp.cross(&mut cells, dp.index.seg(i));
+            dp.gather(&cells, &mut table[i * k..][..k]);
+        }
+        let last = |s: &usize| table[(n - 1) * k + dp.rank_of[*s]];
+        let best = (0..k).min_by(|a, b| last(a).total_cmp(&last(b))).unwrap();
+        let mut path = vec![PathRun::new(n - 1, best)];
+        for i in (0..n - 1).rev() {
+            let run = path.last_mut().unwrap();
+            let state = dp.step(&table[i * k..][..k], run.state(), i);
+            if state == run.state() {
+                *run = PathRun::new(i, state);
+            } else {
+                path.push(PathRun::new(i, state));
+            }
+        }
+        path.reverse();
+        path
+    }
+
+    /// Traces on the backtrack's window edges: 1 segment, 2 (one partial
+    /// window), 3 (an empty last window after a full one), rows^2 and
+    /// rows^2 + 1 (rows 4 -> 5 and 7 -> 8), and last windows of one to six
+    /// rows; then a flash crowd and a worldcup-tournament day.
+    fn backtrack_traces() -> Vec<LoadTrace> {
+        let mut traces: Vec<LoadTrace> = [1, 2, 3, 5, 16, 17, 49, 50].map(steps).into();
+        traces.push(bml_trace::synthetic::flash_crowd(
+            100.0, 5000.0, 1000, 60, 300.0, 5000,
+        ));
+        traces.push(bml_trace::registry::generate("worldcup-tournament", 1, 1998).unwrap());
+        traces
+    }
+
+    #[test]
+    fn one_pass_backtrack_matches_a_full_table_chain() {
+        let mut changes = 0;
+        for trace in &backtrack_traces() {
+            let index = SegmentIndex::new(trace);
+            for bml in &smoke_catalogs() {
+                for split in [greedy(), SplitPolicy::ProportionalToCapacity] {
+                    let dp = Dp::build(&index, bml, split);
+                    let path = dp.solve_path();
+                    assert_eq!(
+                        path,
+                        full_table_chain(&dp),
+                        "{} segments, {} states, {split:?}",
+                        index.len(),
+                        dp.k()
+                    );
+                    changes += path.len() - 1;
+                }
+            }
+        }
+        assert!(changes > 1000, "the paths should reconfigure: {changes}");
+    }
+
+    #[test]
+    fn kept_roots_and_runs_stay_near_the_path() {
+        let tournament = bml_trace::registry::generate("worldcup-tournament", 2, 1998).unwrap();
+        for (name, trace) in [("fig5", fig5_week()), ("tournament", tournament)] {
+            let index = SegmentIndex::new(&trace);
+            let (chained, last) = Dp::build(&index, &bml(), greedy()).forward();
+            let path = chained.path(last);
+            let (windows, roots) = (chained.windows.len(), chained.roots.len());
+            let (runs, path_runs) = (chained.runs.len(), path.len());
+            // The last window is empty when the ones before it fill up.
+            assert_eq!(windows, (index.len() - 1) / window_rows(index.len()) + 1);
+            assert!(
+                10 * roots <= 11 * windows,
+                "{name}: {roots} roots kept over {windows} windows"
+            );
+            assert!(
+                10 * runs <= 11 * path_runs,
+                "{name}: {runs} runs stored for a path of {path_runs}"
+            );
+        }
     }
 
     #[test]
@@ -1286,8 +1351,10 @@ mod tests {
     fn per_segment(path: &[PathRun], n_segments: usize) -> Vec<usize> {
         let mut states = Vec::with_capacity(n_segments);
         for (r, run) in path.iter().enumerate() {
-            let end = path.get(r + 1).map_or(n_segments, |next| next.first);
-            states.extend(std::iter::repeat_n(run.state, end - run.first));
+            let end = path
+                .get(r + 1)
+                .map_or(n_segments, |next| next.first as usize);
+            states.extend(std::iter::repeat_n(run.state(), end - run.first as usize));
         }
         states
     }
@@ -1351,29 +1418,18 @@ mod tests {
 
     #[test]
     fn path_runs_price_and_schedule_like_a_per_segment_path() {
-        let tournament = bml_trace::registry::generate("worldcup-tournament", 1, 1998).unwrap();
-        let flash = bml_trace::synthetic::flash_crowd(100.0, 5000.0, 1000, 60, 300.0, 5000);
-        let traces = [
-            steps(1),
-            steps(2),
-            steps(5),
-            steps(17),
-            steps(50),
-            flash,
-            tournament,
-        ];
         let bml = bml();
         let mut changes = 0;
-        for trace in &traces {
+        for trace in &backtrack_traces() {
             let index = SegmentIndex::new(trace);
             for split in [greedy(), SplitPolicy::ProportionalToCapacity] {
                 let dp = Dp::build(&index, &bml, split);
-                let path = dp.solve_path(1);
+                let path = dp.solve_path();
                 let n = index.len();
                 // Change points: the runs start at segment 0, their starts
                 // strictly increase, and neighbours differ in state.
                 assert_eq!(path[0].first, 0, "{n} segments");
-                assert!(path.last().unwrap().first < n);
+                assert!((path.last().unwrap().first as usize) < n);
                 for pair in path.windows(2) {
                     assert!(pair[0].first < pair[1].first, "{n} segments: {pair:?}");
                     assert_ne!(pair[0].state, pair[1].state, "{n} segments: {pair:?}");
@@ -1397,60 +1453,6 @@ mod tests {
             changes > 100,
             "the paths should reconfigure: {changes} changes"
         );
-    }
-
-    #[test]
-    fn pipeline_chains_every_window_once_in_descending_order() {
-        let caller = std::thread::current().id();
-        for (n_windows, workers) in [(0, 4), (1, 4), (2, 8), (7, 1), (7, 2), (7, 3), (40, 3)] {
-            let mut made = 0;
-            let mut seen = Vec::new();
-            pipeline(
-                n_windows,
-                workers,
-                || {
-                    made += 1;
-                    None
-                },
-                |c, buf| *buf = Some((c, std::thread::current().id())),
-                |c, buf| seen.push((c, *buf)),
-            );
-            let active = workers.min(n_windows);
-            for (i, (c, buf)) in seen.iter().enumerate() {
-                let (filled_for, on) = buf.expect("recomputed before chained");
-                assert_eq!((*c, filled_for), (n_windows - 1 - i, n_windows - 1 - i));
-                // One active worker means the caller recomputes inline.
-                assert_eq!(
-                    on == caller,
-                    active <= 1,
-                    "{n_windows} windows, {workers} workers"
-                );
-            }
-            assert_eq!(seen.len(), n_windows);
-            let buffers = if active <= 1 { 1 } else { active + 1 };
-            assert_eq!(made, buffers, "{n_windows} windows, {workers} workers");
-        }
-    }
-
-    #[test]
-    fn pipeline_resumes_a_worker_panic() {
-        for workers in [1, 2, 3] {
-            let caught = std::panic::catch_unwind(|| {
-                pipeline(
-                    6,
-                    workers,
-                    || (),
-                    |c, ()| assert!(c != 3, "window 3 failed"),
-                    |_, ()| {},
-                );
-            });
-            let payload = caught.expect_err("the panic reaches the caller");
-            assert_eq!(
-                payload.downcast_ref::<&str>(),
-                Some(&"window 3 failed"),
-                "{workers} workers"
-            );
-        }
     }
 
     #[test]
@@ -1532,8 +1534,7 @@ mod tests {
             .flat_map(|i| vec![f64::from(i * 97); 30])
             .collect();
         let trace = LoadTrace::new(0, rates);
-        let build = |profiles: &[ArchProfile]| BmlInfrastructure::build(profiles).unwrap();
-        let table1 = build(&catalog::table1());
+        let [table1, big_medium, big_little] = smoke_catalogs();
         let index = SegmentIndex::new(&trace);
         // A state on a new last position of the contiguous axis puts a
         // non-state cell between states the plain lattice holds side by
@@ -1552,9 +1553,7 @@ mod tests {
             split_run.runs.len() > plain.runs.len(),
             "the extra state splits a run"
         );
-        let big_medium = build(&[catalog::paravance(), catalog::chromebook()]);
-        let big_little = build(&[catalog::paravance(), catalog::raspberry()]);
-        let illustrative = build(&catalog::illustrative());
+        let illustrative = BmlInfrastructure::build(&catalog::illustrative()).unwrap();
         let cases = [
             ("table1", plain),
             ("big-medium", Dp::build(&index, &big_medium, greedy())),

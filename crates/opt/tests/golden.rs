@@ -10,9 +10,9 @@
 //! `ceil(sqrt(S))`-row window (1, 2, 3, 16 and 17 segments), and every
 //! case must replay clean through the simulator.
 //!
-//! The table is solved under every cap in [`THREADS`]: the backtrack
-//! recomputes its windows on as many threads as the cap allows, and no
-//! cap may move a bit of it.
+//! The table is solved under every cap in [`THREADS`]. The solve runs on
+//! the calling thread and reads no thread count, so the caps prove that it
+//! ignores them: no cap may move a bit of the table.
 //!
 //! On a mismatch the assertion prints the whole actual table in the
 //! table's own format.
@@ -49,8 +49,7 @@ const GOLDEN: &[(&str, u64, usize, usize, u64)] = &[
     ("ties/near", 0x409a400000000000, 2, 0, 0xe6bd86443df8ce07),
 ];
 
-/// Thread caps the table is solved under (1 = the backtrack runs inline
-/// on the caller).
+/// Thread caps the table is solved under.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 fn pool(threads: usize) -> rayon::ThreadPool {
